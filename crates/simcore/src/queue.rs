@@ -5,9 +5,9 @@
 //!
 //! 1. **Deterministic tie-breaking** — events scheduled for the same instant
 //!    fire in scheduling order (FIFO), enforced with a monotone sequence
-//!    number in the heap key `(SimTime, seq)`.
+//!    number in the key `(SimTime, seq)`.
 //! 2. **Cancellation** — models cancel timers (e.g. an autoscaler probe after
-//!    shutdown) without scanning the heap.
+//!    shutdown) without scanning the pending set.
 //!
 //! The implementation is built for the hot path (see DESIGN.md):
 //!
@@ -19,17 +19,33 @@
 //!   every release. An [`EventId`] is `(slot, generation)`, so a stale handle
 //!   (the event already fired or was cancelled, even if the slot was reused)
 //!   can never cancel the wrong event — `cancel` on it is a `false` no-op.
-//! * **Indexed four-ary min-heap** — the heap stores slot indices and every
-//!   slot remembers its heap position, so cancellation removes the entry in
-//!   O(log n) with no tombstone `HashSet` and no skip loop on pop. Four-ary
-//!   keeps the heap a level shallower than binary and sifts through
-//!   cache-adjacent children.
+//! * **Two lanes** — a pending slot waits in one of two lanes, and every pop
+//!   takes whichever lane front is smaller by `(time, seq)`:
+//!   * the **indexed four-ary min-heap** holds single pushes. It stores slot
+//!     indices and every slot remembers its heap position, so cancellation
+//!     removes the entry in O(log n) with no tombstone. Four-ary keeps the
+//!     heap a level shallower than binary and sifts through cache-adjacent
+//!     children;
+//!   * the **sorted run** is a FIFO of slot indices already in `(time, seq)`
+//!     order. [`EventQueue::push_batch`] appends every item whose time does
+//!     not precede the run's tail, so a sorted batch — a tick of arrivals —
+//!     costs O(1) per push and per pop instead of a sift through the heap;
+//!     the rest of the batch takes the heap. A run entry cannot leave the
+//!     middle of the FIFO: cancelling one drops its payload at once and
+//!     leaves a tombstone that is skipped and freed when it reaches the
+//!     front, so the front is always live.
+
+use std::collections::VecDeque;
 
 use crate::time::SimTime;
 
 /// Branching factor of the heap. Four children per node halves the depth of
 /// a binary heap and keeps all children of a node in one or two cache lines.
 const ARITY: usize = 4;
+
+/// The `heap_pos` of a slot whose event waits in the sorted run, not the
+/// heap.
+const IN_RUN: u32 = u32::MAX;
 
 /// Identifies a scheduled event, for cancellation.
 ///
@@ -52,7 +68,9 @@ impl EventId {
 }
 
 /// One arena slot. `payload` is `Some` while the event is pending; `time`,
-/// `seq` and `heap_pos` are only meaningful then.
+/// `seq` and `heap_pos` (or [`IN_RUN`]) are only meaningful then. A
+/// cancelled run entry keeps its slot, with no payload, until it leaves
+/// the run.
 struct Slot<E> {
     generation: u32,
     heap_pos: u32,
@@ -62,7 +80,8 @@ struct Slot<E> {
 }
 
 /// A time-ordered queue of pending events with O(log n) push, pop and
-/// cancellation, backed by a slab of reusable slots.
+/// cancellation — O(1) for the sorted part of a batch — backed by a slab
+/// of reusable slots.
 ///
 /// # Examples
 ///
@@ -84,6 +103,12 @@ pub struct EventQueue<E> {
     free: Vec<u32>,
     /// Four-ary min-heap of occupied slot indices, ordered by `(time, seq)`.
     heap: Vec<u32>,
+    /// The sorted run: slot indices in `(time, seq)` order, appended by
+    /// `push_batch`. Its front is always live; cancelled entries behind it
+    /// stay as tombstones until they reach the front.
+    run: VecDeque<u32>,
+    /// Tombstones in `run`.
+    run_dead: usize,
     /// Next FIFO tie-break sequence number.
     next_seq: u64,
 }
@@ -96,6 +121,8 @@ impl<E> EventQueue<E> {
             slots: Vec::new(),
             free: Vec::new(),
             heap: Vec::new(),
+            run: VecDeque::new(),
+            run_dead: 0,
             next_seq: 0,
         }
     }
@@ -108,6 +135,8 @@ impl<E> EventQueue<E> {
             slots: Vec::with_capacity(capacity),
             free: Vec::new(),
             heap: Vec::with_capacity(capacity),
+            run: VecDeque::new(),
+            run_dead: 0,
             next_seq: 0,
         }
     }
@@ -115,44 +144,23 @@ impl<E> EventQueue<E> {
     /// Schedules `payload` at `time` and returns a handle for cancellation.
     #[inline]
     pub fn push(&mut self, time: SimTime, payload: E) -> EventId {
-        let seq = self.next_seq;
-        self.next_seq += 1;
         let pos = self.heap.len() as u32;
-        // Fill the slot in one borrow: `heap_pos` is written and
-        // `generation` read while the slot is already in hand, so the hot
-        // loop touches `slots` exactly once per push.
-        let (slot, generation) = match self.free.pop() {
-            Some(i) => {
-                let s = &mut self.slots[i as usize];
-                s.time = time;
-                s.seq = seq;
-                s.heap_pos = pos;
-                s.payload = Some(payload);
-                (i, s.generation)
-            }
-            None => {
-                let i = u32::try_from(self.slots.len()).expect("more than u32::MAX pending events");
-                self.slots.push(Slot {
-                    generation: 0,
-                    heap_pos: pos,
-                    seq,
-                    time,
-                    payload: Some(payload),
-                });
-                (i, 0)
-            }
-        };
-        self.heap.push(slot);
+        let id = self.occupy(time, pos, payload);
+        self.heap.push(id.slot);
         self.sift_up(pos as usize);
-        EventId { slot, generation }
+        id
     }
 
     /// Schedules a batch of events in one call.
     ///
     /// Equivalent to pushing each `(time, payload)` in iteration order (so
-    /// FIFO tie-breaking follows the iterator), but reserves heap and slab
-    /// space up front — the entry point bursty arrival models use via
-    /// `Simulation::schedule_batch`.
+    /// FIFO tie-breaking follows the iterator). Each item whose time does
+    /// not precede the sorted run's tail is appended to the run, so a batch
+    /// in time order — the entry point bursty arrival models use via
+    /// `Simulation::schedule_batch` — pushes and later pops in O(1) per
+    /// item; any other item takes the heap, as [`EventQueue::push`] does.
+    /// Slab space for the whole batch is reserved up front, and so is index
+    /// space in both lanes, since either may take any item.
     pub fn push_batch<I>(&mut self, items: I)
     where
         I: IntoIterator<Item = (SimTime, E)>,
@@ -161,9 +169,59 @@ impl<E> EventQueue<E> {
         let (lower, _) = items.size_hint();
         let growth = lower.saturating_sub(self.free.len());
         self.slots.reserve(growth);
+        self.run.reserve(lower);
         self.heap.reserve(lower);
+        let mut tail = self
+            .run
+            .back()
+            .map_or(SimTime::ZERO, |&slot| self.slots[slot as usize].time);
         for (time, payload) in items {
-            let _ = self.push(time, payload);
+            if time >= tail {
+                tail = time;
+                let id = self.occupy(time, IN_RUN, payload);
+                self.run.push_back(id.slot);
+            } else {
+                let _ = self.push(time, payload);
+            }
+        }
+    }
+
+    /// Fills a free (or new) slot with a pending event at `heap_pos` and
+    /// returns its id; the caller links the slot into its lane.
+    #[inline(always)]
+    fn occupy(&mut self, time: SimTime, heap_pos: u32, payload: E) -> EventId {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        // Fill the slot in one borrow: `heap_pos` is written and
+        // `generation` read while the slot is already in hand, so the hot
+        // loop touches `slots` exactly once per push.
+        match self.free.pop() {
+            Some(slot) => {
+                let s = &mut self.slots[slot as usize];
+                s.time = time;
+                s.seq = seq;
+                s.heap_pos = heap_pos;
+                s.payload = Some(payload);
+                EventId {
+                    slot,
+                    generation: s.generation,
+                }
+            }
+            None => {
+                let slot =
+                    u32::try_from(self.slots.len()).expect("more than u32::MAX pending events");
+                self.slots.push(Slot {
+                    generation: 0,
+                    heap_pos,
+                    seq,
+                    time,
+                    payload: Some(payload),
+                });
+                EventId {
+                    slot,
+                    generation: 0,
+                }
+            }
         }
     }
 
@@ -173,13 +231,17 @@ impl<E> EventQueue<E> {
     /// fired or already cancelled event — even one whose slot has since been
     /// reused by a newer event — returns `false` and is harmless.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        match self.slots.get(id.slot as usize) {
+        match self.slots.get_mut(id.slot as usize) {
             Some(s) if s.generation == id.generation && s.payload.is_some() => {
-                let pos = s.heap_pos as usize;
-                let slot = self.detach_at(pos);
                 // Drop the payload in place — a cancelled event's handler
                 // is never moved out of the arena.
-                self.slots[slot as usize].payload = None;
+                if s.heap_pos == IN_RUN {
+                    self.cancel_in_run(id.slot);
+                } else {
+                    let pos = s.heap_pos as usize;
+                    let slot = self.detach_at(pos);
+                    self.slots[slot as usize].payload = None;
+                }
                 true
             }
             _ => false,
@@ -202,24 +264,14 @@ impl<E> EventQueue<E> {
     /// Ties fire in scheduling (FIFO) order.
     #[inline(always)]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if self.heap.is_empty() {
-            None
-        } else {
-            let slot = self.detach_at(0);
-            // The payload moves slot → caller here, in inlined code with no
-            // intervening call site, so it is copied exactly once.
-            let s = &mut self.slots[slot as usize];
-            let payload = s.payload.take().expect("pending slot holds a payload");
-            Some((s.time, payload))
-        }
+        let (_, in_run) = self.first()?;
+        Some(self.take_first(in_run))
     }
 
     /// The timestamp of the earliest pending event, if any.
     #[must_use]
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap
-            .first()
-            .map(|&slot| self.slots[slot as usize].time)
+        self.first().map(|(slot, _)| self.slots[slot as usize].time)
     }
 
     /// Removes and returns the earliest pending event if it fires strictly
@@ -229,30 +281,98 @@ impl<E> EventQueue<E> {
     /// The drain-until-horizon primitive of the sharded executor
     /// ([`crate::shard`]): a conservative time window `[t, t+L)` executes
     /// exactly the events below its end, so the check and the pop must be
-    /// one operation — peeking and popping separately would read the heap
-    /// root twice.
+    /// one operation — peeking and popping separately would compare the
+    /// lane fronts twice.
     #[inline]
     pub fn pop_before(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
-        let &slot = self.heap.first()?;
+        let (slot, in_run) = self.first()?;
         if self.slots[slot as usize].time >= horizon {
             return None;
         }
-        let slot = self.detach_at(0);
-        let s = &mut self.slots[slot as usize];
-        let payload = s.payload.take().expect("pending slot holds a payload");
-        Some((s.time, payload))
+        Some(self.take_first(in_run))
     }
 
     /// Number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.run.len() - self.run_dead
     }
 
     /// True if no events are pending.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        // A non-empty run has a live front.
+        self.heap.is_empty() && self.run.is_empty()
+    }
+
+    /// The earliest pending event's slot, and whether it is the run's
+    /// front (`true`) or the heap's root (`false`).
+    #[inline(always)]
+    fn first(&self) -> Option<(u32, bool)> {
+        match (self.heap.first(), self.run.front()) {
+            (Some(&root), Some(&front)) => {
+                if self.fires_before(front, root) {
+                    Some((front, true))
+                } else {
+                    Some((root, false))
+                }
+            }
+            (Some(&root), None) => Some((root, false)),
+            (None, front) => front.map(|&front| (front, true)),
+        }
+    }
+
+    /// Removes the earliest pending event — the run's front if `in_run`,
+    /// else the heap's root — and returns it.
+    #[inline(always)]
+    fn take_first(&mut self, in_run: bool) -> (SimTime, E) {
+        let slot = if in_run {
+            self.detach_run_front()
+        } else {
+            self.detach_at(0)
+        };
+        // The payload moves slot → caller here, in inlined code with no
+        // intervening call site, so it is copied exactly once.
+        let s = &mut self.slots[slot as usize];
+        let payload = s.payload.take().expect("pending slot holds a payload");
+        (s.time, payload)
+    }
+
+    /// Cancels the run entry in `slot`. It cannot leave the middle of the
+    /// run, so it stays there as a tombstone, payload dropped, until the
+    /// front reaches it. Cold: no public call hands out a batch entry's id.
+    #[cold]
+    fn cancel_in_run(&mut self, slot: u32) {
+        self.slots[slot as usize].payload = None;
+        self.run_dead += 1;
+        self.purge_run_front();
+    }
+
+    /// [`EventQueue::detach_at`] for the run's front, with the same
+    /// contract, then frees any tombstones the new front exposes. Out of
+    /// line, so the pop spine the executive inlines stays the size it is
+    /// for heap-only workloads: the 1-pending event chain slows when that
+    /// code grows, while one call per run pop is noise next to the heap
+    /// sift it replaces.
+    #[inline(never)]
+    fn detach_run_front(&mut self) -> u32 {
+        let slot = self.run.pop_front().expect("run entry exists");
+        self.release(slot);
+        self.purge_run_front();
+        slot
+    }
+
+    /// Frees the tombstones at the run's front, so the front is live.
+    #[inline]
+    fn purge_run_front(&mut self) {
+        while let Some(&slot) = self.run.front() {
+            if self.slots[slot as usize].payload.is_some() {
+                break;
+            }
+            self.run.pop_front();
+            self.run_dead -= 1;
+            self.release(slot);
+        }
     }
 
     /// Detaches the heap entry at `pos`: removes it from the heap, bumps
@@ -278,9 +398,16 @@ impl<E> EventQueue<E> {
                 self.sift_down(pos);
             }
         }
+        self.release(slot);
+        slot
+    }
+
+    /// Bumps the slot's generation, retiring its id, and returns the slot
+    /// to the free list.
+    #[inline(always)]
+    fn release(&mut self, slot: u32) {
         self.free.push(slot);
         self.slots[slot as usize].generation = self.slots[slot as usize].generation.wrapping_add(1);
-        slot
     }
 
     /// True when the event in `slots[a]` fires before the one in `slots[b]`.
@@ -538,63 +665,276 @@ mod tests {
         assert_eq!(q.slots.len(), 1, "steady-state churn must reuse one slot");
     }
 
-    /// Randomised schedule/cancel interleavings against a naive reference
-    /// model: every drain must come out in exact `(time, seq)` order with the
-    /// cancelled events absent, and stale ids must never cancel anything.
+    #[test]
+    fn push_batch_sends_sorted_items_to_the_run_and_the_rest_to_the_heap() {
+        let mut q = EventQueue::new();
+        let secs = |v: &[u64]| {
+            v.iter()
+                .map(|&t| (SimTime::from_secs(t), t))
+                .collect::<Vec<_>>()
+        };
+        q.push_batch(secs(&[1, 2, 2, 5]));
+        assert_eq!(
+            (q.run.len(), q.heap.len()),
+            (4, 0),
+            "a sorted batch fills the run"
+        );
+        // Starts before the run's tail (5): 3 and 4 take the heap, then the
+        // batch catches up with the tail and joins the run again.
+        q.push_batch(secs(&[3, 4, 5, 7, 6]));
+        assert_eq!((q.run.len(), q.heap.len()), (6, 3));
+        q.push(SimTime::from_secs(8), 8);
+        assert_eq!(
+            (q.run.len(), q.heap.len()),
+            (6, 4),
+            "single pushes take the heap"
+        );
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec![1, 2, 2, 3, 4, 5, 5, 6, 7, 8]);
+    }
+
+    /// The id of the pending event whose payload is `tag` (batch pushes
+    /// return no ids).
+    fn id_of(q: &EventQueue<u64>, tag: u64) -> EventId {
+        let slot = q
+            .slots
+            .iter()
+            .position(|s| s.payload == Some(tag))
+            .expect("tag is pending");
+        EventId {
+            slot: slot as u32,
+            generation: q.slots[slot].generation,
+        }
+    }
+
+    /// Randomised interleavings of every queue operation against a naive
+    /// reference model: single pushes and batches (sorted, unsorted, all
+    /// ties, or starting before the run's tail), cancels of heap entries,
+    /// run entries and stale ids, and `pop`, `pop_before`, `peek_time`,
+    /// `contains` and `len` checked at every step. After the final drain
+    /// every slot is free exactly once and every id is dead.
     #[test]
     fn cancellation_stress_matches_reference() {
-        let mut rng = SimRng::seed(0xE1C2);
-        for round in 0..50 {
-            let mut q = EventQueue::new();
-            let mut live: Vec<(EventId, u64, u32)> = Vec::new(); // (id, time_s, tag)
-            let mut stale: Vec<EventId> = Vec::new();
-            let mut expected: Vec<(u64, u32)> = Vec::new();
-            let mut tag = 0u32;
+        use std::collections::BTreeMap;
 
-            for _ in 0..200 {
-                match rng.next_below(4) {
-                    // Schedule (heavier weight): random time in a small
-                    // window so ties are common.
+        let secs = |t: u64| SimTime::from_secs(t);
+        // Operation kinds that must each have happened across the seeds.
+        let (mut run_cancels, mut tombstones, mut heap_cancels) = (0u32, 0u32, 0u32);
+        let (mut split_batches, mut lane_pops) = (0u32, [0u32; 2]);
+        for seed in 0..32u64 {
+            let mut rng = SimRng::seed(0xE1C2).derive_u64(seed);
+            let mut q = EventQueue::new();
+            // The model: pending `(time_s, tag)` keys; a tag is the
+            // event's scheduling rank, so key order is `(time, seq)` order.
+            let mut model: BTreeMap<(u64, u64), EventId> = BTreeMap::new();
+            let mut stale: Vec<EventId> = Vec::new();
+            let mut tag = 0u64;
+            let retire = |model: &mut BTreeMap<(u64, u64), EventId>, stale: &mut Vec<_>, key| {
+                stale.push(model.remove(&key).expect("model holds the key"));
+            };
+
+            for step in 0..300 {
+                let ctx = format!("seed {seed} step {step}");
+                match rng.next_below(10) {
+                    // Single push, in a small window so ties are common.
                     0 | 1 => {
-                        let t = rng.next_below(16);
-                        let id = q.push(SimTime::from_secs(t), tag);
-                        live.push((id, t, tag));
+                        let t = rng.next_below(32);
+                        let id = q.push(secs(t), tag);
+                        model.insert((t, tag), id);
                         tag += 1;
                     }
-                    // Cancel a random live event.
-                    2 if !live.is_empty() => {
-                        let at = rng.next_below(live.len() as u64) as usize;
-                        let (id, _, _) = live.swap_remove(at);
-                        assert!(q.cancel(id), "round {round}: live cancel must hit");
-                        stale.push(id);
+                    // Batch push.
+                    2 | 3 => {
+                        let n = 1 + rng.next_below(8) as usize;
+                        let mut times: Vec<u64> = (0..n).map(|_| rng.next_below(32)).collect();
+                        match rng.next_below(4) {
+                            0 => times.sort_unstable(),
+                            1 => {} // unsorted, as drawn
+                            2 => {
+                                let t = times[0];
+                                times.fill(t);
+                            }
+                            _ => {
+                                // Sorted, but starting before the run's tail.
+                                let tail = q.run.back().map_or(0, |&s| {
+                                    q.slots[s as usize].time.as_nanos() / 1_000_000_000
+                                });
+                                times[0] = tail.saturating_sub(1 + rng.next_below(4));
+                                times.sort_unstable();
+                            }
+                        }
+                        let heap_before = q.heap.len();
+                        q.push_batch(
+                            times
+                                .iter()
+                                .enumerate()
+                                .map(|(i, &t)| (secs(t), tag + i as u64)),
+                        );
+                        if q.heap.len() > heap_before && !q.run.is_empty() {
+                            split_batches += 1;
+                        }
+                        for t in times {
+                            model.insert((t, tag), id_of(&q, tag));
+                            tag += 1;
+                        }
+                    }
+                    // Cancel a random pending event, heap or run entry.
+                    4 if !model.is_empty() => {
+                        let k = rng.next_below(model.len() as u64) as usize;
+                        let (&key, &id) = model.iter().nth(k).expect("k < len");
+                        if q.slots[id.slot as usize].heap_pos == IN_RUN {
+                            run_cancels += 1;
+                            tombstones += u32::from(q.run.front() != Some(&id.slot));
+                        } else {
+                            heap_cancels += 1;
+                        }
+                        assert!(q.cancel(id), "{ctx}: live cancel must hit");
+                        assert!(!q.contains(id), "{ctx}: cancelled id still pending");
+                        retire(&mut model, &mut stale, key);
                     }
                     // Replay a stale id: must be a no-op.
+                    5 if !stale.is_empty() => {
+                        let id = stale[rng.next_below(stale.len() as u64) as usize];
+                        let before = q.len();
+                        assert!(!q.contains(id), "{ctx}: stale id reported pending");
+                        assert!(!q.cancel(id), "{ctx}: stale cancel must miss");
+                        assert_eq!(q.len(), before);
+                    }
+                    // Pop before a random horizon.
+                    6 => {
+                        let horizon = rng.next_below(34);
+                        let due = model.keys().next().filter(|&&(t, _)| t < horizon).copied();
+                        let got = q.pop_before(secs(horizon));
+                        assert_eq!(got, due.map(|(t, tg)| (secs(t), tg)), "{ctx}: pop_before");
+                        if let Some(key) = due {
+                            retire(&mut model, &mut stale, key);
+                        }
+                    }
+                    // Peek, and probe a live id.
+                    7 => {
+                        let first = model.keys().next().map(|&(t, _)| secs(t));
+                        assert_eq!(q.peek_time(), first, "{ctx}: peek_time");
+                        if let Some(&id) = model.values().last() {
+                            assert!(q.contains(id), "{ctx}: live id not pending");
+                        }
+                    }
+                    // Pop.
                     _ => {
-                        if let Some(&id) = stale.last() {
-                            let before = q.len();
-                            assert!(!q.cancel(id), "round {round}: stale cancel must miss");
-                            assert_eq!(q.len(), before);
+                        let expected = model.keys().next().copied();
+                        if let Some((_, in_run)) = q.first() {
+                            lane_pops[usize::from(in_run)] += 1;
+                        }
+                        let got = q.pop();
+                        assert_eq!(got, expected.map(|(t, tg)| (secs(t), tg)), "{ctx}: pop");
+                        if let Some(key) = expected {
+                            retire(&mut model, &mut stale, key);
                         }
                     }
                 }
-                assert_eq!(q.len(), live.len(), "round {round}: length drifted");
+                assert_eq!(q.len(), model.len(), "{ctx}: length drifted");
+                assert_eq!(q.is_empty(), model.is_empty(), "{ctx}: is_empty drifted");
             }
 
-            // Scheduling order within equal times == FIFO == tag order,
-            // because tags increase monotonically with seq.
-            live.sort_by_key(|&(_, t, tg)| (t, tg));
-            expected.extend(live.iter().map(|&(_, t, tg)| (t, tg)));
-            let mut drained = Vec::new();
-            while let Some((t, tg)) = q.pop() {
-                drained.push((t.as_nanos() / 1_000_000_000, tg));
-            }
-            assert_eq!(drained, expected, "round {round}: drain order diverged");
+            let expected: Vec<(SimTime, u64)> =
+                model.keys().map(|&(t, tg)| (secs(t), tg)).collect();
+            let drained: Vec<(SimTime, u64)> = std::iter::from_fn(|| q.pop()).collect();
+            assert_eq!(drained, expected, "seed {seed}: drain order diverged");
 
-            // After a full drain every stale id is dead.
-            for id in live.iter().map(|&(id, ..)| id).chain(stale) {
-                assert!(!q.cancel(id), "round {round}: id survived drain");
+            // Every slot is free exactly once: no tombstone leaked, none
+            // released twice.
+            assert_eq!((q.run.len(), q.run_dead, q.heap.len()), (0, 0, 0));
+            let mut free = q.free.clone();
+            free.sort_unstable();
+            free.dedup();
+            assert_eq!(
+                free.len(),
+                q.slots.len(),
+                "seed {seed}: slot leaked or freed twice"
+            );
+            for id in model.into_values().chain(stale) {
+                assert!(!q.cancel(id), "seed {seed}: id survived drain");
             }
         }
+        assert!(run_cancels > 0 && tombstones > 0 && heap_cancels > 0);
+        assert!(split_batches > 0 && lane_pops[0] > 0 && lane_pops[1] > 0);
+    }
+
+    /// A cancelled run entry releases its capture at `cancel`, exactly
+    /// once, inline or spilled; its slot is reused once the run has
+    /// drained past it.
+    #[test]
+    fn cancelled_run_entries_release_captures_once_and_recycle_slots() {
+        use std::sync::Arc;
+
+        use crate::event::{EventFn, INLINE_EVENT_BYTES};
+        use crate::sim::Simulation;
+
+        let token = Arc::new(());
+        let event = |spill: bool| -> EventFn<()> {
+            let keep = Arc::clone(&token);
+            if spill {
+                let pad = [0u8; INLINE_EVENT_BYTES + 1];
+                EventFn::new(move |_: &mut Simulation<()>| {
+                    std::hint::black_box(&pad);
+                    drop(keep);
+                })
+            } else {
+                EventFn::new(move |_: &mut Simulation<()>| drop(keep))
+            }
+        };
+        let mut q = EventQueue::new();
+        q.push_batch((0..4).map(|t| (SimTime::from_secs(t), event(t % 2 == 1))));
+        assert_eq!(q.run.len(), 4, "a sorted batch fills the run");
+        assert_eq!(Arc::strong_count(&token), 5);
+
+        // Cancel the two entries behind the live front.
+        let id_at = |q: &EventQueue<EventFn<()>>, k: usize| {
+            let slot = q.run[k];
+            EventId {
+                slot,
+                generation: q.slots[slot as usize].generation,
+            }
+        };
+        let (spilled, inline) = (id_at(&q, 1), id_at(&q, 2));
+        assert!(q.cancel(spilled));
+        assert_eq!(
+            Arc::strong_count(&token),
+            4,
+            "cancel kept the spilled capture"
+        );
+        assert!(!q.cancel(spilled), "a second cancel must not drop again");
+        assert_eq!(Arc::strong_count(&token), 4);
+        assert!(q.cancel(inline));
+        assert_eq!(
+            Arc::strong_count(&token),
+            3,
+            "cancel kept the inline capture"
+        );
+        assert_eq!(q.len(), 2);
+        assert!(
+            q.free.is_empty(),
+            "tombstones keep their slots until the front passes"
+        );
+
+        // Popping the front frees it and the two tombstones behind it.
+        let (t, front) = q.pop().expect("front is live");
+        assert_eq!(t, SimTime::ZERO);
+        drop(front);
+        assert_eq!(Arc::strong_count(&token), 2);
+        assert_eq!((q.run.len(), q.run_dead, q.free.len()), (1, 0, 3));
+
+        // The freed slots are reused, not grown, and the old ids stay dead.
+        let slots = q.slots.len();
+        q.push_batch((10..13).map(|t| (SimTime::from_secs(t), event(t % 2 == 0))));
+        assert_eq!(q.slots.len(), slots, "freed slots must be reused");
+        assert!(!q.cancel(spilled) && !q.cancel(inline));
+        assert_eq!(Arc::strong_count(&token), 5);
+        drop(q);
+        assert_eq!(
+            Arc::strong_count(&token),
+            1,
+            "dropping the queue released every capture once"
+        );
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! event executive or with slot-based loops alike — and records waiting
 //! time, sojourn time and queue-length statistics.
 //!
-//! The elasticity experiments use it to turn "requests vs capacity" into
-//! principled latency numbers; the unit tests validate it against the
-//! closed-form M/M/1 and M/M/c results.
+//! No experiment uses it yet: the `a4_latency_model` bench runs it as the
+//! explicit M/M/c reference for E12's closed-form latency curve, and the
+//! unit tests validate it against the closed-form M/M/1 and M/M/c
+//! results.
 
 use std::collections::VecDeque;
 

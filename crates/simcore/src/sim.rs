@@ -250,6 +250,11 @@ impl<S> Simulation<S> {
     /// front, and with a `handler` at or under the inline payload threshold
     /// the per-event clone is allocation-free. Events fire in offset order;
     /// equal offsets keep the slice's FIFO order.
+    ///
+    /// Sort `offsets` ascending where possible: sorted offsets join the
+    /// queue's sorted run and are scheduled and popped in O(1) each.
+    /// Unsorted ones still work, through the heap, at O(log n) each (see
+    /// [`EventQueue::push_batch`]).
     pub fn schedule_batch<F>(&mut self, offsets: &[SimDuration], handler: F)
     where
         F: Fn(&mut Simulation<S>) + Clone + Send + 'static,

@@ -10,6 +10,10 @@
 //!   never cancels (or observes) the event currently occupying the slot;
 //! * **exactly-once `Drop`** — a cancelled spilled event releases its
 //!   captures once: no leak, no double-drop.
+//!
+//! Batch-scheduled events wait in the queue's sorted run rather than its
+//! heap; the last test covers them. (`schedule_batch` returns no ids, so
+//! cancelling a run entry is pinned by the queue's own unit tests.)
 
 use std::sync::Arc;
 use std::sync::Mutex;
@@ -213,5 +217,61 @@ fn dropping_the_simulation_releases_pending_mixed_payloads() {
         Arc::strong_count(&token),
         1,
         "dropping the queue must release every pending capture exactly once"
+    );
+}
+
+#[test]
+fn batch_scheduled_captures_are_released_exactly_once() {
+    // Each batch entry holds its own clone of the handler, inline or
+    // spilled. Every clone must release its capture exactly once — when it
+    // fires or when the simulation is dropped with it pending — and an id
+    // retired before the batch must not cancel the entry that reuses its
+    // slot.
+    let token = Arc::new(());
+    let offsets: Vec<SimDuration> = (1..=4).map(SimDuration::from_secs).collect();
+    {
+        let mut sim = Simulation::new(9, 0u32);
+        let keep = Arc::clone(&token);
+        let retired = sim.schedule_in(SimDuration::from_secs(1), move |_s| drop(keep));
+        assert!(sim.cancel(retired));
+        assert_eq!(Arc::strong_count(&token), 1);
+
+        // The first batch is sorted from an empty run: all four join the
+        // run, the first in the retired slot. The second starts before the
+        // run's tail, so it splits between heap and run.
+        let keep = Arc::clone(&token);
+        sim.schedule_batch(&offsets, move |s: &mut Simulation<u32>| {
+            let _ = &keep;
+            *s.state_mut() += 1;
+        });
+        let keep = Arc::clone(&token);
+        let pad = [0u8; SPILL_PAD];
+        sim.schedule_batch(&offsets, move |s: &mut Simulation<u32>| {
+            std::hint::black_box(&pad);
+            let _ = &keep;
+            *s.state_mut() += 1;
+        });
+        assert_eq!(sim.inline_scheduled(), 1 + 4);
+        assert_eq!(sim.spilled_scheduled(), 4);
+        assert_eq!(
+            Arc::strong_count(&token),
+            1 + 8,
+            "one capture per pending entry, none left in the originals"
+        );
+        assert!(
+            !sim.cancel(retired),
+            "a retired id cancelled the batch entry reusing its slot"
+        );
+        assert_eq!(Arc::strong_count(&token), 9);
+
+        let stats = sim.run_until(SimTime::from_secs(2));
+        assert_eq!((stats.executed, stats.pending), (4, 4));
+        assert_eq!(Arc::strong_count(&token), 5, "fired entries kept captures");
+        // `sim` dropped here with four entries still pending.
+    }
+    assert_eq!(
+        Arc::strong_count(&token),
+        1,
+        "dropping the simulation must release every pending batch capture once"
     );
 }
