@@ -19,21 +19,29 @@
 //!   every release. An [`EventId`] is `(slot, generation)`, so a stale handle
 //!   (the event already fired or was cancelled, even if the slot was reused)
 //!   can never cancel the wrong event — `cancel` on it is a `false` no-op.
-//! * **Two lanes** — a pending slot waits in one of two lanes, and every pop
-//!   takes whichever lane front is smaller by `(time, seq)`:
-//!   * the **indexed four-ary min-heap** holds single pushes. It stores slot
-//!     indices and every slot remembers its heap position, so cancellation
-//!     removes the entry in O(log n) with no tombstone. Four-ary keeps the
-//!     heap a level shallower than binary and sifts through cache-adjacent
-//!     children;
-//!   * the **sorted run** is a FIFO of slot indices already in `(time, seq)`
-//!     order. [`EventQueue::push_batch`] appends every item whose time does
-//!     not precede the run's tail, so a sorted batch — a tick of arrivals —
-//!     costs O(1) per push and per pop instead of a sift through the heap;
-//!     the rest of the batch takes the heap. A run entry cannot leave the
-//!     middle of the FIFO: cancelling one drops its payload at once and
-//!     leaves a tombstone that is skipped and freed when it reaches the
-//!     front, so the front is always live.
+//! * **Three lanes** — a pending slot waits in one of three lanes, and every
+//!   pop takes whichever lane front is smallest by `(time, seq)`:
+//!   * two **sorted runs**, FIFOs of slot indices already in `(time, seq)`
+//!     order, which take an event in O(1) whenever its time does not
+//!     precede the run's tail, and pop it in O(1). The **batch run** takes
+//!     the items of [`EventQueue::push_batch`], so a sorted batch — a tick
+//!     of arrivals — never touches the heap. The **push run** takes the
+//!     single [`EventQueue::push`]es: a model that schedules at a fixed
+//!     delay from a clock that only moves forward (a service completion at
+//!     `now + service_time`) pushes in time order, so every such push and
+//!     pop is O(1);
+//!   * the **indexed four-ary min-heap** holds everything else: the part of
+//!     a batch that precedes the batch run's tail and single pushes that
+//!     precede the push run's. It stores slot indices and every slot
+//!     remembers its heap position, so cancellation removes the entry in
+//!     O(log n) with no tombstone. Four-ary keeps the heap a level
+//!     shallower than binary and sifts through cache-adjacent children.
+//!
+//!   A run entry cannot leave the middle of its FIFO: cancelling one drops
+//!   its payload at once and leaves a tombstone that is skipped and freed
+//!   when it reaches the front, so a run's front is always live. Push-run
+//!   entries carry the [`EventId`] their push returned, so
+//!   `Simulation::cancel` and `Deadline::disarm` reach this path.
 
 use std::collections::VecDeque;
 
@@ -43,9 +51,11 @@ use crate::time::SimTime;
 /// a binary heap and keeps all children of a node in one or two cache lines.
 const ARITY: usize = 4;
 
-/// The `heap_pos` of a slot whose event waits in the sorted run, not the
-/// heap.
-const IN_RUN: u32 = u32::MAX;
+/// The `heap_pos` of a slot whose event waits in the batch run.
+const IN_BATCH_RUN: u32 = u32::MAX;
+
+/// The `heap_pos` of a slot whose event waits in the push run.
+const IN_PUSH_RUN: u32 = u32::MAX - 1;
 
 /// Identifies a scheduled event, for cancellation.
 ///
@@ -68,9 +78,9 @@ impl EventId {
 }
 
 /// One arena slot. `payload` is `Some` while the event is pending; `time`,
-/// `seq` and `heap_pos` (or [`IN_RUN`]) are only meaningful then. A
+/// `seq` and `heap_pos` (or a run marker) are only meaningful then. A
 /// cancelled run entry keeps its slot, with no payload, until it leaves
-/// the run.
+/// its run.
 struct Slot<E> {
     generation: u32,
     heap_pos: u32,
@@ -79,119 +89,18 @@ struct Slot<E> {
     payload: Option<E>,
 }
 
-/// A time-ordered queue of pending events with O(log n) push, pop and
-/// cancellation — O(1) for the sorted part of a batch — backed by a slab
-/// of reusable slots.
-///
-/// # Examples
-///
-/// ```
-/// use elc_simcore::queue::EventQueue;
-/// use elc_simcore::time::SimTime;
-///
-/// let mut q: EventQueue<&str> = EventQueue::new();
-/// q.push(SimTime::from_secs(2), "later");
-/// q.push(SimTime::from_secs(1), "sooner");
-/// let (t, e) = q.pop().unwrap();
-/// assert_eq!((t, e), (SimTime::from_secs(1), "sooner"));
-/// ```
-pub struct EventQueue<E> {
-    /// The slab: one slot per event that has ever been pending, reused via
-    /// `free`.
+/// The arena: every slot that has ever held an event, and the indices of
+/// the released ones, ready for reuse (LIFO keeps hot slots hot).
+struct Slab<E> {
     slots: Vec<Slot<E>>,
-    /// Indices of released slots, ready for reuse (LIFO keeps hot slots hot).
     free: Vec<u32>,
-    /// Four-ary min-heap of occupied slot indices, ordered by `(time, seq)`.
-    heap: Vec<u32>,
-    /// The sorted run: slot indices in `(time, seq)` order, appended by
-    /// `push_batch`. Its front is always live; cancelled entries behind it
-    /// stay as tombstones until they reach the front.
-    run: VecDeque<u32>,
-    /// Tombstones in `run`.
-    run_dead: usize,
-    /// Next FIFO tie-break sequence number.
-    next_seq: u64,
 }
 
-impl<E> EventQueue<E> {
-    /// Creates an empty queue.
-    #[must_use]
-    pub fn new() -> Self {
-        EventQueue {
-            slots: Vec::new(),
-            free: Vec::new(),
-            heap: Vec::new(),
-            run: VecDeque::new(),
-            run_dead: 0,
-            next_seq: 0,
-        }
-    }
-
-    /// Creates an empty queue with room for `capacity` pending events before
-    /// any slab growth.
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
-        EventQueue {
-            slots: Vec::with_capacity(capacity),
-            free: Vec::new(),
-            heap: Vec::with_capacity(capacity),
-            run: VecDeque::new(),
-            run_dead: 0,
-            next_seq: 0,
-        }
-    }
-
-    /// Schedules `payload` at `time` and returns a handle for cancellation.
-    #[inline]
-    pub fn push(&mut self, time: SimTime, payload: E) -> EventId {
-        let pos = self.heap.len() as u32;
-        let id = self.occupy(time, pos, payload);
-        self.heap.push(id.slot);
-        self.sift_up(pos as usize);
-        id
-    }
-
-    /// Schedules a batch of events in one call.
-    ///
-    /// Equivalent to pushing each `(time, payload)` in iteration order (so
-    /// FIFO tie-breaking follows the iterator). Each item whose time does
-    /// not precede the sorted run's tail is appended to the run, so a batch
-    /// in time order — the entry point bursty arrival models use via
-    /// `Simulation::schedule_batch` — pushes and later pops in O(1) per
-    /// item; any other item takes the heap, as [`EventQueue::push`] does.
-    /// Slab space for the whole batch is reserved up front, and so is index
-    /// space in both lanes, since either may take any item.
-    pub fn push_batch<I>(&mut self, items: I)
-    where
-        I: IntoIterator<Item = (SimTime, E)>,
-    {
-        let items = items.into_iter();
-        let (lower, _) = items.size_hint();
-        let growth = lower.saturating_sub(self.free.len());
-        self.slots.reserve(growth);
-        self.run.reserve(lower);
-        self.heap.reserve(lower);
-        let mut tail = self
-            .run
-            .back()
-            .map_or(SimTime::ZERO, |&slot| self.slots[slot as usize].time);
-        for (time, payload) in items {
-            if time >= tail {
-                tail = time;
-                let id = self.occupy(time, IN_RUN, payload);
-                self.run.push_back(id.slot);
-            } else {
-                let _ = self.push(time, payload);
-            }
-        }
-    }
-
+impl<E> Slab<E> {
     /// Fills a free (or new) slot with a pending event at `heap_pos` and
     /// returns its id; the caller links the slot into its lane.
     #[inline(always)]
-    fn occupy(&mut self, time: SimTime, heap_pos: u32, payload: E) -> EventId {
-        let seq = self.next_seq;
-        self.next_seq += 1;
+    fn occupy(&mut self, time: SimTime, seq: u64, heap_pos: u32, payload: E) -> EventId {
         // Fill the slot in one borrow: `heap_pos` is written and
         // `generation` read while the slot is already in hand, so the hot
         // loop touches `slots` exactly once per push.
@@ -225,27 +134,279 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// Bumps the slot's generation, retiring its id, and returns the slot
+    /// to the free list.
+    #[inline(always)]
+    fn release(&mut self, slot: u32) {
+        self.free.push(slot);
+        let s = &mut self.slots[slot as usize];
+        s.generation = s.generation.wrapping_add(1);
+    }
+
+    /// True when the event in `slots[a]` fires before the one in `slots[b]`.
+    #[inline]
+    fn fires_before(&self, a: u32, b: u32) -> bool {
+        let (sa, sb) = (&self.slots[a as usize], &self.slots[b as usize]);
+        (sa.time, sa.seq) < (sb.time, sb.seq)
+    }
+}
+
+/// A sorted run: a FIFO of slot indices in `(time, seq)` order. An event
+/// may join at the back only if its time does not precede the tail's;
+/// `seq` only grows, so that keeps the order. Its front is always live;
+/// cancelled entries behind it stay as tombstones until they reach it.
+struct Run {
+    order: VecDeque<u32>,
+    /// Tombstones in `order`.
+    dead: usize,
+    /// The time of the back entry, or zero while the run is empty: the
+    /// earliest time the run accepts. Cached, so a push never reads the
+    /// back entry's slot.
+    tail: SimTime,
+}
+
+impl Run {
+    const fn new() -> Self {
+        Run {
+            order: VecDeque::new(),
+            dead: 0,
+            tail: SimTime::ZERO,
+        }
+    }
+
+    /// Live entries.
+    fn len(&self) -> usize {
+        self.order.len() - self.dead
+    }
+
+    #[inline(always)]
+    fn front(&self) -> Option<u32> {
+        self.order.front().copied()
+    }
+
+    /// True if an event at `time` may join at the back.
+    #[inline(always)]
+    fn accepts(&self, time: SimTime) -> bool {
+        time >= self.tail
+    }
+
+    /// Appends `slot`, whose event fires at `time`; the caller has checked
+    /// [`Run::accepts`].
+    #[inline(always)]
+    fn append(&mut self, slot: u32, time: SimTime) {
+        self.tail = time;
+        self.order.push_back(slot);
+    }
+
+    /// [`EventQueue::detach_at`] for the run's front, with the same
+    /// contract. Inline: for a model whose next event is always its last
+    /// push (a 1-pending event chain) this is the whole pop, and an out of
+    /// line call here cost that chain ~10%. Only a tombstone at the new
+    /// front leaves the fast path.
+    #[inline(always)]
+    fn detach_front<E>(&mut self, slab: &mut Slab<E>) -> u32 {
+        let slot = self.order.pop_front().expect("run entry exists");
+        slab.release(slot);
+        match self.front() {
+            None => self.tail = SimTime::ZERO,
+            Some(front) if slab.slots[front as usize].payload.is_none() => self.purge_front(slab),
+            Some(_) => {}
+        }
+        slot
+    }
+
+    /// Cancels the entry in `slot`. It cannot leave the middle of the run,
+    /// so it stays there as a tombstone, payload dropped, until the front
+    /// reaches it.
+    fn cancel<E>(&mut self, slot: u32, slab: &mut Slab<E>) {
+        slab.slots[slot as usize].payload = None;
+        self.dead += 1;
+        self.purge_front(slab);
+    }
+
+    /// Frees the tombstones at the front, so the front is live, and lets an
+    /// emptied run accept any time again. Cold: only cancellations leave
+    /// tombstones.
+    #[cold]
+    fn purge_front<E>(&mut self, slab: &mut Slab<E>) {
+        while let Some(slot) = self.front() {
+            if slab.slots[slot as usize].payload.is_some() {
+                return;
+            }
+            self.order.pop_front();
+            self.dead -= 1;
+            slab.release(slot);
+        }
+        self.tail = SimTime::ZERO;
+    }
+}
+
+/// The lane holding the earliest pending event.
+#[derive(Clone, Copy)]
+enum Lane {
+    Heap,
+    BatchRun,
+    PushRun,
+}
+
+/// A time-ordered queue of pending events with O(log n) push, pop and
+/// cancellation — O(1) for events that arrive in time order — backed by
+/// a slab of reusable slots.
+///
+/// Three lanes hold the pending events (see the [module docs](self)): a
+/// batch run for sorted [`EventQueue::push_batch`] items, a push run for
+/// single [`EventQueue::push`]es that do not precede its tail, and a heap
+/// for the rest. [`EventQueue::cancel`] on a run entry leaves a tombstone
+/// that is freed when it reaches the run's front.
+///
+/// # Examples
+///
+/// ```
+/// use elc_simcore::queue::EventQueue;
+/// use elc_simcore::time::SimTime;
+///
+/// let mut q: EventQueue<&str> = EventQueue::new();
+/// q.push(SimTime::from_secs(2), "later");
+/// q.push(SimTime::from_secs(1), "sooner");
+/// let (t, e) = q.pop().unwrap();
+/// assert_eq!((t, e), (SimTime::from_secs(1), "sooner"));
+/// ```
+pub struct EventQueue<E> {
+    /// One slot per event that has ever been pending, reused via its free
+    /// list.
+    slab: Slab<E>,
+    /// Four-ary min-heap of occupied slot indices, ordered by `(time, seq)`.
+    heap: Vec<u32>,
+    /// The sorted run `push_batch` appends to.
+    batch_run: Run,
+    /// The sorted run `push` appends to.
+    push_run: Run,
+    /// Next FIFO tie-break sequence number.
+    next_seq: u64,
+}
+
+impl<E> EventQueue<E> {
+    /// Creates an empty queue.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::with_capacity(0)
+    }
+
+    /// Creates an empty queue with room for `capacity` pending events before
+    /// any slab growth.
+    #[must_use]
+    pub fn with_capacity(capacity: usize) -> Self {
+        EventQueue {
+            slab: Slab {
+                slots: Vec::with_capacity(capacity),
+                free: Vec::new(),
+            },
+            heap: Vec::with_capacity(capacity),
+            batch_run: Run::new(),
+            push_run: Run::new(),
+            next_seq: 0,
+        }
+    }
+
+    /// Schedules `payload` at `time` and returns a handle for cancellation.
+    ///
+    /// An event whose time does not precede the push run's tail joins the
+    /// run in O(1); any other takes the heap.
+    #[inline]
+    pub fn push(&mut self, time: SimTime, payload: E) -> EventId {
+        // One `occupy` call for both lanes: the payload then moves into
+        // its slot in a single copy, not staged on the stack for two.
+        let to_run = self.push_run.accepts(time);
+        let pos = if to_run {
+            IN_PUSH_RUN
+        } else {
+            self.heap.len() as u32
+        };
+        let id = self.occupy(time, pos, payload);
+        if to_run {
+            self.push_run.append(id.slot, time);
+        } else {
+            self.heap.push(id.slot);
+            self.sift_up(pos as usize);
+        }
+        id
+    }
+
+    /// Schedules a batch of events in one call.
+    ///
+    /// Equivalent to pushing each `(time, payload)` in iteration order (so
+    /// FIFO tie-breaking follows the iterator), except for the lane an item
+    /// waits in. Each item whose time does not precede the batch run's
+    /// tail is appended to that run, so a batch in time order — the entry
+    /// point bursty arrival models use via `Simulation::schedule_batch` —
+    /// pushes and later pops in O(1) per item; any other item takes the
+    /// heap. Slab space for the whole batch is reserved up front, and so
+    /// is index space in every lane: in the batch run and the heap for the
+    /// items, and in the push run for the single pushes their events go on
+    /// to make, one each at most in a model like a service station. One
+    /// reservation per batch spares the allocator the fragments that
+    /// doubling steps leave: without the push run's, `exam_evening` in
+    /// `elc-benchmark` peaked ~5% higher in resident memory.
+    pub fn push_batch<I>(&mut self, items: I)
+    where
+        I: IntoIterator<Item = (SimTime, E)>,
+    {
+        let items = items.into_iter();
+        let (lower, _) = items.size_hint();
+        let growth = lower.saturating_sub(self.slab.free.len());
+        self.slab.slots.reserve(growth);
+        self.batch_run.order.reserve(lower);
+        self.push_run.order.reserve(lower);
+        self.heap.reserve(lower);
+        for (time, payload) in items {
+            if self.batch_run.accepts(time) {
+                let id = self.occupy(time, IN_BATCH_RUN, payload);
+                self.batch_run.append(id.slot, time);
+            } else {
+                let _ = self.push_to_heap(time, payload);
+            }
+        }
+    }
+
+    /// Schedules `payload` at `time` in the heap.
+    #[inline]
+    fn push_to_heap(&mut self, time: SimTime, payload: E) -> EventId {
+        let pos = self.heap.len() as u32;
+        let id = self.occupy(time, pos, payload);
+        self.heap.push(id.slot);
+        self.sift_up(pos as usize);
+        id
+    }
+
+    /// Takes the next sequence number and fills a slot with the event.
+    #[inline(always)]
+    fn occupy(&mut self, time: SimTime, heap_pos: u32, payload: E) -> EventId {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.slab.occupy(time, seq, heap_pos, payload)
+    }
+
     /// Cancels a previously scheduled event.
     ///
     /// Returns `true` if the event was still pending. Cancelling an already
     /// fired or already cancelled event — even one whose slot has since been
     /// reused by a newer event — returns `false` and is harmless.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        match self.slots.get_mut(id.slot as usize) {
-            Some(s) if s.generation == id.generation && s.payload.is_some() => {
-                // Drop the payload in place — a cancelled event's handler
-                // is never moved out of the arena.
-                if s.heap_pos == IN_RUN {
-                    self.cancel_in_run(id.slot);
-                } else {
-                    let pos = s.heap_pos as usize;
-                    let slot = self.detach_at(pos);
-                    self.slots[slot as usize].payload = None;
-                }
-                true
+        let heap_pos = match self.slab.slots.get(id.slot as usize) {
+            Some(s) if s.generation == id.generation && s.payload.is_some() => s.heap_pos,
+            _ => return false,
+        };
+        // Drop the payload in place — a cancelled event's handler is never
+        // moved out of the arena.
+        match heap_pos {
+            IN_BATCH_RUN => self.batch_run.cancel(id.slot, &mut self.slab),
+            IN_PUSH_RUN => self.push_run.cancel(id.slot, &mut self.slab),
+            pos => {
+                let slot = self.detach_at(pos as usize);
+                self.slab.slots[slot as usize].payload = None;
             }
-            _ => false,
         }
+        true
     }
 
     /// True if the event behind `id` is still pending — not yet fired and
@@ -254,7 +415,7 @@ impl<E> EventQueue<E> {
     #[must_use]
     pub fn contains(&self, id: EventId) -> bool {
         matches!(
-            self.slots.get(id.slot as usize),
+            self.slab.slots.get(id.slot as usize),
             Some(s) if s.generation == id.generation && s.payload.is_some()
         )
     }
@@ -264,14 +425,15 @@ impl<E> EventQueue<E> {
     /// Ties fire in scheduling (FIFO) order.
     #[inline(always)]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let (_, in_run) = self.first()?;
-        Some(self.take_first(in_run))
+        let (_, lane) = self.first()?;
+        Some(self.take_first(lane))
     }
 
     /// The timestamp of the earliest pending event, if any.
     #[must_use]
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.first().map(|(slot, _)| self.slots[slot as usize].time)
+        self.first()
+            .map(|(slot, _)| self.slab.slots[slot as usize].time)
     }
 
     /// Removes and returns the earliest pending event if it fires strictly
@@ -285,94 +447,67 @@ impl<E> EventQueue<E> {
     /// lane fronts twice.
     #[inline]
     pub fn pop_before(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
-        let (slot, in_run) = self.first()?;
-        if self.slots[slot as usize].time >= horizon {
+        let (slot, lane) = self.first()?;
+        if self.slab.slots[slot as usize].time >= horizon {
             return None;
         }
-        Some(self.take_first(in_run))
+        Some(self.take_first(lane))
     }
 
     /// Number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.heap.len() + self.run.len() - self.run_dead
+        self.heap.len() + self.batch_run.len() + self.push_run.len()
     }
 
     /// True if no events are pending.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         // A non-empty run has a live front.
-        self.heap.is_empty() && self.run.is_empty()
+        self.heap.is_empty() && self.batch_run.order.is_empty() && self.push_run.order.is_empty()
     }
 
-    /// The earliest pending event's slot, and whether it is the run's
-    /// front (`true`) or the heap's root (`false`).
+    /// The earliest pending event's slot, and its lane.
+    ///
+    /// The push run's front is compared last, after the heap/batch-run
+    /// pick: workloads that send few single pushes to it pay one more
+    /// comparison per pop, and nothing else.
     #[inline(always)]
-    fn first(&self) -> Option<(u32, bool)> {
-        match (self.heap.first(), self.run.front()) {
-            (Some(&root), Some(&front)) => {
-                if self.fires_before(front, root) {
-                    Some((front, true))
+    fn first(&self) -> Option<(u32, Lane)> {
+        let best = match (self.heap.first(), self.batch_run.front()) {
+            (Some(&root), Some(front)) => {
+                if self.slab.fires_before(front, root) {
+                    Some((front, Lane::BatchRun))
                 } else {
-                    Some((root, false))
+                    Some((root, Lane::Heap))
                 }
             }
-            (Some(&root), None) => Some((root, false)),
-            (None, front) => front.map(|&front| (front, true)),
+            (Some(&root), None) => Some((root, Lane::Heap)),
+            (None, front) => front.map(|front| (front, Lane::BatchRun)),
+        };
+        match (best, self.push_run.front()) {
+            (Some((slot, _)), Some(front)) if self.slab.fires_before(front, slot) => {
+                Some((front, Lane::PushRun))
+            }
+            (None, Some(front)) => Some((front, Lane::PushRun)),
+            (best, _) => best,
         }
     }
 
-    /// Removes the earliest pending event — the run's front if `in_run`,
-    /// else the heap's root — and returns it.
+    /// Removes the earliest pending event, the front of `lane`, and
+    /// returns it.
     #[inline(always)]
-    fn take_first(&mut self, in_run: bool) -> (SimTime, E) {
-        let slot = if in_run {
-            self.detach_run_front()
-        } else {
-            self.detach_at(0)
+    fn take_first(&mut self, lane: Lane) -> (SimTime, E) {
+        let slot = match lane {
+            Lane::Heap => self.detach_at(0),
+            Lane::BatchRun => self.batch_run.detach_front(&mut self.slab),
+            Lane::PushRun => self.push_run.detach_front(&mut self.slab),
         };
         // The payload moves slot → caller here, in inlined code with no
         // intervening call site, so it is copied exactly once.
-        let s = &mut self.slots[slot as usize];
+        let s = &mut self.slab.slots[slot as usize];
         let payload = s.payload.take().expect("pending slot holds a payload");
         (s.time, payload)
-    }
-
-    /// Cancels the run entry in `slot`. It cannot leave the middle of the
-    /// run, so it stays there as a tombstone, payload dropped, until the
-    /// front reaches it. Cold: no public call hands out a batch entry's id.
-    #[cold]
-    fn cancel_in_run(&mut self, slot: u32) {
-        self.slots[slot as usize].payload = None;
-        self.run_dead += 1;
-        self.purge_run_front();
-    }
-
-    /// [`EventQueue::detach_at`] for the run's front, with the same
-    /// contract, then frees any tombstones the new front exposes. Out of
-    /// line, so the pop spine the executive inlines stays the size it is
-    /// for heap-only workloads: the 1-pending event chain slows when that
-    /// code grows, while one call per run pop is noise next to the heap
-    /// sift it replaces.
-    #[inline(never)]
-    fn detach_run_front(&mut self) -> u32 {
-        let slot = self.run.pop_front().expect("run entry exists");
-        self.release(slot);
-        self.purge_run_front();
-        slot
-    }
-
-    /// Frees the tombstones at the run's front, so the front is live.
-    #[inline]
-    fn purge_run_front(&mut self) {
-        while let Some(&slot) = self.run.front() {
-            if self.slots[slot as usize].payload.is_some() {
-                break;
-            }
-            self.run.pop_front();
-            self.run_dead -= 1;
-            self.release(slot);
-        }
     }
 
     /// Detaches the heap entry at `pos`: removes it from the heap, bumps
@@ -393,28 +528,13 @@ impl<E> EventQueue<E> {
             // Move the former last element into the hole, then restore the
             // heap invariant around it.
             self.heap[pos] = last;
-            self.slots[last as usize].heap_pos = pos as u32;
+            self.slab.slots[last as usize].heap_pos = pos as u32;
             if !self.sift_up(pos) {
                 self.sift_down(pos);
             }
         }
-        self.release(slot);
+        self.slab.release(slot);
         slot
-    }
-
-    /// Bumps the slot's generation, retiring its id, and returns the slot
-    /// to the free list.
-    #[inline(always)]
-    fn release(&mut self, slot: u32) {
-        self.free.push(slot);
-        self.slots[slot as usize].generation = self.slots[slot as usize].generation.wrapping_add(1);
-    }
-
-    /// True when the event in `slots[a]` fires before the one in `slots[b]`.
-    #[inline]
-    fn fires_before(&self, a: u32, b: u32) -> bool {
-        let (sa, sb) = (&self.slots[a as usize], &self.slots[b as usize]);
-        (sa.time, sa.seq) < (sb.time, sb.seq)
     }
 
     /// Moves the element at `pos` up while it beats its parent. Returns
@@ -424,12 +544,12 @@ impl<E> EventQueue<E> {
         let mut moved = false;
         while pos > 0 {
             let parent = (pos - 1) / ARITY;
-            if !self.fires_before(self.heap[pos], self.heap[parent]) {
+            if !self.slab.fires_before(self.heap[pos], self.heap[parent]) {
                 break;
             }
             self.heap.swap(pos, parent);
-            self.slots[self.heap[pos] as usize].heap_pos = pos as u32;
-            self.slots[self.heap[parent] as usize].heap_pos = parent as u32;
+            self.slab.slots[self.heap[pos] as usize].heap_pos = pos as u32;
+            self.slab.slots[self.heap[parent] as usize].heap_pos = parent as u32;
             pos = parent;
             moved = true;
         }
@@ -445,16 +565,16 @@ impl<E> EventQueue<E> {
             }
             let mut best = first;
             for child in first + 1..(first + ARITY).min(self.heap.len()) {
-                if self.fires_before(self.heap[child], self.heap[best]) {
+                if self.slab.fires_before(self.heap[child], self.heap[best]) {
                     best = child;
                 }
             }
-            if !self.fires_before(self.heap[best], self.heap[pos]) {
+            if !self.slab.fires_before(self.heap[best], self.heap[pos]) {
                 break;
             }
             self.heap.swap(pos, best);
-            self.slots[self.heap[pos] as usize].heap_pos = pos as u32;
-            self.slots[self.heap[best] as usize].heap_pos = best as u32;
+            self.slab.slots[self.heap[pos] as usize].heap_pos = pos as u32;
+            self.slab.slots[self.heap[best] as usize].heap_pos = best as u32;
             pos = best;
         }
     }
@@ -470,7 +590,7 @@ impl<E> std::fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
             .field("pending", &self.len())
-            .field("slots", &self.slots.len())
+            .field("slots", &self.slab.slots.len())
             .field("issued", &self.next_seq)
             .finish()
     }
@@ -662,7 +782,11 @@ mod tests {
             q.push(SimTime::from_secs(u64::from(round)), round);
             q.pop();
         }
-        assert_eq!(q.slots.len(), 1, "steady-state churn must reuse one slot");
+        assert_eq!(
+            q.slab.slots.len(),
+            1,
+            "steady-state churn must reuse one slot"
+        );
     }
 
     #[test]
@@ -673,54 +797,77 @@ mod tests {
                 .map(|&t| (SimTime::from_secs(t), t))
                 .collect::<Vec<_>>()
         };
+        let lanes = |q: &EventQueue<u64>| {
+            (
+                q.batch_run.order.len(),
+                q.push_run.order.len(),
+                q.heap.len(),
+            )
+        };
         q.push_batch(secs(&[1, 2, 2, 5]));
-        assert_eq!(
-            (q.run.len(), q.heap.len()),
-            (4, 0),
-            "a sorted batch fills the run"
-        );
-        // Starts before the run's tail (5): 3 and 4 take the heap, then the
-        // batch catches up with the tail and joins the run again.
+        assert_eq!(lanes(&q), (4, 0, 0), "a sorted batch fills the batch run");
+        // Starts before the batch run's tail (5): 3 and 4 take the heap,
+        // then the batch catches up with the tail and joins the run again.
         q.push_batch(secs(&[3, 4, 5, 7, 6]));
-        assert_eq!((q.run.len(), q.heap.len()), (6, 3));
+        assert_eq!(lanes(&q), (6, 0, 3));
         q.push(SimTime::from_secs(8), 8);
+        q.push(SimTime::from_secs(8), 8);
+        assert_eq!(lanes(&q), (6, 2, 3), "single pushes take the push run");
+        q.push(SimTime::from_secs(6), 6);
         assert_eq!(
-            (q.run.len(), q.heap.len()),
-            (6, 4),
-            "single pushes take the heap"
+            lanes(&q),
+            (6, 2, 4),
+            "a push before the push run's tail takes the heap"
         );
         let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec![1, 2, 2, 3, 4, 5, 5, 6, 7, 8]);
+        assert_eq!(order, vec![1, 2, 2, 3, 4, 5, 5, 6, 6, 7, 8, 8]);
+        // An emptied run accepts any time again.
+        q.push(SimTime::from_secs(1), 1);
+        assert_eq!(lanes(&q), (0, 1, 0));
     }
 
     /// The id of the pending event whose payload is `tag` (batch pushes
     /// return no ids).
     fn id_of(q: &EventQueue<u64>, tag: u64) -> EventId {
         let slot = q
+            .slab
             .slots
             .iter()
             .position(|s| s.payload == Some(tag))
             .expect("tag is pending");
         EventId {
             slot: slot as u32,
-            generation: q.slots[slot].generation,
+            generation: q.slab.slots[slot].generation,
         }
     }
 
     /// Randomised interleavings of every queue operation against a naive
-    /// reference model: single pushes and batches (sorted, unsorted, all
-    /// ties, or starting before the run's tail), cancels of heap entries,
-    /// run entries and stale ids, and `pop`, `pop_before`, `peek_time`,
-    /// `contains` and `len` checked at every step. After the final drain
-    /// every slot is free exactly once and every id is dead.
+    /// reference model: single pushes (at random times, at a fixed delay
+    /// after the last popped time as a service completion is, or before
+    /// the push run's tail), batches (sorted, unsorted, all ties, or
+    /// starting before the batch run's tail), cancels of heap entries, run
+    /// entries (the push run's front, middle and tail among them) and
+    /// stale ids, and `pop`, `pop_before`, `peek_time`, `contains` and
+    /// `len` checked at every step. After the final drain every slot is
+    /// free exactly once and every id is dead.
     #[test]
     fn cancellation_stress_matches_reference() {
         use std::collections::BTreeMap;
 
+        /// Delay of a completion-like push after the last popped time.
+        const SERVICE: u64 = 3;
         let secs = |t: u64| SimTime::from_secs(t);
+        let whole_secs = |t: SimTime| t.as_nanos() / 1_000_000_000;
+        // The time of a run's back entry, read from its slot.
+        let back_secs = |q: &EventQueue<u64>, run: &Run| {
+            run.order
+                .back()
+                .map_or(0, |&s| whole_secs(q.slab.slots[s as usize].time))
+        };
         // Operation kinds that must each have happened across the seeds.
-        let (mut run_cancels, mut tombstones, mut heap_cancels) = (0u32, 0u32, 0u32);
-        let (mut split_batches, mut lane_pops) = (0u32, [0u32; 2]);
+        let (mut run_cancels, mut tombstones, mut heap_cancels) = (0u32, [0u32; 2], 0u32);
+        let (mut split_batches, mut lane_pops) = (0u32, [0u32; 3]);
+        let mut push_run_cancels = [0u32; 3]; // front, mid-run, tail
         for seed in 0..32u64 {
             let mut rng = SimRng::seed(0xE1C2).derive_u64(seed);
             let mut q = EventQueue::new();
@@ -728,106 +875,153 @@ mod tests {
             // event's scheduling rank, so key order is `(time, seq)` order.
             let mut model: BTreeMap<(u64, u64), EventId> = BTreeMap::new();
             let mut stale: Vec<EventId> = Vec::new();
-            let mut tag = 0u64;
+            let (mut tag, mut last_popped) = (0u64, 0u64);
             let retire = |model: &mut BTreeMap<(u64, u64), EventId>, stale: &mut Vec<_>, key| {
                 stale.push(model.remove(&key).expect("model holds the key"));
+            };
+            // Cancels `id` (pending under `key`) and counts what it hit.
+            let mut cancel = |q: &mut EventQueue<u64>,
+                              model: &mut BTreeMap<(u64, u64), EventId>,
+                              stale: &mut Vec<_>,
+                              key,
+                              id: EventId,
+                              ctx: &str| {
+                let s = &q.slab.slots[id.slot as usize];
+                let run = match s.heap_pos {
+                    IN_BATCH_RUN => Some((0, &q.batch_run)),
+                    IN_PUSH_RUN => Some((1, &q.push_run)),
+                    _ => None,
+                };
+                if let Some((lane, run)) = run {
+                    run_cancels += 1;
+                    tombstones[lane] += u32::from(run.front() != Some(id.slot));
+                } else {
+                    heap_cancels += 1;
+                }
+                assert!(q.cancel(id), "{ctx}: live cancel must hit");
+                assert!(!q.contains(id), "{ctx}: cancelled id still pending");
+                retire(model, stale, key);
             };
 
             for step in 0..300 {
                 let ctx = format!("seed {seed} step {step}");
-                match rng.next_below(10) {
-                    // Single push, in a small window so ties are common.
-                    0 | 1 => {
-                        let t = rng.next_below(32);
-                        let id = q.push(secs(t), tag);
-                        model.insert((t, tag), id);
-                        tag += 1;
-                    }
-                    // Batch push.
-                    2 | 3 => {
-                        let n = 1 + rng.next_below(8) as usize;
-                        let mut times: Vec<u64> = (0..n).map(|_| rng.next_below(32)).collect();
-                        match rng.next_below(4) {
-                            0 => times.sort_unstable(),
-                            1 => {} // unsorted, as drawn
-                            2 => {
-                                let t = times[0];
-                                times.fill(t);
+                let single = match rng.next_below(13) {
+                    // In a small window, so ties are common.
+                    0 | 1 => Some(rng.next_below(32)),
+                    // A fixed delay after the last popped time.
+                    2 => Some(last_popped + SERVICE),
+                    // Before the push run's tail: the heap takes it.
+                    3 => Some(back_secs(&q, &q.push_run).saturating_sub(1 + rng.next_below(4))),
+                    _ => None,
+                };
+                if let Some(t) = single {
+                    let id = q.push(secs(t), tag);
+                    model.insert((t, tag), id);
+                    tag += 1;
+                } else {
+                    match rng.next_below(9) {
+                        // Batch push.
+                        0 | 1 => {
+                            let n = 1 + rng.next_below(8) as usize;
+                            let mut times: Vec<u64> = (0..n).map(|_| rng.next_below(32)).collect();
+                            match rng.next_below(4) {
+                                0 => times.sort_unstable(),
+                                1 => {} // unsorted, as drawn
+                                2 => {
+                                    let t = times[0];
+                                    times.fill(t);
+                                }
+                                _ => {
+                                    // Sorted, but starting before the batch
+                                    // run's tail.
+                                    let tail = back_secs(&q, &q.batch_run);
+                                    times[0] = tail.saturating_sub(1 + rng.next_below(4));
+                                    times.sort_unstable();
+                                }
                             }
-                            _ => {
-                                // Sorted, but starting before the run's tail.
-                                let tail = q.run.back().map_or(0, |&s| {
-                                    q.slots[s as usize].time.as_nanos() / 1_000_000_000
-                                });
-                                times[0] = tail.saturating_sub(1 + rng.next_below(4));
-                                times.sort_unstable();
+                            let heap_before = q.heap.len();
+                            q.push_batch(
+                                times
+                                    .iter()
+                                    .enumerate()
+                                    .map(|(i, &t)| (secs(t), tag + i as u64)),
+                            );
+                            if q.heap.len() > heap_before && !q.batch_run.order.is_empty() {
+                                split_batches += 1;
+                            }
+                            for t in times {
+                                model.insert((t, tag), id_of(&q, tag));
+                                tag += 1;
                             }
                         }
-                        let heap_before = q.heap.len();
-                        q.push_batch(
-                            times
+                        // Cancel a random pending event, in any lane.
+                        2 if !model.is_empty() => {
+                            let k = rng.next_below(model.len() as u64) as usize;
+                            let (&key, &id) = model.iter().nth(k).expect("k < len");
+                            cancel(&mut q, &mut model, &mut stale, key, id, &ctx);
+                        }
+                        // Cancel a live push-run entry: the front, one
+                        // mid-run or the last.
+                        3 if !q.push_run.order.is_empty() => {
+                            let live: Vec<u32> = q
+                                .push_run
+                                .order
                                 .iter()
-                                .enumerate()
-                                .map(|(i, &t)| (secs(t), tag + i as u64)),
-                        );
-                        if q.heap.len() > heap_before && !q.run.is_empty() {
-                            split_batches += 1;
+                                .copied()
+                                .filter(|&s| q.slab.slots[s as usize].payload.is_some())
+                                .collect();
+                            let at = rng.next_below(3) as usize;
+                            let slot = match at {
+                                0 => live[0],
+                                1 => live[rng.next_below(live.len() as u64) as usize],
+                                _ => live[live.len() - 1],
+                            };
+                            push_run_cancels[at] += 1;
+                            let (&key, &id) = model
+                                .iter()
+                                .find(|(_, id)| id.slot == slot)
+                                .expect("a live push-run entry is in the model");
+                            cancel(&mut q, &mut model, &mut stale, key, id, &ctx);
                         }
-                        for t in times {
-                            model.insert((t, tag), id_of(&q, tag));
-                            tag += 1;
+                        // Replay a stale id: must be a no-op.
+                        4 if !stale.is_empty() => {
+                            let id = stale[rng.next_below(stale.len() as u64) as usize];
+                            let before = q.len();
+                            assert!(!q.contains(id), "{ctx}: stale id reported pending");
+                            assert!(!q.cancel(id), "{ctx}: stale cancel must miss");
+                            assert_eq!(q.len(), before);
                         }
-                    }
-                    // Cancel a random pending event, heap or run entry.
-                    4 if !model.is_empty() => {
-                        let k = rng.next_below(model.len() as u64) as usize;
-                        let (&key, &id) = model.iter().nth(k).expect("k < len");
-                        if q.slots[id.slot as usize].heap_pos == IN_RUN {
-                            run_cancels += 1;
-                            tombstones += u32::from(q.run.front() != Some(&id.slot));
-                        } else {
-                            heap_cancels += 1;
+                        // Pop before a random horizon.
+                        5 => {
+                            let horizon = rng.next_below(34);
+                            let due = model.keys().next().filter(|&&(t, _)| t < horizon).copied();
+                            let got = q.pop_before(secs(horizon));
+                            assert_eq!(got, due.map(|(t, tg)| (secs(t), tg)), "{ctx}: pop_before");
+                            if let Some(key) = due {
+                                last_popped = key.0;
+                                retire(&mut model, &mut stale, key);
+                            }
                         }
-                        assert!(q.cancel(id), "{ctx}: live cancel must hit");
-                        assert!(!q.contains(id), "{ctx}: cancelled id still pending");
-                        retire(&mut model, &mut stale, key);
-                    }
-                    // Replay a stale id: must be a no-op.
-                    5 if !stale.is_empty() => {
-                        let id = stale[rng.next_below(stale.len() as u64) as usize];
-                        let before = q.len();
-                        assert!(!q.contains(id), "{ctx}: stale id reported pending");
-                        assert!(!q.cancel(id), "{ctx}: stale cancel must miss");
-                        assert_eq!(q.len(), before);
-                    }
-                    // Pop before a random horizon.
-                    6 => {
-                        let horizon = rng.next_below(34);
-                        let due = model.keys().next().filter(|&&(t, _)| t < horizon).copied();
-                        let got = q.pop_before(secs(horizon));
-                        assert_eq!(got, due.map(|(t, tg)| (secs(t), tg)), "{ctx}: pop_before");
-                        if let Some(key) = due {
-                            retire(&mut model, &mut stale, key);
+                        // Peek, and probe a live id.
+                        6 => {
+                            let first = model.keys().next().map(|&(t, _)| secs(t));
+                            assert_eq!(q.peek_time(), first, "{ctx}: peek_time");
+                            if let Some(&id) = model.values().last() {
+                                assert!(q.contains(id), "{ctx}: live id not pending");
+                            }
                         }
-                    }
-                    // Peek, and probe a live id.
-                    7 => {
-                        let first = model.keys().next().map(|&(t, _)| secs(t));
-                        assert_eq!(q.peek_time(), first, "{ctx}: peek_time");
-                        if let Some(&id) = model.values().last() {
-                            assert!(q.contains(id), "{ctx}: live id not pending");
-                        }
-                    }
-                    // Pop.
-                    _ => {
-                        let expected = model.keys().next().copied();
-                        if let Some((_, in_run)) = q.first() {
-                            lane_pops[usize::from(in_run)] += 1;
-                        }
-                        let got = q.pop();
-                        assert_eq!(got, expected.map(|(t, tg)| (secs(t), tg)), "{ctx}: pop");
-                        if let Some(key) = expected {
-                            retire(&mut model, &mut stale, key);
+                        // Pop.
+                        _ => {
+                            let expected = model.keys().next().copied();
+                            if let Some((_, lane)) = q.first() {
+                                lane_pops[lane as usize] += 1;
+                            }
+                            let got = q.pop();
+                            assert_eq!(got, expected.map(|(t, tg)| (secs(t), tg)), "{ctx}: pop");
+                            if let Some(key) = expected {
+                                last_popped = key.0;
+                                retire(&mut model, &mut stale, key);
+                            }
                         }
                     }
                 }
@@ -842,21 +1036,32 @@ mod tests {
 
             // Every slot is free exactly once: no tombstone leaked, none
             // released twice.
-            assert_eq!((q.run.len(), q.run_dead, q.heap.len()), (0, 0, 0));
-            let mut free = q.free.clone();
+            for run in [&q.batch_run, &q.push_run] {
+                assert_eq!((run.order.len(), run.dead, run.tail), (0, 0, SimTime::ZERO));
+            }
+            assert!(q.heap.is_empty());
+            let mut free = q.slab.free.clone();
             free.sort_unstable();
             free.dedup();
             assert_eq!(
                 free.len(),
-                q.slots.len(),
+                q.slab.slots.len(),
                 "seed {seed}: slot leaked or freed twice"
             );
             for id in model.into_values().chain(stale) {
                 assert!(!q.cancel(id), "seed {seed}: id survived drain");
             }
         }
-        assert!(run_cancels > 0 && tombstones > 0 && heap_cancels > 0);
-        assert!(split_batches > 0 && lane_pops[0] > 0 && lane_pops[1] > 0);
+        assert!(run_cancels > 0 && heap_cancels > 0 && split_batches > 0);
+        assert!(
+            tombstones.iter().all(|&n| n > 0),
+            "tombstones {tombstones:?}"
+        );
+        assert!(lane_pops.iter().all(|&n| n > 0), "lane pops {lane_pops:?}");
+        assert!(
+            push_run_cancels.iter().all(|&n| n > 0),
+            "push-run cancels {push_run_cancels:?}"
+        );
     }
 
     /// A cancelled run entry releases its capture at `cancel`, exactly
@@ -884,15 +1089,15 @@ mod tests {
         };
         let mut q = EventQueue::new();
         q.push_batch((0..4).map(|t| (SimTime::from_secs(t), event(t % 2 == 1))));
-        assert_eq!(q.run.len(), 4, "a sorted batch fills the run");
+        assert_eq!(q.batch_run.order.len(), 4, "a sorted batch fills the run");
         assert_eq!(Arc::strong_count(&token), 5);
 
         // Cancel the two entries behind the live front.
         let id_at = |q: &EventQueue<EventFn<()>>, k: usize| {
-            let slot = q.run[k];
+            let slot = q.batch_run.order[k];
             EventId {
                 slot,
-                generation: q.slots[slot as usize].generation,
+                generation: q.slab.slots[slot as usize].generation,
             }
         };
         let (spilled, inline) = (id_at(&q, 1), id_at(&q, 2));
@@ -912,7 +1117,7 @@ mod tests {
         );
         assert_eq!(q.len(), 2);
         assert!(
-            q.free.is_empty(),
+            q.slab.free.is_empty(),
             "tombstones keep their slots until the front passes"
         );
 
@@ -921,12 +1126,13 @@ mod tests {
         assert_eq!(t, SimTime::ZERO);
         drop(front);
         assert_eq!(Arc::strong_count(&token), 2);
-        assert_eq!((q.run.len(), q.run_dead, q.free.len()), (1, 0, 3));
+        let run = &q.batch_run;
+        assert_eq!((run.order.len(), run.dead, q.slab.free.len()), (1, 0, 3));
 
         // The freed slots are reused, not grown, and the old ids stay dead.
-        let slots = q.slots.len();
+        let slots = q.slab.slots.len();
         q.push_batch((10..13).map(|t| (SimTime::from_secs(t), event(t % 2 == 0))));
-        assert_eq!(q.slots.len(), slots, "freed slots must be reused");
+        assert_eq!(q.slab.slots.len(), slots, "freed slots must be reused");
         assert!(!q.cancel(spilled) && !q.cancel(inline));
         assert_eq!(Arc::strong_count(&token), 5);
         drop(q);
@@ -941,7 +1147,7 @@ mod tests {
     fn with_capacity_preallocates() {
         let q: EventQueue<u8> = EventQueue::with_capacity(64);
         assert!(q.is_empty());
-        assert!(q.slots.capacity() >= 64);
+        assert!(q.slab.slots.capacity() >= 64);
     }
 
     #[test]

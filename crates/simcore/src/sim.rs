@@ -210,6 +210,12 @@ impl<S> Simulation<S> {
     }
 
     /// Schedules `handler` to run after `delay`.
+    ///
+    /// A fixed delay from the running clock — a service time, a timeout —
+    /// never lands before the previous one, so such events join the
+    /// queue's push run and are scheduled and popped in O(1) each. An
+    /// event that fires before the push run's latest entry goes through
+    /// the heap, at O(log n) (see [`EventQueue::push`]).
     #[inline]
     pub fn schedule_in(
         &mut self,
@@ -252,7 +258,7 @@ impl<S> Simulation<S> {
     /// equal offsets keep the slice's FIFO order.
     ///
     /// Sort `offsets` ascending where possible: sorted offsets join the
-    /// queue's sorted run and are scheduled and popped in O(1) each.
+    /// queue's batch run and are scheduled and popped in O(1) each.
     /// Unsorted ones still work, through the heap, at O(log n) each (see
     /// [`EventQueue::push_batch`]).
     pub fn schedule_batch<F>(&mut self, offsets: &[SimDuration], handler: F)

@@ -11,9 +11,14 @@
 //! * **exactly-once `Drop`** — a cancelled spilled event releases its
 //!   captures once: no leak, no double-drop.
 //!
-//! Batch-scheduled events wait in the queue's sorted run rather than its
-//! heap; the last test covers them. (`schedule_batch` returns no ids, so
-//! cancelling a run entry is pinned by the queue's own unit tests.)
+//! Events scheduled in time order wait in one of the queue's sorted runs
+//! rather than its heap, and a cancelled run entry stays in the run as a
+//! tombstone until the run's front passes it. Batch-scheduled events take
+//! the batch run (`schedule_batch` returns no ids, so cancelling one is
+//! pinned by the queue's own unit tests); single events at or after the
+//! latest one take the push run, where `Simulation::cancel` and
+//! `Deadline::disarm` reach the tombstone path. The last two tests cover
+//! them.
 
 use std::sync::Arc;
 use std::sync::Mutex;
@@ -273,5 +278,101 @@ fn batch_scheduled_captures_are_released_exactly_once() {
         Arc::strong_count(&token),
         1,
         "dropping the simulation must release every pending batch capture once"
+    );
+}
+
+#[test]
+fn disarmed_push_run_deadlines_release_captures_once_and_recycle_slots() {
+    // Single events at non-decreasing times all join the queue's push run,
+    // so the two deadlines wait behind a live front and ahead of a live
+    // tail: disarming them leaves tombstones in the middle of the run.
+    let token = Arc::new(());
+    let mut sim = Simulation::new(13, 0u32);
+    let front = sim.schedule_in(SimDuration::from_secs(1), |s: &mut Simulation<u32>| {
+        *s.state_mut() += 1;
+    });
+    let keep = Arc::clone(&token);
+    let inline = sim.schedule_deadline(SimDuration::from_secs(2), move |_s| drop(keep));
+    let keep = Arc::clone(&token);
+    let pad = [0u8; SPILL_PAD];
+    let spilled = sim.schedule_deadline(SimDuration::from_secs(3), move |_s| {
+        std::hint::black_box(&pad);
+        drop(keep);
+    });
+    sim.schedule_in(SimDuration::from_secs(4), |s: &mut Simulation<u32>| {
+        *s.state_mut() += 1;
+    });
+    assert_eq!((sim.inline_scheduled(), sim.spilled_scheduled()), (3, 1));
+    assert_eq!(Arc::strong_count(&token), 3);
+    assert_eq!(sim.pending(), 4);
+
+    // Each disarm releases its capture at once, exactly once.
+    assert!(spilled.disarm(&mut sim));
+    assert_eq!(
+        Arc::strong_count(&token),
+        2,
+        "disarm kept the spilled capture"
+    );
+    assert!(!spilled.disarm(&mut sim), "a second disarm must miss");
+    assert_eq!(
+        Arc::strong_count(&token),
+        2,
+        "a second disarm dropped again"
+    );
+    assert!(sim.cancel(inline.id()));
+    assert_eq!(
+        Arc::strong_count(&token),
+        1,
+        "cancel kept the inline capture"
+    );
+    assert!(!inline.is_armed(&sim) && !spilled.is_armed(&sim));
+    assert_eq!(sim.pending(), 2, "tombstones counted as pending");
+
+    // Until the front passes them, the tombstones keep their slots.
+    let tombstones = [slot_of(inline.id()), slot_of(spilled.id())];
+    let early = sim.schedule_in(SimDuration::from_secs(5), |_s| {});
+    assert!(
+        !tombstones.contains(&slot_of(early)),
+        "a tombstone's slot was reused before the front passed it"
+    );
+    assert!(sim.cancel(early));
+
+    // Firing the front frees it and both tombstones behind it; the next
+    // three events reuse those slots.
+    let stats = sim.run_until(SimTime::from_secs(1));
+    assert_eq!((stats.executed, stats.pending), (1, 1));
+    assert!(!sim.is_pending(front));
+    let keep = Arc::clone(&token);
+    let a = sim.schedule_deadline(SimDuration::from_secs(7), move |_s| drop(keep));
+    let keep = Arc::clone(&token);
+    let pad = [0u8; SPILL_PAD];
+    let b = sim.schedule_deadline(SimDuration::from_secs(8), move |_s| {
+        std::hint::black_box(&pad);
+        drop(keep);
+    });
+    let c = sim.schedule_in(SimDuration::from_secs(9), |s: &mut Simulation<u32>| {
+        *s.state_mut() += 1;
+    });
+    let mut reused = [slot_of(a.id()), slot_of(b.id()), slot_of(c)];
+    reused.sort_unstable();
+    let mut freed = [tombstones[0], tombstones[1], slot_of(front)];
+    freed.sort_unstable();
+    assert_eq!(reused, freed, "the freed slots were not reused");
+    assert_eq!(sim.pending(), 4);
+
+    // The stale deadlines neither report armed nor disarm the new
+    // occupants of their slots.
+    assert!(!inline.is_armed(&sim) && !spilled.is_armed(&sim));
+    assert!(!inline.disarm(&mut sim) && !spilled.disarm(&mut sim));
+    assert!(a.is_armed(&sim) && b.is_armed(&sim));
+    assert_eq!(Arc::strong_count(&token), 3);
+
+    let stats = sim.run();
+    assert_eq!(stats.executed, 1 + 4);
+    assert_eq!(*sim.state(), 3);
+    assert_eq!(
+        Arc::strong_count(&token),
+        1,
+        "firing the reused slots leaked or double-freed"
     );
 }
