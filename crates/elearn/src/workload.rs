@@ -326,8 +326,8 @@ impl WorkloadModel {
     /// `out` (which is cleared first, so callers can reuse one buffer
     /// across slots). Conditioned on the Poisson count, arrival instants
     /// are i.i.d. uniform over the slot; the sorted offsets feed
-    /// `Simulation::schedule_batch` directly, which bulk-inserts them into
-    /// the event arena.
+    /// `Simulation::schedule_batch` directly, which appends them to the
+    /// pending-event set's batch lane with the handler stored once.
     pub fn sample_arrival_offsets(
         &self,
         rng: &mut SimRng,

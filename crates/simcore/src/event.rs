@@ -10,13 +10,17 @@
 //! ([`INLINE_EVENT_BYTES`] bytes, 8-byte aligned); a closure whose size and
 //! alignment fit is moved **into the buffer** and dispatched through a
 //! monomorphized vtable (an [`EventVTable`]: `call` consumes the payload,
-//! `drop_fn` destroys an unfired one). Oversized or over-aligned closures
-//! spill to the old representation — a `Box<dyn FnOnce>` — which is itself
-//! stored in the buffer (a fat pointer always fits), so the executive's
-//! slab arena stores one uniform payload type either way. The vtable is a
-//! single `&'static` pointer, not inline function pointers, which keeps
-//! the whole `EventFn` at 64 bytes — one cache line per slot payload, and
-//! the size every pop/push copies.
+//! `drop_fn` destroys an unfired one, `copy` clones a repeatable one).
+//! Oversized or over-aligned closures spill to a `Box<F>`, which is itself
+//! stored in the buffer (a pointer always fits) and handled by the same
+//! vtable functions, so the executive's slab arena stores one uniform
+//! payload type either way. The vtable is a single `&'static` pointer, not
+//! inline function pointers, which keeps the whole `EventFn` at 64 bytes —
+//! one cache line per slot payload, and the size every pop/push copies.
+//!
+//! A handler built with `EventFn::repeatable` can also be copied
+//! (`EventFn::repeat`): `Simulation::schedule_batch` stores a batch's
+//! handler once and copies it as each entry fires.
 //!
 //! Whether a closure spills is a property of its *type*, decided at
 //! monomorphization time — never of runtime data — so the inline/spilled
@@ -31,13 +35,13 @@
 //! This is the one module in the crate that uses `unsafe` (the crate is
 //! otherwise `#![deny(unsafe_code)]`). The invariants are local and small:
 //!
-//! * the buffer holds a valid `F` (inline) or a valid
-//!   `Box<dyn FnOnce(&mut Simulation<S>)>` (spilled) from construction
-//!   until exactly one of `call` / `Drop` consumes it;
+//! * the buffer holds a valid `F` (inline) or a valid `Box<F>` (spilled)
+//!   from construction until exactly one of `call` / `Drop` consumes it;
+//!   `repeat` only reads it, to clone it into a new buffer;
 //! * `call` takes `self` by value and forgets it via [`ManuallyDrop`], so
 //!   the payload is moved out exactly once and `Drop` cannot run after it;
 //! * the vtable is chosen once, at construction, by the only function that
-//!   knows the concrete `F`.
+//!   knows the concrete `F`, and a copy keeps the vtable of its original.
 //!
 //! The `straddles the inline threshold` integration test
 //! (`tests/inline_spill_recycling.rs`) pins no-leak / no-double-drop
@@ -75,17 +79,21 @@ impl PayloadBuf {
     fn as_mut_ptr(&mut self) -> *mut u8 {
         self.bytes.as_mut_ptr().cast::<u8>()
     }
+
+    #[inline]
+    fn as_ptr(&self) -> *const u8 {
+        self.bytes.as_ptr().cast::<u8>()
+    }
 }
 
-/// The spilled representation: the pre-optimization boxed handler. A fat
-/// pointer (16 bytes, align 8) — always fits the buffer. Handlers are
-/// `Send` so a whole `Simulation` can move onto a shard worker thread
-/// (see [`crate::shard`]).
-type Spilled<S> = Box<dyn FnOnce(&mut Simulation<S>) + Send>;
+/// The boxed handler [`EventFn`] replaces. Handlers are `Send` so a whole
+/// `Simulation` can move onto a shard worker thread (see [`crate::shard`]).
+type Boxed<S> = Box<dyn FnOnce(&mut Simulation<S>) + Send>;
 
 /// The manual vtable shared by every event of one closure type: how to run
-/// the payload, how to destroy an unfired one, and which representation it
-/// uses. Stored behind one `&'static` pointer per [`EventFn`].
+/// the payload, how to destroy an unfired one, how to copy a repeatable
+/// one, and which representation it uses. Stored behind one `&'static`
+/// pointer per [`EventFn`].
 ///
 /// The simulation parameter is erased (`*mut ()`) so the vtable type needs
 /// no `S: 'static` bound; [`EventFn::call`] re-supplies the concrete
@@ -97,6 +105,9 @@ struct EventVTable {
     call: unsafe fn(*mut u8, *mut ()),
     /// Destroys an unfired payload at `*buf`.
     drop_fn: unsafe fn(*mut u8),
+    /// Clones the payload at the first buffer into the second, which is
+    /// uninitialized. `None` unless built by `EventFn::repeatable`.
+    copy: Option<unsafe fn(*const u8, *mut u8)>,
     /// Whether the payload is a spilled `Box` rather than an inline `F`.
     spilled: bool,
 }
@@ -112,14 +123,27 @@ struct VTables<S, F>(PhantomData<(fn(S), fn(F))>);
 
 impl<S, F: FnOnce(&mut Simulation<S>) + Send + 'static> VTables<S, F> {
     const INLINE: EventVTable = EventVTable {
-        call: call_inline::<S, F>,
+        call: call_in_buf::<S, F>,
         drop_fn: drop_in_buf::<F>,
+        copy: None,
         spilled: false,
     };
     const SPILLED: EventVTable = EventVTable {
-        call: call_spilled::<S>,
-        drop_fn: drop_in_buf::<Spilled<S>>,
+        call: call_in_buf::<S, Box<F>>,
+        drop_fn: drop_in_buf::<Box<F>>,
+        copy: None,
         spilled: true,
+    };
+}
+
+impl<S, F: Fn(&mut Simulation<S>) + Clone + Send + 'static> VTables<S, F> {
+    const INLINE_REPEATABLE: EventVTable = EventVTable {
+        copy: Some(copy_in_buf::<F>),
+        ..Self::INLINE
+    };
+    const SPILLED_REPEATABLE: EventVTable = EventVTable {
+        copy: Some(copy_in_buf::<Box<F>>),
+        ..Self::SPILLED
     };
 }
 
@@ -138,7 +162,7 @@ pub struct EventFn<S> {
     /// Every constructor requires a `Send` payload, so the type inherits
     /// `Send` from the boxed form it replaces — which is what lets the
     /// shard executor move whole simulations across worker threads.
-    _marker: PhantomData<Spilled<S>>,
+    _marker: PhantomData<Boxed<S>>,
 }
 
 impl<S> EventFn<S> {
@@ -160,34 +184,89 @@ impl<S> EventFn<S> {
     where
         F: FnOnce(&mut Simulation<S>) + Send + 'static,
     {
+        // SAFETY: each vtable is built for the payload type stored under
+        // it.
+        #[allow(unsafe_code)]
+        unsafe {
+            if const { Self::stores_inline::<F>() } {
+                Self::store(handler, &VTables::<S, F>::INLINE)
+            } else {
+                Self::store(Box::new(handler), &VTables::<S, F>::SPILLED)
+            }
+        }
+    }
+
+    /// Wraps `handler` like [`EventFn::new`], and also lets
+    /// [`EventFn::repeat`] copy it.
+    #[inline]
+    pub(crate) fn repeatable<F>(handler: F) -> Self
+    where
+        F: Fn(&mut Simulation<S>) + Clone + Send + 'static,
+    {
+        // SAFETY: each vtable is built for the payload type stored under
+        // it.
+        #[allow(unsafe_code)]
+        unsafe {
+            if const { Self::stores_inline::<F>() } {
+                Self::store(handler, &VTables::<S, F>::INLINE_REPEATABLE)
+            } else {
+                Self::store(Box::new(handler), &VTables::<S, F>::SPILLED_REPEATABLE)
+            }
+        }
+    }
+
+    /// Moves `payload` into a new buffer under `vtable`.
+    ///
+    /// # Safety
+    ///
+    /// `vtable` must be one [`VTables`] builds for `payload`'s type: for
+    /// `F` if it is an inline `F`, for `F` if it is a spilled `Box<F>`.
+    #[allow(unsafe_code)]
+    #[inline(always)]
+    unsafe fn store<T>(payload: T, vtable: &'static EventVTable) -> Self {
+        // Folded away: both sides are constants.
+        assert!(
+            size_of::<T>() <= INLINE_EVENT_BYTES && align_of::<T>() <= align_of::<PayloadBuf>()
+        );
         let mut buf = PayloadBuf::uninit();
-        if const { Self::stores_inline::<F>() } {
-            // SAFETY: size and alignment of `F` were checked against the
-            // buffer; the write initializes the payload the inline vtable
-            // below will read as `F`.
-            #[allow(unsafe_code)]
-            unsafe {
-                buf.as_mut_ptr().cast::<F>().write(handler);
-            }
-            EventFn {
-                buf,
-                vtable: &VTables::<S, F>::INLINE,
-                _marker: PhantomData,
-            }
-        } else {
-            let boxed: Spilled<S> = Box::new(handler);
-            // SAFETY: a fat pointer (16 bytes, align 8) fits the buffer;
-            // the write initializes the payload the spilled vtable reads
-            // as `Spilled<S>`.
-            #[allow(unsafe_code)]
-            unsafe {
-                buf.as_mut_ptr().cast::<Spilled<S>>().write(boxed);
-            }
-            EventFn {
-                buf,
-                vtable: &VTables::<S, F>::SPILLED,
-                _marker: PhantomData,
-            }
+        // SAFETY: size and alignment of `T` were checked against the
+        // buffer; the write initializes the payload `vtable` reads as `T`.
+        #[allow(unsafe_code)]
+        unsafe {
+            buf.as_mut_ptr().cast::<T>().write(payload);
+        }
+        EventFn {
+            buf,
+            vtable,
+            _marker: PhantomData,
+        }
+    }
+
+    /// A copy of this handler, inline or spilled as the original is: a
+    /// clone of the closure, which runs and drops independently of it.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the handler was built by [`EventFn::repeatable`].
+    #[inline]
+    #[must_use]
+    pub(crate) fn repeat(&self) -> Self {
+        let copy = self
+            .vtable
+            .copy
+            .expect("only a handler built by EventFn::repeatable can be copied");
+        let mut buf = PayloadBuf::uninit();
+        // SAFETY: `self` holds a live payload of the type `copy` was
+        // monomorphized with (both come from one vtable), and `buf` is a
+        // fresh buffer for the clone, which the same vtable then owns.
+        #[allow(unsafe_code)]
+        unsafe {
+            copy(self.buf.as_ptr(), buf.as_mut_ptr());
+        }
+        EventFn {
+            buf,
+            vtable: self.vtable,
+            _marker: PhantomData,
         }
     }
 
@@ -235,24 +314,23 @@ impl<S> std::fmt::Debug for EventFn<S> {
     }
 }
 
-/// Reads the inline `F` out of the buffer and runs it.
+/// Reads the handler `T` (an inline `F` or a spilled `Box<F>`) out of the
+/// buffer and runs it.
 #[allow(unsafe_code)]
-unsafe fn call_inline<S, F: FnOnce(&mut Simulation<S>)>(buf: *mut u8, sim: *mut ()) {
-    // SAFETY (caller): `buf` holds an initialized `F` that nothing else
+unsafe fn call_in_buf<S, T: FnOnce(&mut Simulation<S>)>(buf: *mut u8, sim: *mut ()) {
+    // SAFETY (caller): `buf` holds an initialized `T` that nothing else
     // will read or drop again, and `sim` is a live `&mut Simulation<S>`
     // erased by `EventFn::call`.
-    let f = unsafe { buf.cast::<F>().read() };
+    let f = unsafe { buf.cast::<T>().read() };
     f(unsafe { &mut *sim.cast::<Simulation<S>>() });
 }
 
-/// Reads the spilled box out of the buffer and runs it.
+/// Writes a clone of the payload of type `T` in `src` into `dst`.
 #[allow(unsafe_code)]
-unsafe fn call_spilled<S>(buf: *mut u8, sim: *mut ()) {
-    // SAFETY (caller): `buf` holds an initialized `Spilled<S>` that
-    // nothing else will read or drop again, and `sim` is a live
-    // `&mut Simulation<S>` erased by `EventFn::call`.
-    let boxed = unsafe { buf.cast::<Spilled<S>>().read() };
-    boxed(unsafe { &mut *sim.cast::<Simulation<S>>() });
+unsafe fn copy_in_buf<T: Clone>(src: *const u8, dst: *mut u8) {
+    // SAFETY (caller): `src` holds an initialized `T`, and `dst` is an
+    // uninitialized buffer with room and alignment for one.
+    unsafe { dst.cast::<T>().write((*src.cast::<T>()).clone()) }
 }
 
 /// Drops the payload of type `T` in place inside the buffer.
@@ -371,6 +449,46 @@ mod tests {
             1,
             "capture must drop after the call"
         );
+    }
+
+    #[test]
+    fn repeated_handlers_run_and_release_captures_independently() {
+        let token = Arc::new(());
+        let mut sim = Simulation::new(1, 0u32);
+        let held = Arc::clone(&token);
+        let inline = EventFn::<u32>::repeatable(move |s: &mut Simulation<u32>| {
+            let _ = &held;
+            *s.state_mut() += 1;
+        });
+        let held = Arc::clone(&token);
+        let pad = [1u8; INLINE_EVENT_BYTES + 1];
+        let spilled = EventFn::<u32>::repeatable(move |s: &mut Simulation<u32>| {
+            let _ = &held;
+            *s.state_mut() += u32::from(pad[0]);
+        });
+        for (proto, spills) in [(inline, false), (spilled, true)] {
+            let held = Arc::strong_count(&token);
+            let copy = proto.repeat();
+            assert_eq!((proto.is_spilled(), copy.is_spilled()), (spills, spills));
+            assert_eq!(
+                Arc::strong_count(&token),
+                held + 1,
+                "a copy clones the capture"
+            );
+            copy.call(&mut sim);
+            assert_eq!(Arc::strong_count(&token), held, "a copy releases its own");
+            drop(proto.repeat());
+            assert_eq!(Arc::strong_count(&token), held);
+            proto.call(&mut sim);
+            assert_eq!(Arc::strong_count(&token), held - 1);
+        }
+        assert_eq!(*sim.state(), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "EventFn::repeatable")]
+    fn only_repeatable_handlers_can_be_copied() {
+        let _ = EventFn::<u32>::new(|_s: &mut Simulation<u32>| {}).repeat();
     }
 
     #[test]

@@ -11,37 +11,39 @@
 //!
 //! The implementation is built for the hot path (see DESIGN.md):
 //!
-//! * **Slab slots** — every pending event lives in a slot of one flat
-//!   `Vec<Slot<E>>`. Fired and cancelled slots go on a free list and are
-//!   reused, so a steady-state simulation performs no per-event heap
-//!   allocation after warm-up.
+//! * **Slab slots** — every event pushed one at a time lives in a slot of
+//!   one flat `Vec<Slot<E>>`. Fired and cancelled slots go on a free list
+//!   and are reused, so a steady-state simulation performs no per-event
+//!   heap allocation after warm-up.
 //! * **Generation tags** — each slot carries a generation counter bumped on
 //!   every release. An [`EventId`] is `(slot, generation)`, so a stale handle
 //!   (the event already fired or was cancelled, even if the slot was reused)
 //!   can never cancel the wrong event — `cancel` on it is a `false` no-op.
-//! * **Three lanes** — a pending slot waits in one of three lanes, and every
-//!   pop takes whichever lane front is smallest by `(time, seq)`:
-//!   * two **sorted runs**, FIFOs of slot indices already in `(time, seq)`
-//!     order, which take an event in O(1) whenever its time does not
-//!     precede the run's tail, and pop it in O(1). The **batch run** takes
-//!     the items of [`EventQueue::push_batch`], so a sorted batch — a tick
-//!     of arrivals — never touches the heap. The **push run** takes the
-//!     single [`EventQueue::push`]es: a model that schedules at a fixed
-//!     delay from a clock that only moves forward (a service completion at
+//! * **Three lanes** — a pending event waits in one of three lanes, and
+//!   every pop takes whichever lane front is smallest by `(time, seq)`:
+//!   * the **batch lane** takes each item of [`EventQueue::push_batch`]
+//!     whose time does not precede the lane's tail, so a sorted batch — a
+//!     tick of arrivals — never touches the heap or the slab. It holds a
+//!     16-byte `(time, seq)` key per entry and each batch's payload once,
+//!     with the copier that makes one per entry as it fires; its entries
+//!     have no [`EventId`], so nothing can cancel them and the lane needs
+//!     no tombstones;
+//!   * the **push run**, a FIFO of slot indices already in `(time, seq)`
+//!     order, takes each single [`EventQueue::push`] whose time does not
+//!     precede its tail: a model that schedules at a fixed delay from a
+//!     clock that only moves forward (a service completion at
 //!     `now + service_time`) pushes in time order, so every such push and
-//!     pop is O(1);
-//!   * the **indexed four-ary min-heap** holds everything else: the part of
-//!     a batch that precedes the batch run's tail and single pushes that
-//!     precede the push run's. It stores slot indices and every slot
-//!     remembers its heap position, so cancellation removes the entry in
-//!     O(log n) with no tombstone. Four-ary keeps the heap a level
-//!     shallower than binary and sifts through cache-adjacent children.
-//!
-//!   A run entry cannot leave the middle of its FIFO: cancelling one drops
-//!   its payload at once and leaves a tombstone that is skipped and freed
-//!   when it reaches the front, so a run's front is always live. Push-run
-//!   entries carry the [`EventId`] their push returned, so
-//!   `Simulation::cancel` and `Deadline::disarm` reach this path.
+//!     pop is O(1). An entry cannot leave the middle of the FIFO:
+//!     cancelling one drops its payload at once and leaves a tombstone
+//!     that is skipped and freed when it reaches the front, so the front
+//!     is always live;
+//!   * the **indexed four-ary min-heap** holds everything else: batch items
+//!     that precede the batch lane's tail, each with its own copy of the
+//!     payload, and single pushes that precede the push run's. It stores
+//!     slot indices and every slot remembers its heap position, so
+//!     cancellation removes the entry in O(log n) with no tombstone.
+//!     Four-ary keeps the heap a level shallower than binary and sifts
+//!     through cache-adjacent children.
 
 use std::collections::VecDeque;
 
@@ -51,11 +53,8 @@ use crate::time::SimTime;
 /// a binary heap and keeps all children of a node in one or two cache lines.
 const ARITY: usize = 4;
 
-/// The `heap_pos` of a slot whose event waits in the batch run.
-const IN_BATCH_RUN: u32 = u32::MAX;
-
 /// The `heap_pos` of a slot whose event waits in the push run.
-const IN_PUSH_RUN: u32 = u32::MAX - 1;
+const IN_PUSH_RUN: u32 = u32::MAX;
 
 /// Identifies a scheduled event, for cancellation.
 ///
@@ -78,9 +77,9 @@ impl EventId {
 }
 
 /// One arena slot. `payload` is `Some` while the event is pending; `time`,
-/// `seq` and `heap_pos` (or a run marker) are only meaningful then. A
-/// cancelled run entry keeps its slot, with no payload, until it leaves
-/// its run.
+/// `seq` and `heap_pos` (or the push-run marker) are only meaningful then.
+/// A cancelled push-run entry keeps its slot, with no payload, until it
+/// leaves the run.
 struct Slot<E> {
     generation: u32,
     heap_pos: u32,
@@ -143,15 +142,103 @@ impl<E> Slab<E> {
         s.generation = s.generation.wrapping_add(1);
     }
 
+    /// Puts a batch entry's payload, fired at `time`, in a free slot for
+    /// [`EventQueue::take_first`] to move out, so every lane hands its
+    /// event over the same way: a separate return path for batch entries
+    /// cost a 1-pending event chain 8–23% in paired runs. The slot stays
+    /// on the free list: the entry never had an id to retire.
+    #[inline(always)]
+    fn stage(&mut self, time: SimTime, payload: E) -> u32 {
+        let slot = match self.free.last() {
+            Some(&slot) => slot,
+            None => self.add_free_slot(),
+        };
+        let s = &mut self.slots[slot as usize];
+        s.time = time;
+        s.payload = Some(payload);
+        slot
+    }
+
+    /// Grows the slab by one free slot.
+    #[cold]
+    fn add_free_slot(&mut self) -> u32 {
+        let slot = u32::try_from(self.slots.len()).expect("more than u32::MAX slots");
+        self.slots.push(Slot {
+            generation: 0,
+            heap_pos: 0,
+            seq: 0,
+            time: SimTime::ZERO,
+            payload: None,
+        });
+        self.free.push(slot);
+        slot
+    }
+
+    /// The `(time, seq)` key of the event in `slots[slot]`.
+    #[inline(always)]
+    fn key(&self, slot: u32) -> (SimTime, u64) {
+        let s = &self.slots[slot as usize];
+        (s.time, s.seq)
+    }
+
     /// True when the event in `slots[a]` fires before the one in `slots[b]`.
     #[inline]
     fn fires_before(&self, a: u32, b: u32) -> bool {
-        let (sa, sb) = (&self.slots[a as usize], &self.slots[b as usize]);
-        (sa.time, sa.seq) < (sb.time, sb.seq)
+        self.key(a) < self.key(b)
     }
 }
 
-/// A sorted run: a FIFO of slot indices in `(time, seq)` order. An event
+/// One batch's payload, stored once for all of its entries in the batch
+/// lane.
+struct Batch<E> {
+    proto: E,
+    /// Makes each entry's copy of `proto`, all but the last's.
+    repeat: fn(&E) -> E,
+    /// The batch's entries still in the lane.
+    left: usize,
+}
+
+/// The batch lane: the `(time, seq)` keys of its entries in order, and the
+/// batches they belong to, in the same order. An entry may join at the
+/// back only if its time does not precede the tail's; `seq` only grows, so
+/// that keeps the order.
+struct BatchLane<E> {
+    keys: VecDeque<(SimTime, u64)>,
+    batches: VecDeque<Batch<E>>,
+    /// The time of the back entry, or zero while the lane is empty: the
+    /// earliest time the lane accepts.
+    tail: SimTime,
+}
+
+impl<E> BatchLane<E> {
+    const fn new() -> Self {
+        BatchLane {
+            keys: VecDeque::new(),
+            batches: VecDeque::new(),
+            tail: SimTime::ZERO,
+        }
+    }
+
+    /// Removes the front entry and returns its time and payload: a copy of
+    /// its batch's `proto`, or `proto` itself for the batch's last entry.
+    #[inline(always)]
+    fn pop_front(&mut self) -> (SimTime, E) {
+        let (time, _) = self.keys.pop_front().expect("batch lane entry exists");
+        if self.keys.is_empty() {
+            self.tail = SimTime::ZERO;
+        }
+        let batch = self.batches.front_mut().expect("every entry has its batch");
+        batch.left -= 1;
+        let payload = if batch.left == 0 {
+            self.batches.pop_front().expect("batch exists").proto
+        } else {
+            (batch.repeat)(&batch.proto)
+        };
+        (time, payload)
+    }
+}
+
+/// The push run: a FIFO of slot indices in `(time, seq)` order. An event
 /// may join at the back only if its time does not precede the tail's;
 /// `seq` only grows, so that keeps the order. Its front is always live;
 /// cancelled entries behind it stay as tombstones until they reach it.
@@ -245,7 +332,7 @@ impl Run {
 #[derive(Clone, Copy)]
 enum Lane {
     Heap,
-    BatchRun,
+    Batch,
     PushRun,
 }
 
@@ -254,10 +341,11 @@ enum Lane {
 /// a slab of reusable slots.
 ///
 /// Three lanes hold the pending events (see the [module docs](self)): a
-/// batch run for sorted [`EventQueue::push_batch`] items, a push run for
-/// single [`EventQueue::push`]es that do not precede its tail, and a heap
-/// for the rest. [`EventQueue::cancel`] on a run entry leaves a tombstone
-/// that is freed when it reaches the run's front.
+/// batch lane for sorted [`EventQueue::push_batch`] items, which holds
+/// their keys plus one payload per batch and has no ids or tombstones; a
+/// push run for single [`EventQueue::push`]es that do not precede its
+/// tail; and a heap for the rest. [`EventQueue::cancel`] on a push-run
+/// entry leaves a tombstone that is freed when it reaches the run's front.
 ///
 /// # Examples
 ///
@@ -277,8 +365,8 @@ pub struct EventQueue<E> {
     slab: Slab<E>,
     /// Four-ary min-heap of occupied slot indices, ordered by `(time, seq)`.
     heap: Vec<u32>,
-    /// The sorted run `push_batch` appends to.
-    batch_run: Run,
+    /// The lane `push_batch` appends to.
+    batch: BatchLane<E>,
     /// The sorted run `push` appends to.
     push_run: Run,
     /// Next FIFO tie-break sequence number.
@@ -302,7 +390,7 @@ impl<E> EventQueue<E> {
                 free: Vec::new(),
             },
             heap: Vec::with_capacity(capacity),
-            batch_run: Run::new(),
+            batch: BatchLane::new(),
             push_run: Run::new(),
             next_seq: 0,
         }
@@ -332,50 +420,59 @@ impl<E> EventQueue<E> {
         id
     }
 
-    /// Schedules a batch of events in one call.
+    /// Schedules one event at each of `times`, all with the payload
+    /// `proto`, in one call.
     ///
-    /// Equivalent to pushing each `(time, payload)` in iteration order (so
-    /// FIFO tie-breaking follows the iterator), except for the lane an item
-    /// waits in. Each item whose time does not precede the batch run's
-    /// tail is appended to that run, so a batch in time order — the entry
-    /// point bursty arrival models use via `Simulation::schedule_batch` —
-    /// pushes and later pops in O(1) per item; any other item takes the
-    /// heap. Slab space for the whole batch is reserved up front, and so
-    /// is index space in every lane: in the batch run and the heap for the
-    /// items, and in the push run for the single pushes their events go on
-    /// to make, one each at most in a model like a service station. One
-    /// reservation per batch spares the allocator the fragments that
-    /// doubling steps leave: without the push run's, `exam_evening` in
-    /// `elc-benchmark` peaked ~5% higher in resident memory.
-    pub fn push_batch<I>(&mut self, items: I)
+    /// Equivalent to pushing `repeat(&proto)` at each time in iteration
+    /// order (so FIFO tie-breaking follows the iterator), except for where
+    /// the payloads wait. Each item whose time does not precede the batch
+    /// lane's tail joins that lane as a bare `(time, seq)` key, and the
+    /// batch stores `proto` and `repeat` once: popping an entry yields
+    /// `repeat(&proto)`, and the batch's last entry in the lane yields
+    /// `proto` itself. So a batch in time order — the entry point bursty
+    /// arrival models use via `Simulation::schedule_batch` — pushes and
+    /// later pops in O(1) per item, 16 bytes each while pending. Any other
+    /// item takes the heap with its own copy. The events have no ids, so
+    /// they cannot be cancelled.
+    ///
+    /// Index space in the push run is reserved for the single pushes the
+    /// batch's events go on to make, one each at most in a model like a
+    /// service station. Without it, `exam_evening` in `elc-benchmark`
+    /// peaked ~18% higher in resident memory; reserving the lane's keys as
+    /// well raised the peak instead.
+    pub fn push_batch<I>(&mut self, times: I, proto: E, repeat: fn(&E) -> E)
     where
-        I: IntoIterator<Item = (SimTime, E)>,
+        I: IntoIterator<Item = SimTime>,
     {
-        let items = items.into_iter();
-        let (lower, _) = items.size_hint();
-        let growth = lower.saturating_sub(self.slab.free.len());
-        self.slab.slots.reserve(growth);
-        self.batch_run.order.reserve(lower);
-        self.push_run.order.reserve(lower);
-        self.heap.reserve(lower);
-        for (time, payload) in items {
-            if self.batch_run.accepts(time) {
-                let id = self.occupy(time, IN_BATCH_RUN, payload);
-                self.batch_run.append(id.slot, time);
+        let times = times.into_iter();
+        self.push_run.order.reserve(times.size_hint().0);
+        let mut left = 0;
+        for time in times {
+            if time >= self.batch.tail {
+                self.batch.keys.push_back((time, self.next_seq));
+                self.next_seq += 1;
+                self.batch.tail = time;
+                left += 1;
             } else {
-                let _ = self.push_to_heap(time, payload);
+                self.push_to_heap(time, repeat(&proto));
             }
+        }
+        if left > 0 {
+            self.batch.batches.push_back(Batch {
+                proto,
+                repeat,
+                left,
+            });
         }
     }
 
     /// Schedules `payload` at `time` in the heap.
     #[inline]
-    fn push_to_heap(&mut self, time: SimTime, payload: E) -> EventId {
+    fn push_to_heap(&mut self, time: SimTime, payload: E) {
         let pos = self.heap.len() as u32;
         let id = self.occupy(time, pos, payload);
         self.heap.push(id.slot);
         self.sift_up(pos as usize);
-        id
     }
 
     /// Takes the next sequence number and fills a slot with the event.
@@ -399,7 +496,6 @@ impl<E> EventQueue<E> {
         // Drop the payload in place — a cancelled event's handler is never
         // moved out of the arena.
         match heap_pos {
-            IN_BATCH_RUN => self.batch_run.cancel(id.slot, &mut self.slab),
             IN_PUSH_RUN => self.push_run.cancel(id.slot, &mut self.slab),
             pos => {
                 let slot = self.detach_at(pos as usize);
@@ -425,15 +521,14 @@ impl<E> EventQueue<E> {
     /// Ties fire in scheduling (FIFO) order.
     #[inline(always)]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let (_, lane) = self.first()?;
+        let lane = self.first()?;
         Some(self.take_first(lane))
     }
 
     /// The timestamp of the earliest pending event, if any.
     #[must_use]
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.first()
-            .map(|(slot, _)| self.slab.slots[slot as usize].time)
+        self.first().map(|lane| self.front_time(lane))
     }
 
     /// Removes and returns the earliest pending event if it fires strictly
@@ -447,8 +542,8 @@ impl<E> EventQueue<E> {
     /// lane fronts twice.
     #[inline]
     pub fn pop_before(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
-        let (slot, lane) = self.first()?;
-        if self.slab.slots[slot as usize].time >= horizon {
+        let lane = self.first()?;
+        if self.front_time(lane) >= horizon {
             return None;
         }
         Some(self.take_first(lane))
@@ -457,40 +552,49 @@ impl<E> EventQueue<E> {
     /// Number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.heap.len() + self.batch_run.len() + self.push_run.len()
+        self.heap.len() + self.batch.keys.len() + self.push_run.len()
     }
 
     /// True if no events are pending.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         // A non-empty run has a live front.
-        self.heap.is_empty() && self.batch_run.order.is_empty() && self.push_run.order.is_empty()
+        self.heap.is_empty() && self.batch.keys.is_empty() && self.push_run.order.is_empty()
     }
 
-    /// The earliest pending event's slot, and its lane.
+    /// The lane holding the earliest pending event.
     ///
-    /// The push run's front is compared last, after the heap/batch-run
+    /// The push run's front is compared last, after the heap/batch-lane
     /// pick: workloads that send few single pushes to it pay one more
     /// comparison per pop, and nothing else.
     #[inline(always)]
-    fn first(&self) -> Option<(u32, Lane)> {
-        let best = match (self.heap.first(), self.batch_run.front()) {
-            (Some(&root), Some(front)) => {
-                if self.slab.fires_before(front, root) {
-                    Some((front, Lane::BatchRun))
+    fn first(&self) -> Option<Lane> {
+        let (key, lane) = match (self.heap.first(), self.batch.keys.front()) {
+            (Some(&root), Some(&front)) => {
+                let root = self.slab.key(root);
+                if front < root {
+                    (front, Lane::Batch)
                 } else {
-                    Some((root, Lane::Heap))
+                    (root, Lane::Heap)
                 }
             }
-            (Some(&root), None) => Some((root, Lane::Heap)),
-            (None, front) => front.map(|front| (front, Lane::BatchRun)),
+            (Some(&root), None) => (self.slab.key(root), Lane::Heap),
+            (None, Some(&front)) => (front, Lane::Batch),
+            (None, None) => return self.push_run.front().map(|_| Lane::PushRun),
         };
-        match (best, self.push_run.front()) {
-            (Some((slot, _)), Some(front)) if self.slab.fires_before(front, slot) => {
-                Some((front, Lane::PushRun))
-            }
-            (None, Some(front)) => Some((front, Lane::PushRun)),
-            (best, _) => best,
+        match self.push_run.front() {
+            Some(front) if self.slab.key(front) < key => Some(Lane::PushRun),
+            _ => Some(lane),
+        }
+    }
+
+    /// The time of the front event of `lane`, which holds one.
+    #[inline(always)]
+    fn front_time(&self, lane: Lane) -> SimTime {
+        match lane {
+            Lane::Heap => self.slab.slots[self.heap[0] as usize].time,
+            Lane::Batch => self.batch.keys[0].0,
+            Lane::PushRun => self.slab.slots[self.push_run.order[0] as usize].time,
         }
     }
 
@@ -500,11 +604,14 @@ impl<E> EventQueue<E> {
     fn take_first(&mut self, lane: Lane) -> (SimTime, E) {
         let slot = match lane {
             Lane::Heap => self.detach_at(0),
-            Lane::BatchRun => self.batch_run.detach_front(&mut self.slab),
+            Lane::Batch => {
+                let (time, payload) = self.batch.pop_front();
+                self.slab.stage(time, payload)
+            }
             Lane::PushRun => self.push_run.detach_front(&mut self.slab),
         };
         // The payload moves slot → caller here, in inlined code with no
-        // intervening call site, so it is copied exactly once.
+        // intervening call site, so it leaves the slot in a single copy.
         let s = &mut self.slab.slots[slot as usize];
         let payload = s.payload.take().expect("pending slot holds a payload");
         (s.time, payload)
@@ -769,10 +876,10 @@ mod tests {
         let mut q = EventQueue::new();
         let t = SimTime::from_secs(1);
         q.push(t, 0);
-        q.push_batch((1..5).map(|i| (t, i)));
-        q.push(t, 5);
+        q.push_batch([t; 4], 1, |p: &i32| *p);
+        q.push(t, 2);
         let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, (0..6).collect::<Vec<_>>());
+        assert_eq!(order, vec![0, 1, 1, 1, 1, 2]);
     }
 
     #[test]
@@ -792,24 +899,20 @@ mod tests {
     #[test]
     fn push_batch_sends_sorted_items_to_the_run_and_the_rest_to_the_heap() {
         let mut q = EventQueue::new();
-        let secs = |v: &[u64]| {
-            v.iter()
-                .map(|&t| (SimTime::from_secs(t), t))
-                .collect::<Vec<_>>()
-        };
-        let lanes = |q: &EventQueue<u64>| {
-            (
-                q.batch_run.order.len(),
-                q.push_run.order.len(),
-                q.heap.len(),
-            )
-        };
-        q.push_batch(secs(&[1, 2, 2, 5]));
-        assert_eq!(lanes(&q), (4, 0, 0), "a sorted batch fills the batch run");
-        // Starts before the batch run's tail (5): 3 and 4 take the heap,
-        // then the batch catches up with the tail and joins the run again.
-        q.push_batch(secs(&[3, 4, 5, 7, 6]));
+        let secs = |v: &[u64]| v.iter().map(|&t| SimTime::from_secs(t)).collect::<Vec<_>>();
+        let lanes =
+            |q: &EventQueue<u64>| (q.batch.keys.len(), q.push_run.order.len(), q.heap.len());
+        // A copy of a batch's payload reads 100 more than the payload.
+        let repeat = |p: &u64| p + 100;
+        q.push_batch(secs(&[1, 2, 2, 5]), 10, repeat);
+        assert_eq!(lanes(&q), (4, 0, 0), "a sorted batch fills the batch lane");
+        assert!(q.slab.slots.is_empty(), "batch entries take no slots");
+        // Starts before the lane's tail (5): 3 and 4 take the heap, then
+        // the batch catches up with the tail and joins the lane again,
+        // until 6 precedes the new tail (7).
+        q.push_batch(secs(&[3, 4, 5, 7, 6]), 20, repeat);
         assert_eq!(lanes(&q), (6, 0, 3));
+        assert_eq!(q.batch.batches.len(), 2, "one payload per batch");
         q.push(SimTime::from_secs(8), 8);
         q.push(SimTime::from_secs(8), 8);
         assert_eq!(lanes(&q), (6, 2, 3), "single pushes take the push run");
@@ -819,88 +922,185 @@ mod tests {
             (6, 2, 4),
             "a push before the push run's tail takes the heap"
         );
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec![1, 2, 2, 3, 4, 5, 5, 6, 6, 7, 8, 8]);
-        // An emptied run accepts any time again.
+        let order: Vec<(u64, u64)> = std::iter::from_fn(|| q.pop())
+            .map(|(t, e)| (t.as_nanos() / 1_000_000_000, e))
+            .collect();
+        // Heap items are copies; each batch's last entry in the lane pops
+        // its payload itself.
+        assert_eq!(
+            order,
+            vec![
+                (1, 110),
+                (2, 110),
+                (2, 110),
+                (3, 120),
+                (4, 120),
+                (5, 10),
+                (5, 120),
+                (6, 120),
+                (6, 6),
+                (7, 20),
+                (8, 8),
+                (8, 8),
+            ]
+        );
+        assert!(q.batch.batches.is_empty());
+        // Emptied lanes accept any time again.
         q.push(SimTime::from_secs(1), 1);
-        assert_eq!(lanes(&q), (0, 1, 0));
-    }
-
-    /// The id of the pending event whose payload is `tag` (batch pushes
-    /// return no ids).
-    fn id_of(q: &EventQueue<u64>, tag: u64) -> EventId {
-        let slot = q
-            .slab
-            .slots
-            .iter()
-            .position(|s| s.payload == Some(tag))
-            .expect("tag is pending");
-        EventId {
-            slot: slot as u32,
-            generation: q.slab.slots[slot].generation,
-        }
+        q.push_batch(secs(&[1]), 1, repeat);
+        assert_eq!(lanes(&q), (1, 1, 0));
     }
 
     /// Randomised interleavings of every queue operation against a naive
     /// reference model: single pushes (at random times, at a fixed delay
     /// after the last popped time as a service completion is, or before
     /// the push run's tail), batches (sorted, unsorted, all ties, or
-    /// starting before the batch run's tail), cancels of heap entries, run
-    /// entries (the push run's front, middle and tail among them) and
-    /// stale ids, and `pop`, `pop_before`, `peek_time`, `contains` and
-    /// `len` checked at every step. After the final drain every slot is
-    /// free exactly once and every id is dead.
+    /// starting before the batch lane's tail), cancels of heap entries,
+    /// push-run entries (front, middle and tail) and stale ids, and `pop`,
+    /// `pop_before`, `peek_time`, `contains` and `len` checked at every
+    /// step. Batch entries have no ids: the model knows them by their
+    /// batch's tag and keeps its own copy of the lane's admission rule, so
+    /// it also checks which lane each pops from and that only a batch's
+    /// last entry in the lane pops the batch's payload itself. After the
+    /// final drain the lane holds nothing and every slot is free exactly
+    /// once.
     #[test]
     fn cancellation_stress_matches_reference() {
         use std::collections::BTreeMap;
 
         /// Delay of a completion-like push after the last popped time.
         const SERVICE: u64 = 3;
+        /// Marks a batch's payload, its tag; a single push's is its rank.
+        const BATCH: u64 = 1 << 62;
+        /// Marks a copy of a batch's payload.
+        const COPY: u64 = 1 << 63;
+
+        /// A pending event in the model.
+        #[derive(Clone, Copy)]
+        enum Entry {
+            Single(EventId),
+            Batch { tag: u64, in_lane: bool },
+        }
+
+        /// The reference: pending events keyed `(time_s, rank)`, where the
+        /// rank is the scheduling order, so key order is `(time, seq)`
+        /// order.
+        #[derive(Default)]
+        struct Model {
+            pending: BTreeMap<(u64, u64), Entry>,
+            /// Entries each batch still has in the lane, by tag.
+            lane_left: BTreeMap<u64, usize>,
+            lane_len: usize,
+            lane_tail: u64,
+            stale: Vec<EventId>,
+            rank: u64,
+        }
+
+        impl Model {
+            fn push(&mut self, t: u64, id: EventId) {
+                self.pending.insert((t, self.rank), Entry::Single(id));
+                self.rank += 1;
+            }
+
+            /// Adds a batch; returns its tag and whether it split between
+            /// the lane and the heap.
+            fn push_batch(&mut self, times: &[u64]) -> (u64, bool) {
+                let tag = BATCH | self.rank;
+                let mut in_lane_count = 0;
+                for &t in times {
+                    let in_lane = self.lane_len == 0 || t >= self.lane_tail;
+                    if in_lane {
+                        self.lane_len += 1;
+                        self.lane_tail = t;
+                        in_lane_count += 1;
+                    }
+                    self.pending
+                        .insert((t, self.rank), Entry::Batch { tag, in_lane });
+                    self.rank += 1;
+                }
+                if in_lane_count > 0 {
+                    self.lane_left.insert(tag, in_lane_count);
+                }
+                (tag, 0 < in_lane_count && in_lane_count < times.len())
+            }
+
+            /// Removes the earliest event: its time, the payload the queue
+            /// must pop for it, and whether it waits in the batch lane.
+            fn pop(&mut self) -> Option<(u64, u64, bool)> {
+                let ((t, rank), entry) = self.pending.pop_first()?;
+                Some(match entry {
+                    Entry::Single(id) => {
+                        self.stale.push(id);
+                        (t, rank, false)
+                    }
+                    Entry::Batch {
+                        tag,
+                        in_lane: false,
+                    } => (t, tag | COPY, false),
+                    Entry::Batch { tag, in_lane: true } => {
+                        self.lane_len -= 1;
+                        let left = self.lane_left.get_mut(&tag).expect("batch is in the lane");
+                        *left -= 1;
+                        if *left == 0 {
+                            self.lane_left.remove(&tag);
+                            (t, tag, true)
+                        } else {
+                            (t, tag | COPY, true)
+                        }
+                    }
+                })
+            }
+
+            /// The pending single pushes.
+            fn singles(&self) -> impl Iterator<Item = ((u64, u64), EventId)> + '_ {
+                self.pending.iter().filter_map(|(&key, e)| match *e {
+                    Entry::Single(id) => Some((key, id)),
+                    Entry::Batch { .. } => None,
+                })
+            }
+        }
+
         let secs = |t: u64| SimTime::from_secs(t);
         let whole_secs = |t: SimTime| t.as_nanos() / 1_000_000_000;
-        // The time of a run's back entry, read from its slot.
-        let back_secs = |q: &EventQueue<u64>, run: &Run| {
-            run.order
+        // The time of the push run's back entry, read from its slot.
+        let push_run_back = |q: &EventQueue<u64>| {
+            q.push_run
+                .order
                 .back()
                 .map_or(0, |&s| whole_secs(q.slab.slots[s as usize].time))
         };
         // Operation kinds that must each have happened across the seeds.
-        let (mut run_cancels, mut tombstones, mut heap_cancels) = (0u32, [0u32; 2], 0u32);
+        let (mut run_cancels, mut tombstones, mut heap_cancels) = (0u32, 0u32, 0u32);
         let (mut split_batches, mut lane_pops) = (0u32, [0u32; 3]);
         let mut push_run_cancels = [0u32; 3]; // front, mid-run, tail
         for seed in 0..32u64 {
             let mut rng = SimRng::seed(0xE1C2).derive_u64(seed);
             let mut q = EventQueue::new();
-            // The model: pending `(time_s, tag)` keys; a tag is the
-            // event's scheduling rank, so key order is `(time, seq)` order.
-            let mut model: BTreeMap<(u64, u64), EventId> = BTreeMap::new();
-            let mut stale: Vec<EventId> = Vec::new();
-            let (mut tag, mut last_popped) = (0u64, 0u64);
-            let retire = |model: &mut BTreeMap<(u64, u64), EventId>, stale: &mut Vec<_>, key| {
-                stale.push(model.remove(&key).expect("model holds the key"));
-            };
-            // Cancels `id` (pending under `key`) and counts what it hit.
-            let mut cancel = |q: &mut EventQueue<u64>,
-                              model: &mut BTreeMap<(u64, u64), EventId>,
-                              stale: &mut Vec<_>,
-                              key,
-                              id: EventId,
-                              ctx: &str| {
-                let s = &q.slab.slots[id.slot as usize];
-                let run = match s.heap_pos {
-                    IN_BATCH_RUN => Some((0, &q.batch_run)),
-                    IN_PUSH_RUN => Some((1, &q.push_run)),
-                    _ => None,
+            let mut model = Model::default();
+            let mut last_popped = 0u64;
+            // Cancels the single push `id`, pending under `key`, and
+            // counts what it hit.
+            let mut cancel =
+                |q: &mut EventQueue<u64>, model: &mut Model, key, id: EventId, ctx: &str| {
+                    if q.slab.slots[id.slot as usize].heap_pos == IN_PUSH_RUN {
+                        run_cancels += 1;
+                        tombstones += u32::from(q.push_run.front() != Some(id.slot));
+                    } else {
+                        heap_cancels += 1;
+                    }
+                    assert!(q.cancel(id), "{ctx}: live cancel must hit");
+                    assert!(!q.contains(id), "{ctx}: cancelled id still pending");
+                    assert!(matches!(model.pending.remove(&key), Some(Entry::Single(_))));
+                    model.stale.push(id);
                 };
-                if let Some((lane, run)) = run {
-                    run_cancels += 1;
-                    tombstones[lane] += u32::from(run.front() != Some(id.slot));
-                } else {
-                    heap_cancels += 1;
-                }
-                assert!(q.cancel(id), "{ctx}: live cancel must hit");
-                assert!(!q.contains(id), "{ctx}: cancelled id still pending");
-                retire(model, stale, key);
+            // Takes the model's next event, as the queue must pop it next,
+            // after checking and counting the lane the queue holds it in.
+            let mut expect_pop = |q: &EventQueue<u64>, model: &mut Model, ctx: &str| {
+                let (t, payload, in_lane) = model.pop()?;
+                let lane = q.first().expect("the queue holds the model's next event");
+                assert_eq!(matches!(lane, Lane::Batch), in_lane, "{ctx}: lane");
+                lane_pops[lane as usize] += 1;
+                Some((secs(t), payload))
             };
 
             for step in 0..300 {
@@ -911,13 +1111,12 @@ mod tests {
                     // A fixed delay after the last popped time.
                     2 => Some(last_popped + SERVICE),
                     // Before the push run's tail: the heap takes it.
-                    3 => Some(back_secs(&q, &q.push_run).saturating_sub(1 + rng.next_below(4))),
+                    3 => Some(push_run_back(&q).saturating_sub(1 + rng.next_below(4))),
                     _ => None,
                 };
                 if let Some(t) = single {
-                    let id = q.push(secs(t), tag);
-                    model.insert((t, tag), id);
-                    tag += 1;
+                    let id = q.push(secs(t), model.rank);
+                    model.push(t, id);
                 } else {
                     match rng.next_below(9) {
                         // Batch push.
@@ -933,32 +1132,29 @@ mod tests {
                                 }
                                 _ => {
                                     // Sorted, but starting before the batch
-                                    // run's tail.
-                                    let tail = back_secs(&q, &q.batch_run);
+                                    // lane's tail.
+                                    let tail = if model.lane_len == 0 {
+                                        0
+                                    } else {
+                                        model.lane_tail
+                                    };
                                     times[0] = tail.saturating_sub(1 + rng.next_below(4));
                                     times.sort_unstable();
                                 }
                             }
-                            let heap_before = q.heap.len();
-                            q.push_batch(
-                                times
-                                    .iter()
-                                    .enumerate()
-                                    .map(|(i, &t)| (secs(t), tag + i as u64)),
-                            );
-                            if q.heap.len() > heap_before && !q.batch_run.order.is_empty() {
-                                split_batches += 1;
-                            }
-                            for t in times {
-                                model.insert((t, tag), id_of(&q, tag));
-                                tag += 1;
-                            }
+                            let (tag, split) = model.push_batch(&times);
+                            q.push_batch(times.iter().map(|&t| secs(t)), tag, |p| p | COPY);
+                            split_batches += u32::from(split);
                         }
-                        // Cancel a random pending event, in any lane.
-                        2 if !model.is_empty() => {
-                            let k = rng.next_below(model.len() as u64) as usize;
-                            let (&key, &id) = model.iter().nth(k).expect("k < len");
-                            cancel(&mut q, &mut model, &mut stale, key, id, &ctx);
+                        // Cancel a random pending single push, in either
+                        // lane; batch entries have no ids.
+                        2 => {
+                            let singles: Vec<_> = model.singles().collect();
+                            if !singles.is_empty() {
+                                let k = rng.next_below(singles.len() as u64) as usize;
+                                let (key, id) = singles[k];
+                                cancel(&mut q, &mut model, key, id, &ctx);
+                            }
                         }
                         // Cancel a live push-run entry: the front, one
                         // mid-run or the last.
@@ -977,15 +1173,15 @@ mod tests {
                                 _ => live[live.len() - 1],
                             };
                             push_run_cancels[at] += 1;
-                            let (&key, &id) = model
-                                .iter()
+                            let (key, id) = model
+                                .singles()
                                 .find(|(_, id)| id.slot == slot)
                                 .expect("a live push-run entry is in the model");
-                            cancel(&mut q, &mut model, &mut stale, key, id, &ctx);
+                            cancel(&mut q, &mut model, key, id, &ctx);
                         }
                         // Replay a stale id: must be a no-op.
-                        4 if !stale.is_empty() => {
-                            let id = stale[rng.next_below(stale.len() as u64) as usize];
+                        4 if !model.stale.is_empty() => {
+                            let id = model.stale[rng.next_below(model.stale.len() as u64) as usize];
                             let before = q.len();
                             assert!(!q.contains(id), "{ctx}: stale id reported pending");
                             assert!(!q.cancel(id), "{ctx}: stale cancel must miss");
@@ -994,51 +1190,70 @@ mod tests {
                         // Pop before a random horizon.
                         5 => {
                             let horizon = rng.next_below(34);
-                            let due = model.keys().next().filter(|&&(t, _)| t < horizon).copied();
-                            let got = q.pop_before(secs(horizon));
-                            assert_eq!(got, due.map(|(t, tg)| (secs(t), tg)), "{ctx}: pop_before");
-                            if let Some(key) = due {
-                                last_popped = key.0;
-                                retire(&mut model, &mut stale, key);
+                            let due = model
+                                .pending
+                                .keys()
+                                .next()
+                                .is_some_and(|&(t, _)| t < horizon);
+                            let expected = if due {
+                                expect_pop(&q, &mut model, &ctx)
+                            } else {
+                                None
+                            };
+                            assert_eq!(q.pop_before(secs(horizon)), expected, "{ctx}: pop_before");
+                            if let Some((t, _)) = expected {
+                                last_popped = whole_secs(t);
                             }
                         }
                         // Peek, and probe a live id.
                         6 => {
-                            let first = model.keys().next().map(|&(t, _)| secs(t));
+                            let first = model.pending.keys().next().map(|&(t, _)| secs(t));
                             assert_eq!(q.peek_time(), first, "{ctx}: peek_time");
-                            if let Some(&id) = model.values().last() {
+                            if let Some((_, id)) = model.singles().last() {
                                 assert!(q.contains(id), "{ctx}: live id not pending");
                             }
                         }
                         // Pop.
                         _ => {
-                            let expected = model.keys().next().copied();
-                            if let Some((_, lane)) = q.first() {
-                                lane_pops[lane as usize] += 1;
-                            }
-                            let got = q.pop();
-                            assert_eq!(got, expected.map(|(t, tg)| (secs(t), tg)), "{ctx}: pop");
-                            if let Some(key) = expected {
-                                last_popped = key.0;
-                                retire(&mut model, &mut stale, key);
+                            let expected = expect_pop(&q, &mut model, &ctx);
+                            assert_eq!(q.pop(), expected, "{ctx}: pop");
+                            if let Some((t, _)) = expected {
+                                last_popped = whole_secs(t);
                             }
                         }
                     }
                 }
-                assert_eq!(q.len(), model.len(), "{ctx}: length drifted");
-                assert_eq!(q.is_empty(), model.is_empty(), "{ctx}: is_empty drifted");
+                assert_eq!(q.len(), model.pending.len(), "{ctx}: length drifted");
+                assert_eq!(
+                    q.is_empty(),
+                    model.pending.is_empty(),
+                    "{ctx}: is_empty drifted"
+                );
+                assert_eq!(q.next_seq, model.rank, "{ctx}: an item took no seq, or two");
+                assert_eq!(
+                    (q.batch.keys.len(), q.batch.batches.len()),
+                    (model.lane_len, model.lane_left.len()),
+                    "{ctx}: batch lane drifted"
+                );
             }
 
-            let expected: Vec<(SimTime, u64)> =
-                model.keys().map(|&(t, tg)| (secs(t), tg)).collect();
-            let drained: Vec<(SimTime, u64)> = std::iter::from_fn(|| q.pop()).collect();
-            assert_eq!(drained, expected, "seed {seed}: drain order diverged");
-
-            // Every slot is free exactly once: no tombstone leaked, none
-            // released twice.
-            for run in [&q.batch_run, &q.push_run] {
-                assert_eq!((run.order.len(), run.dead, run.tail), (0, 0, SimTime::ZERO));
+            let ctx = format!("seed {seed} drain");
+            loop {
+                let expected = expect_pop(&q, &mut model, &ctx);
+                assert_eq!(q.pop(), expected, "{ctx}");
+                if expected.is_none() {
+                    break;
+                }
             }
+
+            // The lanes hold nothing and every slot is free exactly once:
+            // no tombstone leaked, none released twice.
+            let batch = &q.batch;
+            assert!(
+                batch.keys.is_empty() && batch.batches.is_empty() && batch.tail == SimTime::ZERO
+            );
+            let run = &q.push_run;
+            assert_eq!((run.order.len(), run.dead, run.tail), (0, 0, SimTime::ZERO));
             assert!(q.heap.is_empty());
             let mut free = q.slab.free.clone();
             free.sort_unstable();
@@ -1048,15 +1263,11 @@ mod tests {
                 q.slab.slots.len(),
                 "seed {seed}: slot leaked or freed twice"
             );
-            for id in model.into_values().chain(stale) {
+            for id in model.stale {
                 assert!(!q.cancel(id), "seed {seed}: id survived drain");
             }
         }
-        assert!(run_cancels > 0 && heap_cancels > 0 && split_batches > 0);
-        assert!(
-            tombstones.iter().all(|&n| n > 0),
-            "tombstones {tombstones:?}"
-        );
+        assert!(run_cancels > 0 && tombstones > 0 && heap_cancels > 0 && split_batches > 0);
         assert!(lane_pops.iter().all(|&n| n > 0), "lane pops {lane_pops:?}");
         assert!(
             push_run_cancels.iter().all(|&n| n > 0),
@@ -1064,7 +1275,7 @@ mod tests {
         );
     }
 
-    /// A cancelled run entry releases its capture at `cancel`, exactly
+    /// A cancelled push-run entry releases its capture at `cancel`, exactly
     /// once, inline or spilled; its slot is reused once the run has
     /// drained past it.
     #[test]
@@ -1088,19 +1299,18 @@ mod tests {
             }
         };
         let mut q = EventQueue::new();
-        q.push_batch((0..4).map(|t| (SimTime::from_secs(t), event(t % 2 == 1))));
-        assert_eq!(q.batch_run.order.len(), 4, "a sorted batch fills the run");
+        let ids: Vec<EventId> = (0..4)
+            .map(|t| q.push(SimTime::from_secs(t), event(t % 2 == 1)))
+            .collect();
+        assert_eq!(
+            q.push_run.order.len(),
+            4,
+            "pushes in time order fill the run"
+        );
         assert_eq!(Arc::strong_count(&token), 5);
 
         // Cancel the two entries behind the live front.
-        let id_at = |q: &EventQueue<EventFn<()>>, k: usize| {
-            let slot = q.batch_run.order[k];
-            EventId {
-                slot,
-                generation: q.slab.slots[slot as usize].generation,
-            }
-        };
-        let (spilled, inline) = (id_at(&q, 1), id_at(&q, 2));
+        let (spilled, inline) = (ids[1], ids[2]);
         assert!(q.cancel(spilled));
         assert_eq!(
             Arc::strong_count(&token),
@@ -1126,12 +1336,14 @@ mod tests {
         assert_eq!(t, SimTime::ZERO);
         drop(front);
         assert_eq!(Arc::strong_count(&token), 2);
-        let run = &q.batch_run;
+        let run = &q.push_run;
         assert_eq!((run.order.len(), run.dead, q.slab.free.len()), (1, 0, 3));
 
         // The freed slots are reused, not grown, and the old ids stay dead.
         let slots = q.slab.slots.len();
-        q.push_batch((10..13).map(|t| (SimTime::from_secs(t), event(t % 2 == 0))));
+        for t in 10..13 {
+            q.push(SimTime::from_secs(t), event(t % 2 == 0));
+        }
         assert_eq!(q.slab.slots.len(), slots, "freed slots must be reused");
         assert!(!q.cancel(spilled) && !q.cancel(inline));
         assert_eq!(Arc::strong_count(&token), 5);

@@ -5,8 +5,9 @@
 //! root RNG. Events are `FnOnce` closures that receive
 //! `&mut Simulation<S>`, so a handler can read the clock, mutate state, draw
 //! randomness and schedule further events. Handlers are stored **inline**
-//! in the arena slot whenever they fit [`crate::event::INLINE_EVENT_BYTES`]
-//! (the small-closure optimization in [`crate::event`]); only oversized
+//! in the arena slot (or once per batch, for [`Simulation::schedule_batch`])
+//! whenever they fit [`crate::event::INLINE_EVENT_BYTES`] (the
+//! small-closure optimization in [`crate::event`]); only oversized
 //! captures spill to a heap allocation, and both cases are counted per run
 //! ([`RunStats::inline_scheduled`] / [`RunStats::spilled_scheduled`]), so
 //! with the arena reusing its slots the steady-state event loop performs
@@ -252,15 +253,16 @@ impl<S> Simulation<S> {
     ///
     /// The batch entry point for bursty arrival models (e.g.
     /// `elc-elearn`'s workload sampling a whole slot of Poisson arrivals at
-    /// once): the pending-event set reserves space for the entire batch up
-    /// front, and with a `handler` at or under the inline payload threshold
-    /// the per-event clone is allocation-free. Events fire in offset order;
-    /// equal offsets keep the slice's FIFO order.
+    /// once): the handler is stored once per batch and copied as each
+    /// entry fires, so a pending entry costs 16 bytes, and with a `handler`
+    /// at or under the inline payload threshold each copy is
+    /// allocation-free. Events fire in offset order; equal offsets keep the
+    /// slice's FIFO order.
     ///
     /// Sort `offsets` ascending where possible: sorted offsets join the
-    /// queue's batch run and are scheduled and popped in O(1) each.
-    /// Unsorted ones still work, through the heap, at O(log n) each (see
-    /// [`EventQueue::push_batch`]).
+    /// queue's batch lane and are scheduled and popped in O(1) each.
+    /// Unsorted ones still work, through the heap, at O(log n) each and
+    /// with a copy of the handler each (see [`EventQueue::push_batch`]).
     pub fn schedule_batch<F>(&mut self, offsets: &[SimDuration], handler: F)
     where
         F: Fn(&mut Simulation<S>) + Clone + Send + 'static,
@@ -275,9 +277,9 @@ impl<S> Simulation<S> {
         }
         let now = self.now;
         self.queue.push_batch(
-            offsets
-                .iter()
-                .map(|&delay| (now + delay, EventFn::new(handler.clone()))),
+            offsets.iter().map(|&delay| now + delay),
+            EventFn::repeatable(handler),
+            EventFn::repeat,
         );
     }
 

@@ -11,14 +11,13 @@
 //! * **exactly-once `Drop`** — a cancelled spilled event releases its
 //!   captures once: no leak, no double-drop.
 //!
-//! Events scheduled in time order wait in one of the queue's sorted runs
-//! rather than its heap, and a cancelled run entry stays in the run as a
-//! tombstone until the run's front passes it. Batch-scheduled events take
-//! the batch run (`schedule_batch` returns no ids, so cancelling one is
-//! pinned by the queue's own unit tests); single events at or after the
-//! latest one take the push run, where `Simulation::cancel` and
-//! `Deadline::disarm` reach the tombstone path. The last two tests cover
-//! them.
+//! Batch-scheduled events in time order wait in the queue's batch lane,
+//! which stores each batch's handler once and copies it as each entry
+//! fires; `schedule_batch` returns no ids, so nothing cancels them. Single
+//! events at or after the latest one wait in the push run, where a
+//! cancelled entry stays as a tombstone until the run's front passes it:
+//! `Simulation::cancel` and `Deadline::disarm` reach that path. The last
+//! two tests cover them.
 
 use std::sync::Arc;
 use std::sync::Mutex;
@@ -225,15 +224,39 @@ fn dropping_the_simulation_releases_pending_mixed_payloads() {
     );
 }
 
+/// Schedules two batches at 1–4 s whose handlers capture `token`: an
+/// inline one, then a spilled one.
+fn schedule_two_batches(sim: &mut Simulation<u32>, token: &Arc<()>) {
+    let offsets: Vec<SimDuration> = (1..=4).map(SimDuration::from_secs).collect();
+    let keep = Arc::clone(token);
+    sim.schedule_batch(&offsets, move |s: &mut Simulation<u32>| {
+        let _ = &keep;
+        *s.state_mut() += 1;
+    });
+    let keep = Arc::clone(token);
+    let pad = [0u8; SPILL_PAD];
+    sim.schedule_batch(&offsets, move |s: &mut Simulation<u32>| {
+        std::hint::black_box(&pad);
+        let _ = &keep;
+        *s.state_mut() += 1;
+    });
+}
+
 #[test]
 fn batch_scheduled_captures_are_released_exactly_once() {
-    // Each batch entry holds its own clone of the handler, inline or
-    // spilled. Every clone must release its capture exactly once — when it
-    // fires or when the simulation is dropped with it pending — and an id
-    // retired before the batch must not cancel the entry that reuses its
-    // slot.
+    // A batch's handler is stored once, with the batch's entries in the
+    // queue's batch lane, and copied as each entry fires; an entry that
+    // precedes the lane's tail takes the heap with its own copy. So a
+    // capture is held once per batch with entries still in the lane, plus
+    // once per pending heap entry. Each copy must release its capture
+    // after its handler, the batch's last entry consumes the handler
+    // itself, and dropping the simulation releases every pending one
+    // exactly once. An id retired before the batches must not cancel the
+    // event that reuses its slot.
     let token = Arc::new(());
-    let offsets: Vec<SimDuration> = (1..=4).map(SimDuration::from_secs).collect();
+    // The token's strong count with `lane_batches` batches in the lane
+    // and `heap_entries` entries in the heap.
+    let held = |lane_batches: usize, heap_entries: usize| 1 + lane_batches + heap_entries;
     {
         let mut sim = Simulation::new(9, 0u32);
         let keep = Arc::clone(&token);
@@ -241,43 +264,52 @@ fn batch_scheduled_captures_are_released_exactly_once() {
         assert!(sim.cancel(retired));
         assert_eq!(Arc::strong_count(&token), 1);
 
-        // The first batch is sorted from an empty run: all four join the
-        // run, the first in the retired slot. The second starts before the
-        // run's tail, so it splits between heap and run.
-        let keep = Arc::clone(&token);
-        sim.schedule_batch(&offsets, move |s: &mut Simulation<u32>| {
-            let _ = &keep;
-            *s.state_mut() += 1;
-        });
-        let keep = Arc::clone(&token);
-        let pad = [0u8; SPILL_PAD];
-        sim.schedule_batch(&offsets, move |s: &mut Simulation<u32>| {
-            std::hint::black_box(&pad);
-            let _ = &keep;
-            *s.state_mut() += 1;
-        });
+        // The first batch is sorted from an empty lane: all four entries
+        // join it. The second starts before the lane's tail (4 s): its
+        // entries at 1–3 s take the heap, the first in the retired slot,
+        // and the one at 4 s joins the lane.
+        schedule_two_batches(&mut sim, &token);
         assert_eq!(sim.inline_scheduled(), 1 + 4);
         assert_eq!(sim.spilled_scheduled(), 4);
         assert_eq!(
             Arc::strong_count(&token),
-            1 + 8,
-            "one capture per pending entry, none left in the originals"
+            held(2, 3),
+            "one capture per batch in the lane and per heap entry"
         );
         assert!(
             !sim.cancel(retired),
-            "a retired id cancelled the batch entry reusing its slot"
+            "a retired id cancelled the heap entry reusing its slot"
         );
-        assert_eq!(Arc::strong_count(&token), 9);
+        assert_eq!(Arc::strong_count(&token), held(2, 3));
 
+        // Both batches' entries at 1 s and 2 s fire, each a copy. Still
+        // pending: the first batch's at 3 s and 4 s in the lane, the
+        // second's at 3 s in the heap and at 4 s in the lane.
         let stats = sim.run_until(SimTime::from_secs(2));
         assert_eq!((stats.executed, stats.pending), (4, 4));
-        assert_eq!(Arc::strong_count(&token), 5, "fired entries kept captures");
+        assert_eq!(
+            Arc::strong_count(&token),
+            held(2, 1),
+            "fired entries kept captures"
+        );
         // `sim` dropped here with four entries still pending.
     }
     assert_eq!(
         Arc::strong_count(&token),
         1,
         "dropping the simulation must release every pending batch capture once"
+    );
+
+    // Run to the end: the copies release their captures as they fire, and
+    // each batch's last entry consumes its handler.
+    let mut sim = Simulation::new(9, 0u32);
+    schedule_two_batches(&mut sim, &token);
+    let stats = sim.run();
+    assert_eq!((stats.executed, *sim.state()), (8, 8));
+    assert_eq!(
+        Arc::strong_count(&token),
+        1,
+        "firing every entry leaked or double-freed a capture"
     );
 }
 

@@ -1,10 +1,11 @@
 //! Proof that the event hot path is allocation-free at steady state.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; once the
-//! simulation has warmed up (slab arena, heap vector and free list at
-//! capacity) the gate is flipped on and a schedule/execute/cancel loop —
-//! including batch scheduling from a reused offsets buffer — must perform
-//! **zero** heap allocations for the default (inline) model event mix.
+//! simulation has warmed up (slab arena, heap vector, batch lane and free
+//! list at capacity) the gate is flipped on and a schedule/execute/cancel
+//! loop — including batch scheduling from a reused offsets buffer, whose
+//! handler is copied as each entry fires — must perform **zero** heap
+//! allocations for the default (inline) model event mix.
 //!
 //! This file holds exactly one `#[test]` so no sibling test can allocate
 //! concurrently while the gate is armed.
@@ -77,10 +78,16 @@ fn schedule_captured(sim: &mut Simulation<u64>, delay: SimDuration) -> elc_simco
     })
 }
 
-/// One steady-state round: schedule a burst (batch + singles), cancel one,
-/// then drain. Identical during warm-up and measurement.
+/// One steady-state round: schedule two bursts (batches whose handler is
+/// copied as each entry fires: a ZST, and one with a small capture) and
+/// singles, cancel one, then drain. Identical during warm-up and
+/// measurement.
 fn round(sim: &mut Simulation<u64>, offsets: &[SimDuration]) {
     sim.schedule_batch(offsets, tick);
+    let (course, weight) = (7u64, 2u32);
+    sim.schedule_batch(offsets, move |s: &mut Simulation<u64>| {
+        *s.state_mut() += course + u64::from(weight);
+    });
     let victim = schedule_captured(sim, SimDuration::from_millis(7));
     schedule_captured(sim, SimDuration::from_millis(9));
     sim.schedule_in(SimDuration::from_millis(11), tick);
@@ -110,7 +117,7 @@ fn steady_state_event_loop_allocates_nothing() {
     let events = sim.executed() - executed_before;
     let allocs = ALLOCS.load(Ordering::SeqCst);
     assert!(
-        events >= 256 * 34,
+        events >= 256 * 66,
         "loop did not execute the expected events"
     );
     assert_eq!(
