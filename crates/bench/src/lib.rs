@@ -1,14 +1,14 @@
 //! # elc-bench — benchmark harness for the elearn-cloud experiments
 //!
-//! Two entry points:
+//! `benches/` holds one micro-benchmark per experiment plus the kernel
+//! ablation `a1_kernel` (binary-heap event queue vs the naive baseline)
+//! and the hot-path throughput bench `a5_hotpath`, all on the
+//! dependency-free [`crit`] harness. `elc tables` regenerates the paper's
+//! tables themselves; the `sensitivity` binary sweeps the calibration
+//! behind E1's cost crossover.
 //!
-//! * the `paper-tables` binary regenerates every table (E1–E12 and T1)
-//!   for three scenario sizes and writes CSVs next to the printed report;
-//! * `benches/` holds one micro-benchmark per experiment plus the
-//!   kernel ablation `a1_kernel` (binary-heap event queue vs the naive
-//!   baseline), all on the dependency-free [`crit`] harness.
-//!
-//! Shared helpers live here so benches and the binary agree on scenarios.
+//! The benches share their scenarios and seed with `elc tables`, through
+//! the re-exports below.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -18,7 +18,6 @@ pub mod crit;
 use std::time::Duration;
 
 use crit::Criterion;
-use elc_core::scenario::Scenario;
 
 /// A harness configuration tuned so the full bench suite completes in
 /// a couple of minutes while still producing stable estimates.
@@ -31,18 +30,9 @@ pub fn quick_criterion() -> Criterion {
 }
 
 /// The scenarios the harness reports on, smallest first.
-#[must_use]
-pub fn harness_scenarios(seed: u64) -> Vec<Scenario> {
-    vec![
-        Scenario::small_college(seed),
-        Scenario::rural_learners(seed),
-        Scenario::university(seed),
-        Scenario::national_platform(seed),
-    ]
-}
-
-/// The default seed used by `paper-tables` and the benches.
-pub const HARNESS_SEED: u64 = 2013; // the paper's year
+pub use elc_core::scenario::report_presets as harness_scenarios;
+/// The default seed used by `elc tables` and the benches.
+pub use elc_core::scenario::DEFAULT_SEED as HARNESS_SEED;
 
 #[cfg(test)]
 mod tests {

@@ -13,8 +13,8 @@
 //! region of the federation is one pooled serving station run through
 //! the [`elc_fluid`] engine at the scenario's fidelity —
 //!
-//! * **event** — exact per-request simulation; refused by the CLI at
-//!   national scale (see `cli_args::check_fidelity_feasible`),
+//! * **event** — exact per-request simulation; refused by `elc` at
+//!   national scale (its event budget, see [`event_count_estimate`]),
 //! * **fluid** — per-tick flow integration, cost independent of the
 //!   request volume,
 //! * **auto** — fluid in steady state, materialized to event level

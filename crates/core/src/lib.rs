@@ -43,7 +43,6 @@
 #![warn(missing_docs)]
 
 pub mod advisor;
-pub mod cli_args;
 pub mod experiments;
 pub mod requirements;
 pub mod scenario;

@@ -203,8 +203,9 @@ impl ScenarioBuilder {
     }
 
     /// Sets the shard count for intra-replication parallelism (default
-    /// 1). Output is byte-identical at any shard count; shards only
-    /// change how a run is scheduled onto cores.
+    /// 1). Output is byte-identical at any shard count — shards only
+    /// change how a run is scheduled onto cores — except in E18, which
+    /// simulates one region per shard.
     #[must_use]
     pub fn shards(mut self, shards: u32) -> Self {
         self.shards = shards;
@@ -291,6 +292,33 @@ impl ScenarioBuilder {
     }
 }
 
+/// The preset names [`Scenario::preset`] resolves, in listing order: the
+/// four report scenarios, smallest first, then E18's 5M-student scale
+/// preset.
+pub const PRESETS: [&str; 5] = [
+    "small-college",
+    "rural-learners",
+    "university",
+    "national-platform",
+    "national-5m",
+];
+
+/// The seed every front end and bench uses unless told otherwise: the
+/// paper's year.
+pub const DEFAULT_SEED: u64 = 2013;
+
+/// The [`PRESETS`] the paper-table report covers, smallest first.
+pub const REPORT_PRESETS: &[&str] = PRESETS.split_at(4).0;
+
+/// The [`REPORT_PRESETS`] scenarios under `seed`.
+#[must_use]
+pub fn report_presets(seed: u64) -> Vec<Scenario> {
+    REPORT_PRESETS
+        .iter()
+        .map(|name| Scenario::preset(name, seed).expect("report presets resolve"))
+        .collect()
+}
+
 /// A named evaluation context.
 #[derive(Debug, Clone)]
 pub struct Scenario {
@@ -337,31 +365,17 @@ impl Scenario {
         ScenarioBuilder::new(name, students)
     }
 
-    /// Creates a scenario from positional arguments.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `students` is zero or `years` is not positive.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `Scenario::builder(name, students)…build()`, which validates instead of panicking"
-    )]
+    /// Resolves a preset by its [`PRESETS`] name, under `seed`.
     #[must_use]
-    pub fn new(
-        name: impl Into<String>,
-        students: u32,
-        seed: u64,
-        years: f64,
-        link: LinkProfile,
-        outages: OutageModel,
-    ) -> Self {
-        Scenario::builder(name, students)
-            .seed(seed)
-            .years(years)
-            .link(link)
-            .outages(outages)
-            .build()
-            .unwrap_or_else(|e| panic!("{e}"))
+    pub fn preset(name: &str, seed: u64) -> Option<Scenario> {
+        Some(match name {
+            "small-college" => Scenario::small_college(seed),
+            "rural-learners" => Scenario::rural_learners(seed),
+            "university" => Scenario::university(seed),
+            "national-platform" => Scenario::national_platform(seed),
+            "national-5m" => Scenario::national_5m(seed),
+            _ => return None,
+        })
     }
 
     /// A 2 000-student college on metro broadband.
@@ -395,8 +409,7 @@ impl Scenario {
     /// regions — the MOOC-scale regime. Event-level simulation of a day
     /// at this size needs tens of billions of events; the preset
     /// therefore defaults to [`Fidelity::Auto`], and the event path is
-    /// refused by the CLI feasibility guard (see
-    /// `cli_args::check_fidelity_feasible`).
+    /// refused by the `elc` front end's event budget.
     #[must_use]
     pub fn national_5m(seed: u64) -> Self {
         Scenario::builder("national-5m", 5_000_000)
@@ -487,7 +500,8 @@ impl Scenario {
 
     /// A copy with the given shard count. Sharding never changes what a
     /// run computes — only how it is spread over cores — so reports stay
-    /// byte-identical at any value.
+    /// byte-identical at any value. The exception is E18, whose shard
+    /// count is its region count: more shards print more region rows.
     ///
     /// # Panics
     ///
@@ -942,20 +956,5 @@ mod tests {
         let trace = recorder.finish().expect("eight slots were recorded");
         assert_eq!(trace.students, 2_000);
         assert_eq!(trace.streams[0].slots.len(), 8);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_constructor_still_works() {
-        let s = Scenario::new(
-            "legacy",
-            10,
-            1,
-            2.0,
-            LinkProfile::MetroInternet,
-            OutageModel::new(SimDuration::from_hours(400), SimDuration::from_mins(8)),
-        );
-        assert_eq!(s.name(), "legacy");
-        assert_eq!(s.years(), 2.0);
     }
 }

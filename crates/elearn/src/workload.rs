@@ -183,6 +183,12 @@ impl WorkloadModelBuilder {
 impl WorkloadModel {
     /// Starts a validating builder with the calibrated defaults (20 rps
     /// per 1000 students, standard weekend and phase factors).
+    ///
+    /// LMS "requests" here are heavyweight (a 2 MiB video chunk is ~10 s
+    /// of playback), so the default peak corresponds to roughly 15–20% of
+    /// students active at a teaching-day peak, each taking an action every
+    /// 8–10 s — and to an annual content volume in the tens of TiB per
+    /// 1000 students, consistent with video-centric course delivery.
     #[must_use]
     pub fn builder(students: u32, calendar: AcademicCalendar) -> WorkloadModelBuilder {
         WorkloadModelBuilder {
@@ -192,27 +198,6 @@ impl WorkloadModel {
             weekend_factor: 0.45,
             phase_factors: PhaseFactors::default(),
         }
-    }
-
-    /// A calibrated default: 20 rps per 1000 students at a teaching-day
-    /// peak. LMS "requests" here are heavyweight (a 2 MiB video chunk is
-    /// ~10 s of playback), so this corresponds to roughly 15–20% of
-    /// students active at peak, each taking an action every 8–10 s —
-    /// and to an annual content volume in the tens of TiB per 1000
-    /// students, consistent with video-centric course delivery.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `students` is zero.
-    #[deprecated(
-        since = "0.9.0",
-        note = "use WorkloadModel::builder(students, cal).build() and handle WorkloadError"
-    )]
-    #[must_use]
-    pub fn standard(students: u32, calendar: AcademicCalendar) -> Self {
-        WorkloadModel::builder(students, calendar)
-            .build()
-            .unwrap_or_else(|err| panic!("{err}"))
     }
 
     /// Enrolled students.
@@ -579,16 +564,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn builder_defaults_match_standard() {
-        // Pins the deprecated shim to the builder defaults until its
-        // release-note cycle ends and `standard` goes away.
-        let cal = AcademicCalendar::standard_semester(SimTime::ZERO);
-        let built = WorkloadModel::builder(10_000, cal).build().unwrap();
-        assert_eq!(built, WorkloadModel::standard(10_000, cal));
-    }
-
-    #[test]
     fn exam_phase_uses_exam_mix() {
         let m = model();
         let mix = m.mix_at(at(15, 2, 12));
@@ -653,13 +628,6 @@ mod tests {
             n,
             "count must come from the same Poisson draw"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one student")]
-    #[allow(deprecated)]
-    fn rejects_zero_students() {
-        let _ = WorkloadModel::standard(0, AcademicCalendar::standard_semester(SimTime::ZERO));
     }
 
     #[test]

@@ -1,17 +1,194 @@
-//! The subsystem's headline property: parallel/serial equivalence.
+//! The subsystem's headline property: a replicated run's output does not
+//! depend on how the run is scheduled.
 //!
-//! A replicated run's aggregate section must render byte-identically for
-//! any worker-thread count, because each replication is a pure function of
-//! `(scenario, derived seed)` and aggregation happens in replication-index
-//! order. These tests pin the property at 1, 2 and 8 threads, across
-//! stochastic experiments and scenarios.
+//! Each replication is a pure function of `(scenario, derived seed)`,
+//! the pool aggregates in replication-index order and shard jobs are
+//! collected in job order. So the aggregate section and the
+//! per-replication trace must render byte-identically at any worker-thread
+//! count and any shard count. The matrix below runs every registry
+//! experiment, plus the configurations where an ordering bug is likeliest,
+//! under every setting of those two parameters — a combinations queue
+//! applied to the simulator's own verification.
 
-use elc_core::experiments::find;
+use elc_core::experiments::{find, registry};
 use elc_core::scenario::Scenario;
+use elc_fluid::Fidelity;
+use elc_resil::chaos::ChaosSpec;
 use elc_runner::progress::Silent;
 use elc_runner::{run, RunSpec};
+use elc_simcore::shard::with_worker_budget;
+use elc_trace::export::jsonl_string;
+use elc_trace::TraceFilter;
 
-/// Renders the thread-count-invariant artifact for one configuration.
+const THREADS: [usize; 3] = [1, 2, 8];
+const SHARDS: [u32; 2] = [1, 4];
+
+/// One matrix row: an experiment under one scenario and replication
+/// count, and the trace targets its run must reach.
+struct Row {
+    experiment: &'static str,
+    scenario: Scenario,
+    replications: u32,
+    targets: &'static [&'static str],
+}
+
+fn row(
+    experiment: &'static str,
+    scenario: Scenario,
+    replications: u32,
+    targets: &'static [&'static str],
+) -> Row {
+    Row {
+        experiment,
+        scenario,
+        replications,
+        targets,
+    }
+}
+
+/// Every registry experiment at small-college, seed 42.
+fn registry_rows() -> Vec<Row> {
+    let small = Scenario::small_college(42);
+    registry()
+        .iter()
+        .map(|e| match e.id() {
+            // E18's event path takes seconds per replication in a debug
+            // build; its fluid path covers the same station and fan-out.
+            "e18" => row("e18", small.with_fidelity(Fidelity::Fluid), 2, &[]),
+            "e09" => row(
+                "e09",
+                small.clone(),
+                2,
+                &["simcore", "cloud", "net", "elearn"],
+            ),
+            id => row(id, small.clone(), 2, &[]),
+        })
+        .collect()
+}
+
+/// The fault-injection experiments at university scale, each under the
+/// campaign that drives its layer.
+fn chaos_rows() -> Vec<Row> {
+    let chaos = |spec: &str| -> ChaosSpec { spec.parse().expect("valid campaign") };
+    let storm = chaos("storm@0.3:n=4,mins=6;cascade@0.55:n=3;disaster@0.79");
+    let drill = chaos("regionloss@0.5:region=0,mins=45");
+    let university = Scenario::university(42);
+    vec![
+        row("e16", university.with_chaos(storm.clone()), 6, &["resil"]),
+        row("e17", university.with_chaos(storm), 6, &["faas"]),
+        row("e19", university.with_chaos(drill), 6, &["dr"]),
+    ]
+}
+
+/// Larger runs without chaos: E17's serverless arms at university scale
+/// and the most RNG-hungry experiments at more replications.
+fn replicated_rows() -> Vec<Row> {
+    let small = Scenario::small_college(42);
+    vec![
+        row("e17", Scenario::university(42), 6, &[]),
+        row("e06", small.clone(), 6, &[]),
+        row("e07", small, 6, &[]),
+        row("e09", Scenario::rural_learners(2013), 8, &[]),
+    ]
+}
+
+/// The scheduling-invariant artifacts of `row` at one matrix point: the
+/// untraced aggregate section and the traced per-replication JSONL.
+///
+/// The worker budget of 8 lets shard jobs fan out onto real threads on
+/// any host, however few cores it has.
+fn artifacts(row: &Row, threads: usize, shards: u32) -> (String, String) {
+    let spec = || {
+        let experiment = find(row.experiment).expect("registry id");
+        RunSpec::new(
+            experiment,
+            row.scenario.with_shards(shards),
+            row.replications,
+        )
+        .threads(threads)
+    };
+    with_worker_budget(8, || {
+        let aggregate = run(&spec(), &mut Silent).aggregate_section().to_string();
+        let traced = run(&spec().trace(TraceFilter::default()), &mut Silent);
+        assert_eq!(traced.traces.len(), row.replications as usize);
+        let trace = traced
+            .traces
+            .iter()
+            .enumerate()
+            .map(|(rep, tracer)| jsonl_string(tracer, &[("rep", &rep.to_string())]))
+            .collect();
+        (aggregate, trace)
+    })
+}
+
+/// The points of [`THREADS`] that schedule `replications` differently.
+///
+/// The pool runs `min(threads, replications)` workers, each with a shard
+/// budget of 8 / workers, so a thread count above the replication count
+/// repeats the schedule of threads = replications.
+fn thread_counts(replications: u32) -> Vec<usize> {
+    let mut counts: Vec<usize> = THREADS
+        .iter()
+        .map(|&t| t.min(replications as usize))
+        .collect();
+    counts.dedup();
+    counts
+}
+
+/// Checks every row at every matrix point against its (1 thread,
+/// 1 shard) run.
+fn assert_schedule_invariant(rows: Vec<Row>) {
+    for row in rows {
+        // E18's shard count is its region count, so only threads vary.
+        let shards: &[u32] = if row.experiment == "e18" {
+            &[1]
+        } else {
+            &SHARDS
+        };
+        let (aggregate, trace) = artifacts(&row, 1, 1);
+        for target in row.targets {
+            assert!(
+                trace.contains(&format!("\"target\":\"{target}\"")),
+                "{} trace never reached target {target:?}",
+                row.experiment
+            );
+        }
+        for threads in thread_counts(row.replications) {
+            for &shard_count in shards {
+                if (threads, shard_count) == (1, 1) {
+                    continue;
+                }
+                let (a, t) = artifacts(&row, threads, shard_count);
+                let at = format!(
+                    "{} on {} at {threads} threads × {shard_count} shards",
+                    row.experiment,
+                    row.scenario.name()
+                );
+                assert!(a == aggregate, "aggregates diverged: {at}");
+                assert!(t == trace, "traces diverged: {at}");
+            }
+        }
+    }
+}
+
+// Three tests rather than one, so the harness runs them side by side.
+
+#[test]
+fn every_registry_experiment_is_byte_identical_at_any_thread_and_shard_count() {
+    assert_schedule_invariant(registry_rows());
+}
+
+#[test]
+fn chaos_runs_are_byte_identical_at_any_thread_and_shard_count() {
+    assert_schedule_invariant(chaos_rows());
+}
+
+#[test]
+fn replicated_runs_are_byte_identical_at_any_thread_and_shard_count() {
+    assert_schedule_invariant(replicated_rows());
+}
+
+/// Renders one untraced run's aggregate section.
 fn aggregate_bytes(
     experiment: &str,
     scenario: Scenario,
@@ -20,124 +197,6 @@ fn aggregate_bytes(
 ) -> String {
     let spec = RunSpec::new(find(experiment).unwrap(), scenario, replications).threads(threads);
     run(&spec, &mut Silent).aggregate_section().to_string()
-}
-
-#[test]
-fn aggregates_are_byte_identical_at_1_2_and_8_threads() {
-    // E7 (outage process) and E6 (attack campaign) are the most
-    // RNG-hungry experiments — exactly where a seed-derivation or
-    // ordering bug would surface.
-    for experiment in ["e06", "e07"] {
-        let serial = aggregate_bytes(experiment, Scenario::small_college(42), 6, 1);
-        for threads in [2, 8] {
-            let parallel = aggregate_bytes(experiment, Scenario::small_college(42), 6, threads);
-            assert_eq!(
-                serial, parallel,
-                "{experiment} aggregates diverged at {threads} threads"
-            );
-        }
-    }
-}
-
-#[test]
-fn e16_chaos_aggregates_are_byte_identical_at_1_2_and_8_threads() {
-    // E16 drives the whole resilience stack (chaos timeline, breaker,
-    // failover, retry jitter) from derived seeds — the experiment with
-    // the most RNG lineages to get wrong. Run it under an explicit
-    // campaign so the chaos-spec path is exercised end to end.
-    let spec: elc_resil::chaos::ChaosSpec = "storm@0.3:n=4,mins=6;cascade@0.55:n=3;disaster@0.79"
-        .parse()
-        .unwrap();
-    let scenario = Scenario::university(42).with_chaos(spec);
-    let serial = aggregate_bytes("e16", scenario.clone(), 6, 1);
-    for threads in [2, 8] {
-        let parallel = aggregate_bytes("e16", scenario.clone(), 6, threads);
-        assert_eq!(
-            serial, parallel,
-            "e16 aggregates diverged at {threads} threads"
-        );
-    }
-}
-
-#[test]
-fn e17_chaos_aggregates_are_byte_identical_at_1_2_and_8_threads() {
-    // E17 layers the serverless platform (cold-start sampling per grant,
-    // keepalive reaping, cascade kills) on top of the chaos timeline —
-    // two fresh RNG lineages whose consumption order must not depend on
-    // worker scheduling.
-    let spec: elc_resil::chaos::ChaosSpec = "storm@0.3:n=4,mins=6;cascade@0.55:n=3;disaster@0.79"
-        .parse()
-        .unwrap();
-    let scenario = Scenario::university(42).with_chaos(spec);
-    let serial = aggregate_bytes("e17", scenario.clone(), 6, 1);
-    for threads in [2, 8] {
-        let parallel = aggregate_bytes("e17", scenario.clone(), 6, threads);
-        assert_eq!(
-            serial, parallel,
-            "e17 aggregates diverged at {threads} threads"
-        );
-    }
-}
-
-#[test]
-fn e19_drill_aggregates_are_byte_identical_at_1_2_and_8_threads() {
-    // E19 fans five DR arms through `shard::run_jobs` and integrates
-    // replication lag over warmed-up links; the drill must land on the
-    // same bytes however the workers are scheduled.
-    let spec: elc_resil::chaos::ChaosSpec = "regionloss@0.5:region=0,mins=45".parse().unwrap();
-    let scenario = Scenario::university(42).with_chaos(spec);
-    let serial = aggregate_bytes("e19", scenario.clone(), 6, 1);
-    for threads in [2, 8] {
-        let parallel = aggregate_bytes("e19", scenario.clone(), 6, threads);
-        assert_eq!(
-            serial, parallel,
-            "e19 aggregates diverged at {threads} threads"
-        );
-    }
-}
-
-#[test]
-fn e19_drill_aggregates_are_byte_identical_at_1_2_and_4_shards() {
-    let spec: elc_resil::chaos::ChaosSpec = "regionloss@0.5:region=0,mins=45".parse().unwrap();
-    let scenario = Scenario::university(42).with_chaos(spec);
-    let single = aggregate_bytes("e19", scenario.with_shards(1), 6, 2);
-    for shards in [2, 4] {
-        let sharded = aggregate_bytes("e19", scenario.with_shards(shards), 6, 2);
-        assert_eq!(
-            single, sharded,
-            "e19 aggregates diverged at {shards} shards"
-        );
-    }
-}
-
-#[test]
-fn e16_and_e17_chaos_aggregates_are_byte_identical_at_1_2_and_4_shards() {
-    // The shard count must be as invisible as the thread count: e16 and
-    // e17 fan their arms through `shard::run_jobs`, each arm with its
-    // own RNG lineage, so results are reassembled in arm order no matter
-    // which worker group ran them. Pinned under the full chaos campaign
-    // so the shard split composes with fault injection.
-    let spec: elc_resil::chaos::ChaosSpec = "storm@0.3:n=4,mins=6;cascade@0.55:n=3;disaster@0.79"
-        .parse()
-        .unwrap();
-    for experiment in ["e16", "e17"] {
-        let scenario = Scenario::university(42).with_chaos(spec.clone());
-        let single = aggregate_bytes(experiment, scenario.with_shards(1), 6, 2);
-        for shards in [2, 4] {
-            let sharded = aggregate_bytes(experiment, scenario.with_shards(shards), 6, 2);
-            assert_eq!(
-                single, sharded,
-                "{experiment} aggregates diverged at {shards} shards"
-            );
-        }
-    }
-}
-
-#[test]
-fn equivalence_holds_on_a_harsher_scenario() {
-    let serial = aggregate_bytes("e09", Scenario::rural_learners(2013), 8, 1);
-    let parallel = aggregate_bytes("e09", Scenario::rural_learners(2013), 8, 8);
-    assert_eq!(serial, parallel);
 }
 
 #[test]
@@ -154,39 +213,6 @@ fn replication_count_is_reported_in_the_section() {
     let text = aggregate_bytes("e09", Scenario::small_college(42), 5, 2);
     assert!(text.contains("5 replications"), "{text}");
     assert!(text.contains("ci95"));
-}
-
-/// Renders the replicated run's full JSONL trace, one tracer per
-/// replication, labelled with its index — the artifact `elc-run --trace`
-/// writes.
-fn trace_bytes(threads: usize) -> String {
-    let spec = RunSpec::new(find("e09").unwrap(), Scenario::small_college(42), 8)
-        .threads(threads)
-        .trace(elc_trace::TraceFilter::default());
-    let outcome = run(&spec, &mut Silent);
-    assert_eq!(outcome.traces.len(), 8, "one trace per replication");
-    let mut out = String::new();
-    for (i, tracer) in outcome.traces.iter().enumerate() {
-        out.push_str(&elc_trace::export::jsonl_string(
-            tracer,
-            &[("rep", &i.to_string())],
-        ));
-    }
-    out
-}
-
-#[test]
-fn traces_are_byte_identical_at_1_and_8_threads() {
-    let serial = trace_bytes(1);
-    let parallel = trace_bytes(8);
-    assert_eq!(serial, parallel, "traces diverged across thread counts");
-    // The trace must cross every layer of the stack.
-    for target in ["simcore", "cloud", "net", "elearn"] {
-        assert!(
-            serial.contains(&format!("\"target\":\"{target}\"")),
-            "trace missing target {target:?}"
-        );
-    }
 }
 
 #[test]

@@ -367,6 +367,10 @@ pub fn with_worker_budget<R>(budget: usize, f: impl FnOnce() -> R) -> R {
 /// groups, on up to [`worker_budget`] threads, and returns the results
 /// in job order. Jobs must not communicate — this is the fan-out used by
 /// experiments whose arms have independent RNG lineages.
+///
+/// When a tracer is installed on the calling thread the jobs run in order
+/// on that thread instead: the tracer is thread-local, so a spawned worker
+/// would drop every event its jobs emit.
 pub fn run_jobs<T, F>(shards: u32, jobs: Vec<F>) -> Vec<T>
 where
     T: Send,
@@ -374,7 +378,7 @@ where
 {
     let total = jobs.len();
     let groups = (shards as usize).clamp(1, total.max(1));
-    if groups <= 1 || worker_budget() <= 1 {
+    if groups <= 1 || worker_budget() <= 1 || elc_trace::installed() {
         return jobs.into_iter().map(|f| f()).collect();
     }
     let chunk = total.div_ceil(groups);

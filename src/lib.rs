@@ -20,7 +20,7 @@
 //!   their cost, security, portability, update, reliability and governance
 //!   behaviour,
 //! * [`analysis`] — statistics, tables, the comparison matrix,
-//! * [`core`] — the experiment suite (E1–E18, T1), the uniform experiment
+//! * [`core`] — the experiment suite (E1–E19, T1), the uniform experiment
 //!   registry and the deployment advisor,
 //! * [`runner`] — the deterministic parallel multi-seed execution engine
 //!   (replications, worker pool, aggregate statistics, run manifests).

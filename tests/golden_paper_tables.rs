@@ -1,12 +1,11 @@
-//! Golden-output pin for the paper reproduction.
+//! Golden-output pins for the paper reproduction.
 //!
 //! `tests/golden/paper_tables_seed42_<scenario>.txt` holds the full report
-//! (E1–E15 and T1) rendered at seed 42 — the same text `paper-tables
-//! --seed 42` prints per scenario. The typed-metric refactor moved every
-//! experiment
-//! from hand-built tables to `MetricTable`, and this test is the proof the
-//! rendered output did not move by a byte. If an intentional table change
-//! lands, regenerate the files with:
+//! (E1–E15 and T1) rendered at seed 42: the text `elc tables --seed 42`
+//! prints for each scenario and writes to `results/<scenario>/report.txt`.
+//! The E16, E17 (with its T1F matrix) and E19 appendices have goldens of
+//! their own per scenario. A rendered byte that moves fails here. If an
+//! intentional table change lands, regenerate the files with:
 //!
 //! ```sh
 //! cargo test --test golden_paper_tables -- --ignored regenerate
@@ -16,18 +15,9 @@ use std::fs;
 use std::path::PathBuf;
 
 use elc_core::experiments::{e16, e17, e19, run_all};
-use elc_core::scenario::Scenario;
+use elc_core::scenario::{report_presets, Scenario};
 
 const SEED: u64 = 42;
-
-fn scenarios() -> Vec<Scenario> {
-    vec![
-        Scenario::small_college(SEED),
-        Scenario::rural_learners(SEED),
-        Scenario::university(SEED),
-        Scenario::national_platform(SEED),
-    ]
-}
 
 fn golden_path(scenario: &Scenario) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -89,7 +79,7 @@ fn render_e19(scenario: &Scenario) -> String {
 
 #[test]
 fn report_is_byte_identical_to_the_golden_capture() {
-    for scenario in scenarios() {
+    for scenario in report_presets(SEED) {
         let path = golden_path(&scenario);
         let expected = fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
@@ -106,7 +96,7 @@ fn report_is_byte_identical_to_the_golden_capture() {
 
 #[test]
 fn e16_section_is_byte_identical_to_the_golden_capture() {
-    for scenario in scenarios() {
+    for scenario in report_presets(SEED) {
         let path = e16_golden_path(&scenario);
         let expected = fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
@@ -123,7 +113,7 @@ fn e16_section_is_byte_identical_to_the_golden_capture() {
 
 #[test]
 fn e17_section_is_byte_identical_to_the_golden_capture() {
-    for scenario in scenarios() {
+    for scenario in report_presets(SEED) {
         let path = e17_golden_path(&scenario);
         let expected = fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
@@ -140,7 +130,7 @@ fn e17_section_is_byte_identical_to_the_golden_capture() {
 
 #[test]
 fn e19_section_is_byte_identical_to_the_golden_capture() {
-    for scenario in scenarios() {
+    for scenario in report_presets(SEED) {
         let path = e19_golden_path(&scenario);
         let expected = fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
@@ -160,7 +150,7 @@ fn e19_section_is_byte_identical_to_the_golden_capture() {
 #[test]
 #[ignore = "regenerates the golden files instead of checking them"]
 fn regenerate() {
-    for scenario in scenarios() {
+    for scenario in report_presets(SEED) {
         let path = golden_path(&scenario);
         fs::write(&path, render(&scenario))
             .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
