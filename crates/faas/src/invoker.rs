@@ -262,7 +262,10 @@ impl Invoker {
     /// Advances one tick. `demand` invocations arrive uniformly across the
     /// tick, `grant` is the scaler's cold-start allowance, and latency is
     /// recorded into `warm_hist` / `cold_hist` in seconds (see the module
-    /// docs for the path split).
+    /// docs for the path split). The tick's warm serves share one latency
+    /// and are recorded together; the histograms' count, min/max and
+    /// quantiles are those of one record per invocation, while their
+    /// running mean and variance may differ in the last bits.
     #[allow(clippy::too_many_arguments)]
     pub fn tick(
         &mut self,
@@ -312,7 +315,9 @@ impl Invoker {
         self.containers.retain(crate::Container::is_live);
 
         // 3. Warm serving: each idle sandbox runs back-to-back invocations
-        //    for the whole tick; buffered work drains before fresh.
+        //    for the whole tick; buffered work drains before fresh. Every
+        //    fresh warm serve has the same latency, so they are recorded
+        //    once, after the loop.
         let per_invocation = spec.warm_start() + spec.service_time();
         let slots_per = (tick_len.as_nanos() / per_invocation.as_nanos()).max(1);
         let warm_latency = per_invocation.as_secs_f64();
@@ -341,13 +346,11 @@ impl Invoker {
                 }
             }
             let n = fresh.min(slots);
-            if n > 0 {
-                warm_hist.record_n(warm_latency, n);
-                out.served_warm += n;
-                fresh -= n;
-            }
+            out.served_warm += n;
+            fresh -= n;
             self.containers[i].finish_invocation(now);
         }
+        warm_hist.record_n(warm_latency, out.served_warm);
 
         // 4. Granted cold starts. A sandbox whose cold start completes
         //    within the tick serves a prorated share of the leftovers on

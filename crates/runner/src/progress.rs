@@ -38,19 +38,19 @@ pub struct Stderr;
 
 impl Progress for Stderr {
     fn started(&mut self, total: u32) {
-        eprintln!("[elc-run] dispatching {total} replications");
+        eprintln!("[elc run] dispatching {total} replications");
     }
 
     fn task_done(&mut self, done: u32, total: u32, wall: Duration) {
         eprintln!(
-            "[elc-run] {done}/{total} replications done (last took {:.1} ms)",
+            "[elc run] {done}/{total} replications done (last took {:.1} ms)",
             wall.as_secs_f64() * 1e3
         );
     }
 
     fn finished(&mut self, total_wall: Duration) {
         eprintln!(
-            "[elc-run] all replications finished in {:.1} ms",
+            "[elc run] all replications finished in {:.1} ms",
             total_wall.as_secs_f64() * 1e3
         );
     }

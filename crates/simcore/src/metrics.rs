@@ -241,6 +241,32 @@ const MIN_EXP: i32 = -31; // ~4.7e-10: below one simulated nanosecond in secs
 /// Largest representable magnitude exponent.
 const MAX_EXP: i32 = 41; // ~2.2e12
 
+/// The sub-bucket boundaries within one power of two: `2^(j/16)` for
+/// `j = 0..=16`, each the double nearest the exact power.
+const SUB_BOUNDS: [f64; SUBS as usize + 1] = [
+    1.0,
+    1.044_273_782_427_413_8,
+    1.090_507_732_665_257_7,
+    1.138_788_634_756_691_6,
+    1.189_207_115_002_721,
+    1.241_857_812_073_484,
+    1.296_839_554_651_009_6,
+    1.354_255_546_936_892_7,
+    std::f64::consts::SQRT_2,
+    1.476_826_145_939_499_3,
+    1.542_210_825_407_940_7,
+    1.610_490_331_949_254_3,
+    1.681_792_830_507_429,
+    1.756_252_160_373_299_5,
+    1.834_008_086_409_342_4,
+    1.915_206_561_397_147_4,
+    2.0,
+];
+
+/// Half-width of the band around each sub-bucket boundary, in mantissa
+/// units, inside which [`Histogram::index_of`] defers to libm's `log2`.
+const BOUNDARY_GUARD: f64 = 1e-9;
+
 /// A log-bucketed histogram of non-negative values with ~4% relative error
 /// on quantiles.
 ///
@@ -249,6 +275,17 @@ const MAX_EXP: i32 = 41; // ~2.2e12
 /// latencies in seconds and costs in currency units alike. Values outside
 /// the range clamp to the end buckets (exact min/max are tracked
 /// separately).
+///
+/// A value's bucket is `floor(16 · log2 x)`, offset and clamped to the
+/// range, but it is read from the float's bits rather than from libm:
+/// the exponent field gives the power of two and the mantissa, compared
+/// against a table of `2^(j/16)`, gives the sub-bucket. libm's `log2` is
+/// called only for subnormal and infinite values and for mantissas within
+/// `1e-9` of a boundary. That is exact: a mantissa at least `1e-9` from
+/// every boundary puts `16 · log2 x` more than `1e-8` from every integer,
+/// while libm's `log2` of a normal double is within a few ulps of a value
+/// below 1024 in magnitude (under `1e-12`), so the floor of libm's result
+/// is the sub-bucket the comparison found.
 ///
 /// # Examples
 ///
@@ -350,9 +387,28 @@ impl Histogram {
         self.buckets[Self::index_of(x)] += n;
     }
 
+    /// The bucket of a positive `x`: `floor(16 · log2 x)`, offset by the
+    /// range's floor and clamped to it (see the type docs for why reading
+    /// it from the bits is exact).
     fn index_of(x: f64) -> usize {
-        let idx = (x.log2() * SUBS as f64).floor() as i64 - (MIN_EXP * SUBS) as i64;
-        idx.clamp(0, BUCKET_COUNT as i64 - 1) as usize
+        const MANTISSA: u64 = (1 << 52) - 1;
+        let bits = x.to_bits();
+        let biased = (bits >> 52) as i32;
+        if biased != 0 && biased != 0x7ff {
+            let m = f64::from_bits((bits & MANTISSA) | 1f64.to_bits());
+            let mut j = 0;
+            for step in [8, 4, 2, 1] {
+                if m >= SUB_BOUNDS[j + step] {
+                    j += step;
+                }
+            }
+            if m - SUB_BOUNDS[j] >= BOUNDARY_GUARD && SUB_BOUNDS[j + 1] - m >= BOUNDARY_GUARD {
+                let idx = (biased - 1023 - MIN_EXP) * SUBS + j as i32;
+                return idx.clamp(0, BUCKET_COUNT as i32 - 1) as usize;
+            }
+        }
+        let idx = (x.log2() * f64::from(SUBS)).floor() - f64::from(MIN_EXP * SUBS);
+        idx.clamp(0.0, (BUCKET_COUNT - 1) as f64) as usize
     }
 
     /// Geometric midpoint of bucket `i`.
@@ -530,6 +586,7 @@ impl fmt::Display for Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SimRng;
 
     #[test]
     fn summary_record_n_matches_repeated_record() {
@@ -562,6 +619,118 @@ mod tests {
         assert_eq!(batched.p50(), looped.p50());
         assert_eq!(batched.p95(), looped.p95());
         assert_eq!(batched.min_max(), looped.min_max());
+    }
+
+    #[test]
+    fn splitting_a_run_of_equal_values_keeps_every_quantile() {
+        let mut rng = SimRng::seed(7).derive("histogram-split");
+        for _ in 0..200 {
+            let mut whole = Histogram::new();
+            let mut split = Histogram::new();
+            // Some history first, so the split lands mid-histogram.
+            for _ in 0..rng.range_u64(0, 5) {
+                let (y, n) = (rng.range_f64(0.0, 10.0), rng.range_u64(1, 50));
+                whole.record_n(y, n);
+                split.record_n(y, n);
+            }
+            let x = if rng.chance(0.1) {
+                0.0
+            } else {
+                rng.range_f64(1e-3, 100.0)
+            };
+            let (a, b) = (rng.range_u64(0, 1_000), rng.range_u64(0, 1_000));
+            whole.record_n(x, a + b);
+            split.record_n(x, a);
+            split.record_n(x, b);
+            assert_eq!(split.buckets, whole.buckets);
+            assert_eq!(split.zero_count, whole.zero_count);
+            assert_eq!(split.count(), whole.count());
+            assert_eq!(split.min_max(), whole.min_max());
+            for q in [0.5, 0.95, 0.99] {
+                assert_eq!(split.quantile(q), whole.quantile(q), "x={x} a={a} b={b}");
+            }
+        }
+    }
+
+    /// The formula `index_of` reads from the bits: `floor(16 · log2 x)`
+    /// through libm, offset by the range floor and clamped to the range.
+    /// Kept in `f64` so that `+inf` clamps to the top bucket.
+    fn index_by_log2(x: f64) -> usize {
+        let idx = (x.log2() * f64::from(SUBS)).floor() - f64::from(MIN_EXP * SUBS);
+        idx.clamp(0.0, (BUCKET_COUNT - 1) as f64) as usize
+    }
+
+    fn assert_index_is_log2(x: f64) {
+        assert_eq!(
+            Histogram::index_of(x),
+            index_by_log2(x),
+            "x = {x:e} (bits {:#018x})",
+            x.to_bits()
+        );
+    }
+
+    /// `2^e` for every exponent a double can hold, subnormals included.
+    fn pow2(e: i32) -> f64 {
+        if e >= -1022 {
+            f64::from_bits(((e + 1023) as u64) << 52)
+        } else {
+            f64::from_bits(1 << (e + 1074))
+        }
+    }
+
+    /// Every bucket boundary of the range and one beyond each end, each
+    /// with its `ulps` nearest neighbours on either side.
+    fn boundary_neighbourhoods(ulps: u64) -> impl Iterator<Item = f64> {
+        ((MIN_EXP - 1) * SUBS..=(MAX_EXP + 1) * SUBS).flat_map(move |k| {
+            let bits = (f64::from(k) / f64::from(SUBS)).exp2().to_bits();
+            (bits - ulps..=bits + ulps).map(f64::from_bits)
+        })
+    }
+
+    /// A double with a uniform mantissa in a power of two drawn from the
+    /// bucket range and two beyond either end.
+    fn random_in_range(rng: &mut SimRng) -> f64 {
+        let biased = rng.range_u64((1023 + MIN_EXP - 2) as u64, (1023 + MAX_EXP + 2) as u64);
+        f64::from_bits((biased << 52) | (rng.next_u64() >> 12))
+    }
+
+    #[test]
+    fn sub_bounds_are_the_powers_of_the_sixteenth_root_of_two() {
+        for (j, &bound) in SUB_BOUNDS.iter().enumerate() {
+            assert_eq!(bound, (j as f64 / f64::from(SUBS)).exp2(), "j = {j}");
+        }
+    }
+
+    #[test]
+    fn index_of_equals_the_log2_formula() {
+        let mut rng = SimRng::seed(2013).derive("histogram-index");
+        for _ in 0..50_000 {
+            assert_index_is_log2(random_in_range(&mut rng));
+        }
+        for e in -1074..=1023 {
+            assert_index_is_log2(pow2(e));
+        }
+        boundary_neighbourhoods(64).for_each(assert_index_is_log2);
+        for x in [
+            f64::from_bits(1),
+            f64::from_bits(0x000f_ffff_ffff_ffff),
+            1e-310,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::INFINITY,
+        ] {
+            assert_index_is_log2(x);
+        }
+    }
+
+    #[test]
+    #[ignore = "wide sweep, ~15M values: run in release with --include-ignored"]
+    fn index_of_equals_the_log2_formula_wide_sweep() {
+        let mut rng = SimRng::seed(1305).derive("histogram-index-wide");
+        for _ in 0..10_000_000 {
+            assert_index_is_log2(random_in_range(&mut rng));
+        }
+        boundary_neighbourhoods(2_000).for_each(assert_index_is_log2);
     }
 
     #[test]

@@ -487,13 +487,11 @@ impl<S> Simulation<S> {
     /// Events scheduled exactly at `horizon` are executed; later events stay
     /// pending and the clock is advanced to `horizon`.
     pub fn run_until(&mut self, horizon: SimTime) -> RunStats {
-        loop {
-            match self.queue.peek_time() {
-                Some(t) if t <= horizon => {
-                    self.step();
-                }
-                _ => break,
-            }
+        // One lane comparison per event: `t < horizon + 1 ns` holds exactly
+        // when `t <= horizon`, and the unbounded horizon admits everything.
+        match horizon.as_nanos().checked_add(1) {
+            Some(end) => while self.step_before(SimTime::from_nanos(end)) {},
+            None => while self.step() {},
         }
         if self.now < horizon {
             self.now = horizon;
@@ -657,6 +655,19 @@ mod tests {
         sim.schedule_at(SimTime::from_secs(5), |s| *s.state_mut() = true);
         sim.run_until(SimTime::from_secs(5));
         assert!(*sim.state());
+    }
+
+    #[test]
+    fn run_until_the_last_instant_runs_everything() {
+        let mut sim = Simulation::new(1, 0u32);
+        for t in [SimTime::from_secs(1), SimTime::MAX] {
+            sim.schedule_at(t, |s| *s.state_mut() += 1);
+        }
+        let stats = sim.run_until(SimTime::from_nanos(u64::MAX - 1));
+        assert_eq!((*sim.state(), stats.pending), (1, 1));
+        let stats = sim.run_until(SimTime::MAX);
+        assert_eq!((*sim.state(), stats.pending), (2, 0));
+        assert_eq!(sim.now(), SimTime::MAX);
     }
 
     #[test]
