@@ -8,17 +8,17 @@
 //!   engine through,
 //! * [`table`] — aligned text tables with CSV export,
 //! * [`plot`] — ASCII line/bar figures for the sweep experiments,
-//! * [`matrix`] — the three-model comparison matrix (the paper's
+//! * [`matrix`] — the deployment-model comparison matrix (the paper's
 //!   "articulated exhaustively" conclusion, rebuilt from measurements),
 //! * [`report`] — per-experiment sections assembled into a report.
 //!
 //! # Examples
 //!
 //! ```
-//! use elc_analysis::matrix::{ComparisonMatrix, Direction};
+//! use elc_analysis::matrix::{Direction, WideMatrix};
 //!
-//! let mut m = ComparisonMatrix::new();
-//! m.add("3-year TCO ($)", "E1", [120_000.0, 210_000.0, 260_000.0],
+//! let mut m = WideMatrix::new(["public", "private", "hybrid"]);
+//! m.add("3-year TCO ($)", "E1", vec![120_000.0, 210_000.0, 260_000.0],
 //!       Direction::LowerIsBetter);
 //! assert_eq!(m.win_counts(), [1, 0, 0]);
 //! ```
@@ -33,7 +33,7 @@ pub mod report;
 pub mod stats;
 pub mod table;
 
-pub use matrix::{ComparisonMatrix, Criterion, Direction, Rating, WideCriterion, WideMatrix};
+pub use matrix::{Direction, Rating, WideCriterion, WideMatrix};
 pub use metrics::{intern, MetricKey, MetricSet, MetricTable};
 pub use report::{Report, Section};
 pub use stats::{ci95, mean, median, percentile, sorted_percentile, std_dev, Ci95};

@@ -3,8 +3,9 @@
 //! The paper's conclusion claims "the comparison of deployment models,
 //! depending on e-learning requirements, is articulated exhaustively". This
 //! module assembles that comparison from measured experiment outputs: each
-//! criterion gets the three models' metric values, a direction (whether
-//! lower or higher is better) and derived ordinal ratings.
+//! criterion gets one metric value per model column, a direction (whether
+//! lower or higher is better) and derived ordinal ratings. T1 compares the
+//! three deployment models; its appendix adds FaaS as a fourth column.
 
 use std::fmt;
 
@@ -40,19 +41,6 @@ impl fmt::Display for Rating {
         };
         f.write_str(s)
     }
-}
-
-/// One row of the matrix: a measured criterion.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Criterion {
-    /// Name, e.g. "3-year TCO (USD)".
-    pub name: String,
-    /// Which experiment produced it, e.g. "E1".
-    pub experiment: String,
-    /// Metric values in model order (public, private, hybrid).
-    pub values: [f64; 3],
-    /// Whether lower or higher is better.
-    pub direction: Direction,
 }
 
 /// Values closer than this relative fraction are considered tied — the
@@ -101,124 +89,6 @@ pub fn rate_columns(values: &[f64], direction: Direction) -> Vec<Rating> {
         .collect()
 }
 
-impl Criterion {
-    /// Ordinal ratings for (public, private, hybrid).
-    ///
-    /// Ties (within a 1% relative tolerance) share the better rating.
-    #[must_use]
-    pub fn ratings(&self) -> [Rating; 3] {
-        let rated = rate_columns(&self.values, self.direction);
-        [rated[0], rated[1], rated[2]]
-    }
-
-    /// Index (0=public, 1=private, 2=hybrid) of the winning model; ties
-    /// resolve to the first winner.
-    #[must_use]
-    pub fn winner(&self) -> usize {
-        let ratings = self.ratings();
-        ratings.iter().position(|&r| r == Rating::Good).unwrap_or(0)
-    }
-}
-
-/// The full comparison matrix.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ComparisonMatrix {
-    criteria: Vec<Criterion>,
-}
-
-/// Model names in column order.
-pub const MODEL_NAMES: [&str; 3] = ["public", "private", "hybrid"];
-
-impl ComparisonMatrix {
-    /// Creates an empty matrix.
-    #[must_use]
-    pub fn new() -> Self {
-        ComparisonMatrix::default()
-    }
-
-    /// Adds a measured criterion.
-    pub fn add(
-        &mut self,
-        name: impl Into<String>,
-        experiment: impl Into<String>,
-        values: [f64; 3],
-        direction: Direction,
-    ) -> &mut Self {
-        self.criteria.push(Criterion {
-            name: name.into(),
-            experiment: experiment.into(),
-            values,
-            direction,
-        });
-        self
-    }
-
-    /// The criteria added so far.
-    #[must_use]
-    pub fn criteria(&self) -> &[Criterion] {
-        &self.criteria
-    }
-
-    /// How many criteria each model wins outright.
-    #[must_use]
-    pub fn win_counts(&self) -> [usize; 3] {
-        let mut wins = [0usize; 3];
-        for c in &self.criteria {
-            let ratings = c.ratings();
-            for (i, &r) in ratings.iter().enumerate() {
-                if r == Rating::Good {
-                    wins[i] += 1;
-                }
-            }
-        }
-        wins
-    }
-
-    /// The matrix as a typed measured table: per-model cells carry the raw
-    /// value formatted next to its rating (`"42.2 (good)"`), so the metric
-    /// extracted from each cell is the leading value. Source of both the
-    /// display table and T1's typed metrics.
-    #[must_use]
-    pub fn to_metric_table(&self) -> MetricTable {
-        let mut t =
-            MetricTable::new(["criterion", "exp", "public", "private", "hybrid", "verdict"]);
-        for c in &self.criteria {
-            let ratings = c.ratings();
-            let fmt_cell =
-                |i: usize| Cell::text(format!("{} ({})", fmt_f64(c.values[i]), ratings[i]));
-            let verdict = if ratings == [Rating::Good; 3] {
-                "tie".to_string()
-            } else {
-                format!("{} wins", MODEL_NAMES[c.winner()])
-            };
-            t.row(
-                c.name.clone(),
-                vec![
-                    Cell::text(c.experiment.clone()),
-                    fmt_cell(0),
-                    fmt_cell(1),
-                    fmt_cell(2),
-                    Cell::text(verdict),
-                ],
-            );
-        }
-        t
-    }
-
-    /// Renders the matrix with raw values and ratings (display view of
-    /// [`ComparisonMatrix::to_metric_table`]).
-    #[must_use]
-    pub fn to_table(&self) -> Table {
-        self.to_metric_table().to_table()
-    }
-}
-
-impl fmt::Display for ComparisonMatrix {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.to_table())
-    }
-}
-
 /// One row of a [`WideMatrix`]: a criterion measured for N models.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WideCriterion {
@@ -233,8 +103,7 @@ pub struct WideCriterion {
 }
 
 impl WideCriterion {
-    /// Ordinal ratings, one per model column (same tie semantics as
-    /// [`Criterion::ratings`]).
+    /// Ordinal ratings, one per model column (see [`rate_columns`]).
     #[must_use]
     pub fn ratings(&self) -> Vec<Rating> {
         rate_columns(&self.values, self.direction)
@@ -251,9 +120,8 @@ impl WideCriterion {
     }
 }
 
-/// A comparison matrix over an arbitrary set of model columns — the
-/// appendix view that extends T1's three models with FaaS without
-/// disturbing the pinned three-column table.
+/// A comparison matrix over any set of model columns: T1's three
+/// deployment models, or the appendix's four with FaaS.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WideMatrix {
     models: Vec<&'static str>,
@@ -330,8 +198,10 @@ impl WideMatrix {
         wins
     }
 
-    /// The matrix as a typed measured table, same cell format as
-    /// [`ComparisonMatrix::to_metric_table`].
+    /// The matrix as a typed measured table: per-model cells carry the raw
+    /// value formatted next to its rating (`"42.2 (good)"`), so the metric
+    /// extracted from each cell is the leading value. Source of both the
+    /// display table and T1's typed metrics.
     #[must_use]
     pub fn to_metric_table(&self) -> MetricTable {
         let headers = ["criterion", "exp"]
@@ -376,97 +246,108 @@ impl fmt::Display for WideMatrix {
 mod tests {
     use super::*;
 
-    fn criterion(values: [f64; 3], direction: Direction) -> Criterion {
-        Criterion {
+    fn criterion(values: &[f64], direction: Direction) -> WideCriterion {
+        WideCriterion {
             name: "x".into(),
             experiment: "E0".into(),
-            values,
+            values: values.to_vec(),
             direction,
         }
     }
 
     #[test]
-    fn ratings_lower_is_better() {
-        let c = criterion([1.0, 3.0, 2.0], Direction::LowerIsBetter);
-        assert_eq!(c.ratings(), [Rating::Good, Rating::Poor, Rating::Fair]);
-        assert_eq!(c.winner(), 0);
-    }
-
-    #[test]
-    fn ratings_higher_is_better() {
-        let c = criterion([1.0, 3.0, 2.0], Direction::HigherIsBetter);
-        assert_eq!(c.ratings(), [Rating::Poor, Rating::Good, Rating::Fair]);
-        assert_eq!(c.winner(), 1);
-    }
-
-    #[test]
-    fn two_way_tie_shares_good() {
-        let c = criterion([1.0, 1.0, 5.0], Direction::LowerIsBetter);
-        assert_eq!(c.ratings(), [Rating::Good, Rating::Good, Rating::Poor]);
-    }
-
-    #[test]
-    fn three_way_tie_is_all_good() {
-        let c = criterion([2.0, 2.0, 2.0], Direction::LowerIsBetter);
-        assert_eq!(c.ratings(), [Rating::Good, Rating::Good, Rating::Good]);
+    fn ratings_and_winners_over_any_column_count() {
+        use Direction::{HigherIsBetter, LowerIsBetter};
+        use Rating::{Fair, Good, Poor};
+        let cases: [(&[f64], Direction, &[Rating], usize); 5] = [
+            (&[1.0, 3.0, 2.0], LowerIsBetter, &[Good, Poor, Fair], 0),
+            (&[1.0, 3.0, 2.0], HigherIsBetter, &[Poor, Good, Fair], 1),
+            // A two-way tie shares the better rating.
+            (&[1.0, 1.0, 5.0], LowerIsBetter, &[Good, Good, Poor], 0),
+            // A full tie rates everyone good.
+            (&[2.0, 2.0, 2.0], LowerIsBetter, &[Good, Good, Good], 0),
+            (
+                &[20.0, 40.0, 30.0, 10.0],
+                LowerIsBetter,
+                &[Fair, Poor, Fair, Good],
+                3,
+            ),
+        ];
+        for (values, direction, ratings, winner) in cases {
+            assert_eq!(rate_columns(values, direction), ratings, "{values:?}");
+            let c = criterion(values, direction);
+            assert_eq!(c.ratings(), ratings, "{values:?}");
+            assert_eq!(c.winner(), winner, "{values:?}");
+        }
     }
 
     #[test]
     fn win_counts_accumulate() {
-        let mut m = ComparisonMatrix::new();
-        m.add("cost", "E1", [10.0, 30.0, 20.0], Direction::LowerIsBetter);
-        m.add("security", "E6", [5.0, 1.0, 1.0], Direction::LowerIsBetter);
+        let mut m = WideMatrix::new(["public", "private", "hybrid"]);
+        m.add(
+            "cost",
+            "E1",
+            vec![10.0, 30.0, 20.0],
+            Direction::LowerIsBetter,
+        );
+        m.add(
+            "security",
+            "E6",
+            vec![5.0, 1.0, 1.0],
+            Direction::LowerIsBetter,
+        );
         m.add(
             "portability",
             "E8",
-            [9.0, 0.0, 4.0],
+            vec![9.0, 0.0, 4.0],
             Direction::LowerIsBetter,
         );
         // Private wins security (shared with hybrid) and portability;
         // public wins cost; hybrid shares the security win.
         assert_eq!(m.win_counts(), [1, 2, 1]);
         assert_eq!(m.criteria().len(), 3);
+
+        let mut wide = WideMatrix::new(["public", "private", "hybrid", "faas"]);
+        wide.add(
+            "cost",
+            "E17",
+            vec![20.0, 40.0, 30.0, 10.0],
+            Direction::LowerIsBetter,
+        );
+        assert_eq!(wide.win_counts(), [0, 0, 0, 1]);
     }
 
     #[test]
-    fn table_rendering_contains_ratings() {
-        let mut m = ComparisonMatrix::new();
-        m.add("cost", "E1", [10.0, 30.0, 20.0], Direction::LowerIsBetter);
+    fn table_rendering_contains_ratings_and_the_verdict() {
+        let mut m = WideMatrix::new(["public", "private", "hybrid"]);
+        m.add(
+            "cost",
+            "E1",
+            vec![10.0, 30.0, 20.0],
+            Direction::LowerIsBetter,
+        );
+        m.add("speed", "E9", vec![2.0, 2.0, 2.0], Direction::LowerIsBetter);
         let text = m.to_string();
-        assert!(text.contains("good"));
-        assert!(text.contains("poor"));
-        assert!(text.contains("public wins"));
+        assert!(text.contains("10.0 (good)"), "got:\n{text}");
+        assert!(text.contains("30.0 (poor)"), "got:\n{text}");
+        assert!(text.contains("public wins"), "got:\n{text}");
+        assert!(text.contains("tie"), "got:\n{text}");
+
+        let mut wide = WideMatrix::new(["public", "private", "hybrid", "faas"]);
+        wide.add(
+            "cost",
+            "E17",
+            vec![20.0, 40.0, 30.0, 10.0],
+            Direction::LowerIsBetter,
+        );
+        let text = wide.to_string();
+        assert!(text.contains("faas wins"), "got:\n{text}");
     }
 
     #[test]
     fn rating_display() {
         assert_eq!(Rating::Good.to_string(), "good");
         assert!(Rating::Good > Rating::Fair);
-    }
-
-    #[test]
-    fn wide_matrix_agrees_with_narrow_on_three_columns() {
-        let c = criterion([1.0, 3.0, 2.0], Direction::LowerIsBetter);
-        let wide = rate_columns(&c.values, c.direction);
-        assert_eq!(wide, c.ratings().to_vec());
-    }
-
-    #[test]
-    fn wide_matrix_rates_four_columns() {
-        let mut m = WideMatrix::new(["public", "private", "hybrid", "faas"]);
-        m.add(
-            "cost",
-            "E17",
-            vec![20.0, 40.0, 30.0, 10.0],
-            Direction::LowerIsBetter,
-        );
-        assert_eq!(
-            m.criteria()[0].ratings(),
-            vec![Rating::Fair, Rating::Poor, Rating::Fair, Rating::Good]
-        );
-        assert_eq!(m.win_counts(), vec![0, 0, 0, 1]);
-        let text = m.to_string();
-        assert!(text.contains("faas wins"), "got:\n{text}");
     }
 
     #[test]

@@ -233,11 +233,7 @@ fn autoscale(sim: &mut Simulation<World>) {
 }
 
 /// Simulates one strategy over 24 hours of the exam day.
-///
-/// `buckets` is caller-owned histogram storage: it is consumed via
-/// `Histogram::from_buckets` and handed back alongside the row so a
-/// replication loop re-runs without re-allocating it.
-fn simulate(scenario: &Scenario, strategy: Strategy, buckets: Vec<u64>) -> (SurgeRow, Vec<u64>) {
+fn simulate(scenario: &Scenario, strategy: Strategy) -> SurgeRow {
     let workload = scenario.workload();
     let cal = scenario.calendar();
     // Day 2 of the exam period (a weekday under the standard calendar).
@@ -287,7 +283,7 @@ fn simulate(scenario: &Scenario, strategy: Strategy, buckets: Vec<u64>) -> (Surg
         fluid: scenario.fidelity().uses_fluid(),
         offered: 0.0,
         rejected: 0.0,
-        latency: Histogram::from_buckets(buckets),
+        latency: Histogram::new(),
     };
 
     let mut sim = Simulation::new(scenario.seed(), world);
@@ -318,7 +314,7 @@ fn simulate(scenario: &Scenario, strategy: Strategy, buckets: Vec<u64>) -> (Surg
     sim.run_until(horizon);
 
     let w = sim.into_state();
-    let row = SurgeRow {
+    SurgeRow {
         strategy,
         rejected_fraction: if w.offered == 0.0 {
             0.0
@@ -328,28 +324,16 @@ fn simulate(scenario: &Scenario, strategy: Strategy, buckets: Vec<u64>) -> (Surg
         p95_latency_s: w.latency.p95(),
         vm_hours: w.fleet.integral(horizon) / 3_600.0,
         peak_vms: w.fleet.max(),
-    };
-    (row, w.latency.into_buckets())
+    }
 }
 
 /// Runs all five strategies.
 #[must_use]
 pub fn run(scenario: &Scenario) -> Output {
-    run_with_buckets(scenario, &mut Vec::new())
-}
-
-/// Runs all five strategies, reusing `buckets` as the latency histogram's
-/// storage — across strategies here, and across replications when the
-/// caller keeps the vector around (the `elc-runner` scratch path). Output
-/// is identical to [`run`]: the buffer is storage, never state.
-#[must_use]
-pub fn run_with_buckets(scenario: &Scenario, buckets: &mut Vec<u64>) -> Output {
-    let mut rows = Vec::with_capacity(Strategy::ALL.len());
-    for &s in &Strategy::ALL {
-        let (row, reclaimed) = simulate(scenario, s, std::mem::take(buckets));
-        *buckets = reclaimed;
-        rows.push(row);
-    }
+    let rows = Strategy::ALL
+        .iter()
+        .map(|&s| simulate(scenario, s))
+        .collect();
     Output { rows }
 }
 
@@ -541,19 +525,6 @@ mod tests {
             // The autoscaler is rate-driven, so the fleet is identical.
             assert!((e.vm_hours - f.vm_hours).abs() < 1e-9, "{s}: fleet moved");
             assert!((e.peak_vms - f.peak_vms).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn bucket_reuse_is_invisible_in_the_output() {
-        // Back-to-back replications through one reused buffer must match
-        // fresh runs exactly — scratch is storage, never state.
-        let mut buckets = Vec::new();
-        for seed in [8, 9, 41] {
-            let scenario = Scenario::university(seed);
-            let reused = run_with_buckets(&scenario, &mut buckets);
-            assert_eq!(reused, run(&scenario), "seed {seed} diverged");
-            assert!(!buckets.is_empty(), "storage must be handed back");
         }
     }
 }

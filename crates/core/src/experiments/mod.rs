@@ -33,7 +33,7 @@ pub mod e19;
 pub mod registry;
 pub mod t1;
 
-pub use registry::{find, registry, Experiment, ExperimentRun, ExperimentScratch};
+pub use registry::{find, registry, Experiment, ExperimentRun};
 
 use elc_analysis::report::Report;
 

@@ -17,28 +17,10 @@
 
 use elc_analysis::metrics::MetricSet;
 use elc_analysis::report::Section;
-use elc_simcore::time::SimDuration;
 
 pub use elc_analysis::metrics::parse_numeric_cell;
 
 use crate::scenario::Scenario;
-
-/// Reusable working-set buffers for the replication hot path.
-///
-/// One of these lives in each `elc-runner` worker and is threaded through
-/// every replication it executes, so back-to-back replications stop
-/// re-allocating their working set. Experiments opt in through
-/// [`Experiment::run_metrics_with`]; buffers they do not use are simply
-/// left alone.
-#[derive(Debug, Default)]
-pub struct ExperimentScratch {
-    /// Arrival-offset buffer for workload-driven models
-    /// (`WorkloadModel::sample_arrival_offsets` appends into it).
-    pub offsets: Vec<SimDuration>,
-    /// Histogram bucket storage, round-tripped through
-    /// `Histogram::from_buckets`/`into_buckets` (E12's latency histogram).
-    pub latency_buckets: Vec<u64>,
-}
 
 /// One replication's worth of output from a single experiment.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,13 +45,6 @@ pub trait Experiment: Send + Sync {
     /// `self.run(scenario).metrics`.
     fn run_metrics(&self, scenario: &Scenario) -> MetricSet {
         self.run(scenario).metrics
-    }
-    /// Like [`Experiment::run_metrics`], but with caller-owned scratch
-    /// buffers (one [`ExperimentScratch`] per runner worker) so repeated
-    /// replications reuse their working set. Must equal `run_metrics` —
-    /// scratch is storage, never state. The default ignores the scratch.
-    fn run_metrics_with(&self, scenario: &Scenario, _scratch: &mut ExperimentScratch) -> MetricSet {
-        self.run_metrics(scenario)
     }
 }
 
@@ -115,6 +90,7 @@ experiments! {
     E09: e09, "e09", "Time to first service";
     E10: e10, "e10", "Hybrid unit-distribution sweep (Pareto frontier)";
     E11: e11, "e11", "Governance overhead vs platform count";
+    E12: e12, "e12", "Exam-day surge: elastic vs fixed capacity";
     E13: e13, "e13", "Community cloud: per-member economics vs consortium size";
     E14: e14, "e14", "Service models on the public cloud: IaaS / PaaS / SaaS";
     E15: e15, "e15", "Capacity planning under enrollment growth";
@@ -122,38 +98,6 @@ experiments! {
     E17: e17, "e17", "Serverless cold-start economics: FaaS vs provisioned models";
     E18: e18, "e18", "National exam federation: hybrid-fidelity scale-out";
     E19: e19, "e19", "Disaster recovery: region-loss drill, RTO / RPO / cost by model";
-}
-
-/// E12 is the one discrete-event-simulation experiment heavy enough to
-/// care about its working set, so it is wired up by hand: the scratch
-/// path reuses the latency histogram's bucket storage across strategies
-/// and replications.
-struct E12;
-
-impl Experiment for E12 {
-    fn id(&self) -> &'static str {
-        "e12"
-    }
-
-    fn name(&self) -> &'static str {
-        "Exam-day surge: elastic vs fixed capacity"
-    }
-
-    fn run(&self, scenario: &Scenario) -> ExperimentRun {
-        let out = super::e12::run(scenario);
-        ExperimentRun {
-            section: out.section(),
-            metrics: out.metrics(),
-        }
-    }
-
-    fn run_metrics(&self, scenario: &Scenario) -> MetricSet {
-        super::e12::run(scenario).metrics()
-    }
-
-    fn run_metrics_with(&self, scenario: &Scenario, scratch: &mut ExperimentScratch) -> MetricSet {
-        super::e12::run_with_buckets(scenario, &mut scratch.latency_buckets).metrics()
-    }
 }
 
 /// T1 folds every other experiment's metrics into the comparison matrix,
@@ -260,7 +204,6 @@ mod tests {
     #[test]
     fn run_metrics_fast_path_agrees_with_run_everywhere() {
         let scenario = Scenario::small_college(42);
-        let mut scratch = ExperimentScratch::default();
         for e in registry() {
             let run = e.run(&scenario);
             assert_eq!(
@@ -269,16 +212,6 @@ mod tests {
                 "{}: run_metrics fast path diverges from run",
                 e.id()
             );
-            // The scratch path must be equally invisible — twice through
-            // the same warm buffers.
-            for pass in 0..2 {
-                assert_eq!(
-                    e.run_metrics_with(&scenario, &mut scratch),
-                    run.metrics,
-                    "{}: scratch path diverges from run (pass {pass})",
-                    e.id()
-                );
-            }
         }
     }
 

@@ -5,7 +5,7 @@
 //! measurements: one row per criterion, one column per model, ratings
 //! derived from the numbers the experiments produced.
 
-use elc_analysis::matrix::{ComparisonMatrix, Direction};
+use elc_analysis::matrix::{Direction, WideMatrix};
 use elc_analysis::metrics::MetricSet;
 use elc_analysis::report::Section;
 use elc_deploy::model::{Deployment, DeploymentKind};
@@ -92,51 +92,23 @@ impl ModelMetrics {
 
     /// Builds the comparison matrix.
     #[must_use]
-    pub fn matrix(&self) -> ComparisonMatrix {
-        let mut m = ComparisonMatrix::new();
-        m.add("3-year TCO ($)", "E1", self.tco, Direction::LowerIsBetter);
-        m.add(
-            "update staleness (days)",
-            "E3",
-            self.staleness_days,
-            Direction::LowerIsBetter,
-        );
-        m.add(
-            "asset loss probability (3y)",
-            "E4",
-            self.loss_probability,
-            Direction::LowerIsBetter,
-        );
-        m.add(
+    pub fn matrix(&self) -> WideMatrix {
+        let mut m = WideMatrix::new(["public", "private", "hybrid"]);
+        let mut add = |name: &str, exp: &str, values: [f64; 3]| {
+            m.add(name, exp, values.to_vec(), Direction::LowerIsBetter);
+        };
+        add("3-year TCO ($)", "E1", self.tco);
+        add("update staleness (days)", "E3", self.staleness_days);
+        add("asset loss probability (3y)", "E4", self.loss_probability);
+        add(
             "confidential incidents (/yr)",
             "E6",
             self.confidential_incidents,
-            Direction::LowerIsBetter,
         );
-        m.add(
-            "exit cost ($)",
-            "E8",
-            self.exit_cost,
-            Direction::LowerIsBetter,
-        );
-        m.add(
-            "time to service (days)",
-            "E9",
-            self.time_to_service_days,
-            Direction::LowerIsBetter,
-        );
-        m.add(
-            "operations (FTE)",
-            "E11",
-            self.ops_fte,
-            Direction::LowerIsBetter,
-        );
-        m.add(
-            "exam-day rejected (frac)",
-            "E12",
-            self.surge_rejected,
-            Direction::LowerIsBetter,
-        );
+        add("exit cost ($)", "E8", self.exit_cost);
+        add("time to service (days)", "E9", self.time_to_service_days);
+        add("operations (FTE)", "E11", self.ops_fte);
+        add("exam-day rejected (frac)", "E12", self.surge_rejected);
         m
     }
 

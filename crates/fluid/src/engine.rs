@@ -6,14 +6,15 @@
 //! servers with deterministic service time and a bounded waiting room —
 //! is simulated three ways:
 //!
-//! * **event**: every request is an individual arrival event through
-//!   [`Simulation`] (Poisson arrivals per tick, uniform jitter, FIFO
-//!   queue, completion events). Exact, and linear in request count.
+//! * **event**: every request is an individual arrival event at a
+//!   [`Station`] run by [`Simulation`] (Poisson arrivals per tick,
+//!   uniform jitter, FIFO queue, completion events). Exact, and linear in
+//!   request count.
 //! * **fluid**: a [`FluidQueue`] integrates arrival/service flows per
 //!   tick; cost is per tick, independent of request volume.
 //! * **auto**: a [`FidelityController`] keeps the station fluid in
 //!   steady state and materializes the backlog into a real event-level
-//!   station (via the station's RNG lineage) around utilization spikes
+//!   [`Station`] (via the station's RNG lineage) around utilization spikes
 //!   and surge boundaries, absorbing the station back into fluid when
 //!   the crisis passes.
 //!
@@ -22,10 +23,9 @@
 //! `segment`/index), so a seed fully determines the run at any
 //! fidelity.
 
-use std::collections::VecDeque;
-
 use elc_simcore::dist::{Distribution, Poisson};
 use elc_simcore::metrics::Histogram;
+use elc_simcore::queueing::Station;
 use elc_simcore::rng::SimRng;
 use elc_simcore::time::{SimDuration, SimTime};
 use elc_simcore::Simulation;
@@ -145,69 +145,6 @@ impl EngineReport {
     }
 }
 
-/// The event-level station: `servers` identical servers over a bounded
-/// FIFO waiting room, deterministic service time.
-struct Station {
-    servers: u64,
-    busy: u64,
-    service: SimDuration,
-    queue: VecDeque<SimTime>,
-    queue_limit: usize,
-    offered: u64,
-    served: u64,
-    shed: u64,
-    peak_queue: usize,
-    latency: Histogram,
-}
-
-impl Station {
-    fn new(cfg: &EngineConfig) -> Self {
-        Station {
-            servers: cfg.servers,
-            busy: 0,
-            service: cfg.service_time,
-            queue: VecDeque::new(),
-            queue_limit: cfg.queue_limit as usize,
-            offered: 0,
-            served: 0,
-            shed: 0,
-            peak_queue: 0,
-            latency: Histogram::new(),
-        }
-    }
-}
-
-fn arrive(sim: &mut Simulation<Station>) {
-    let now = sim.now();
-    let st = sim.state_mut();
-    st.offered += 1;
-    if st.busy < st.servers {
-        st.busy += 1;
-        let service = st.service;
-        st.latency.record(service.as_secs_f64());
-        sim.schedule_in(service, complete);
-    } else if st.queue.len() < st.queue_limit {
-        st.queue.push_back(now);
-        st.peak_queue = st.peak_queue.max(st.queue.len());
-    } else {
-        st.shed += 1;
-    }
-}
-
-fn complete(sim: &mut Simulation<Station>) {
-    let now = sim.now();
-    let st = sim.state_mut();
-    st.served += 1;
-    if let Some(arrived) = st.queue.pop_front() {
-        let service = st.service;
-        let wait = now.saturating_since(arrived);
-        st.latency.record((wait + service).as_secs_f64());
-        sim.schedule_in(service, complete);
-    } else {
-        st.busy -= 1;
-    }
-}
-
 /// Schedules one tick's Poisson arrivals (uniformly jittered over the
 /// slot) and runs the station to the end of the tick.
 fn event_tick(
@@ -227,7 +164,7 @@ fn event_tick(
         offsets.push(SimDuration::from_secs_f64(rng.range_f64(0.0, span)));
     }
     offsets.sort_unstable();
-    sim.schedule_batch(offsets, arrive);
+    sim.schedule_batch(offsets, Station::arrive);
     sim.run_for(tick);
 }
 
@@ -257,7 +194,8 @@ fn run_event(
     rng: &mut SimRng,
 ) -> EngineReport {
     let mut arr_rng = rng.derive("arrivals");
-    let mut sim = Simulation::new(rng.derive("engine-event").next_u64(), Station::new(cfg));
+    let station = Station::new(cfg.servers, cfg.service_time, cfg.queue_limit);
+    let mut sim = Simulation::new(rng.derive("engine-event").next_u64(), station);
     let mut offsets = Vec::new();
     let tick_s = cfg.tick.as_secs_f64();
     let capacity = cfg.capacity_rps();
@@ -279,12 +217,12 @@ fn run_event(
     let st = sim.into_state();
     EngineReport {
         fidelity: Fidelity::Event,
-        offered: st.offered as f64,
-        served: st.served as f64,
-        shed: st.shed as f64,
-        p95_latency_s: st.latency.p95(),
+        offered: st.offered() as f64,
+        served: st.served() as f64,
+        shed: st.shed() as f64,
+        p95_latency_s: st.latency().p95(),
         mean_utilization: util_sum / ticks as f64,
-        peak_backlog: st.peak_queue as f64,
+        peak_backlog: st.peak_queue() as f64,
         events_executed: events,
         fluid_ticks: 0,
         event_ticks: ticks,
@@ -391,11 +329,11 @@ fn run_auto(
                     // absorb waiting + in-flight requests back as backlog.
                     events_executed += sim.executed();
                     let st = sim.into_state();
-                    offered += st.offered as f64;
-                    served += st.served as f64;
-                    shed += st.shed as f64;
-                    latency.merge(&st.latency);
-                    fq.absorb(&[st.queue.len() as u64 + st.busy]);
+                    offered += st.offered() as f64;
+                    served += st.served() as f64;
+                    shed += st.shed() as f64;
+                    latency.merge(st.latency());
+                    fq.absorb(&[st.waiting() as u64 + st.in_service()]);
                 }
                 let flow = fq.step(cfg.tick, &[rate], cfg.substeps);
                 peak_backlog = peak_backlog.max(flow.backlog);
@@ -412,29 +350,17 @@ fn run_auto(
                     // Their fluid inflow is already in `fq.offered_total`,
                     // so the station's `offered` counts fresh arrivals only.
                     let counts = fq.materialize(&mut mat_rng, t.as_nanos());
-                    let mut st = Station::new(cfg);
-                    for _ in 0..counts[0] {
-                        st.queue.push_back(SimTime::ZERO);
-                    }
-                    st.peak_queue = st.queue.len();
                     materialized += counts[0];
                     segments_started += 1;
                     let mut seed_rng = segment_seeds.derive_u64(segments_started);
-                    let mut sim = Simulation::new(seed_rng.next_u64(), st);
-                    // Kick the pre-seeded queue onto the servers.
-                    let starters = cfg.servers.min(sim.state().queue.len() as u64);
-                    let service = cfg.service_time;
-                    for _ in 0..starters {
-                        sim.state_mut().queue.pop_front();
-                        sim.state_mut().busy += 1;
-                        sim.state_mut().latency.record(service.as_secs_f64());
-                        sim.schedule_in(service, complete);
-                    }
+                    let station = Station::new(cfg.servers, cfg.service_time, cfg.queue_limit);
+                    let mut sim = Simulation::new(seed_rng.next_u64(), station);
+                    Station::seed_backlog(&mut sim, counts[0]);
                     segment = Some(sim);
                 }
                 let sim = segment.as_mut().expect("segment just ensured");
                 event_tick(sim, &mut arr_rng, rate * tick_s, cfg.tick, &mut offsets);
-                peak_backlog = peak_backlog.max(sim.state().peak_queue as f64);
+                peak_backlog = peak_backlog.max(sim.state().peak_queue() as f64);
                 event_ticks += 1;
             }
         }
@@ -442,11 +368,11 @@ fn run_auto(
     if let Some(sim) = segment.take() {
         events_executed += sim.executed();
         let st = sim.into_state();
-        offered += st.offered as f64;
-        served += st.served as f64;
-        shed += st.shed as f64;
-        latency.merge(&st.latency);
-        fq.absorb(&[st.queue.len() as u64 + st.busy]);
+        offered += st.offered() as f64;
+        served += st.served() as f64;
+        shed += st.shed() as f64;
+        latency.merge(st.latency());
+        fq.absorb(&[st.waiting() as u64 + st.in_service()]);
     }
     EngineReport {
         fidelity: Fidelity::Auto,

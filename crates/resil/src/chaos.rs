@@ -24,6 +24,8 @@
 //!                                 45 minutes later (defaults region=0,
 //!                                 mins=30) — E19's recoverable drill
 //! ```
+//!
+//! A count `n` lies in `1..=100` ([`MAX_COUNT`]).
 
 use std::fmt;
 use std::str::FromStr;
@@ -103,6 +105,12 @@ impl std::error::Error for ChaosParseError {}
 fn parse_err(msg: impl Into<String>) -> ChaosParseError {
     ChaosParseError(msg.into())
 }
+
+/// The largest fault count `n=` a campaign accepts. A campaign is a
+/// handful of correlated faults, and [`FaultTimeline::generate`] expands
+/// each one into a window, so an unbounded count would run for as long,
+/// and allocate as much, as the caller asked.
+pub const MAX_COUNT: u32 = 100;
 
 /// A set of fault campaigns. See the module docs for the grammar.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -221,6 +229,9 @@ fn parse_campaign(item: &str) -> Result<Campaign, ChaosParseError> {
                         .map_err(|_| parse_err(format!("n={value:?} is not an integer")))?;
                     if n == 0 {
                         return Err(parse_err("n must be >= 1"));
+                    }
+                    if n > MAX_COUNT {
+                        return Err(parse_err(format!("n must be <= {MAX_COUNT}, got {n}")));
                     }
                     count = Some(n);
                 }
@@ -483,6 +494,10 @@ mod tests {
             ("storm@1.5", "in [0, 1]"),
             ("storm@x", "not a number"),
             ("storm@0.5:n=0", "n must be >= 1"),
+            ("cascade@0.5:n=101", "n must be <= 100"),
+            // Expanding either of these would push ~4.3 billion windows.
+            ("storm@0.3:n=4294967295", "n must be <= 100"),
+            ("cascade@0.5:n=4294967295", "n must be <= 100"),
             ("storm@0.5:mins=0", "mins must be positive"),
             ("cascade@0.5:mins=3", "unknown option"),
             ("disaster@0.5:n=2", "disaster takes no options"),
@@ -501,6 +516,14 @@ mod tests {
                 err.to_string().contains(needle),
                 "{spec:?}: {err} missing {needle:?}"
             );
+        }
+    }
+
+    #[test]
+    fn the_largest_fault_count_parses_and_round_trips() {
+        for spec in ["storm@0.5:n=100", "cascade@0.5:n=100"] {
+            let parsed: ChaosSpec = spec.parse().unwrap();
+            assert_eq!(parsed.to_string().parse::<ChaosSpec>(), Ok(parsed));
         }
     }
 

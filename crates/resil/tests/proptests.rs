@@ -241,6 +241,54 @@ fn timeline_is_identical_under_rng_re_derive() {
     }
 }
 
+/// The chaos grammar never panics: seed-derived mutations of valid specs
+/// (characters inserted, deleted or replaced, items spliced together)
+/// either fail to parse or parse to a spec that round-trips through
+/// `Display`.
+#[test]
+fn mutated_chaos_specs_are_rejected_or_round_trip() {
+    const CORPUS: [&str; 5] = [
+        "off",
+        "storm@0.3:n=4,mins=6;cascade@0.55:n=3;disaster@0.79",
+        "regionloss@0.5:region=0,mins=45",
+        "storm@0.5;cascade@0.6",
+        "cascade@0.55:n=3;disaster@0.9",
+    ];
+    const ALPHABET: &[u8] = b"0123456789.-+e@:;,= nmisrgotcadlxINf";
+    let mut parsed = 0;
+    for case in 0..4_000u64 {
+        let mut rng = SimRng::seed(0xC4A3).derive_u64(case);
+        let mut text = rng.pick(&CORPUS).unwrap().to_string();
+        if rng.chance(0.3) {
+            text = format!("{text};{}", rng.pick(&CORPUS).unwrap());
+        }
+        let mut bytes = text.into_bytes();
+        for _ in 0..rng.range_u64(1, 4) {
+            let at = rng.range_u64(0, bytes.len() as u64) as usize;
+            let byte = *rng.pick(ALPHABET).unwrap();
+            match rng.next_below(3) {
+                0 => bytes.insert(at, byte),
+                1 if at < bytes.len() => {
+                    bytes.remove(at);
+                }
+                _ if at < bytes.len() => bytes[at] = byte,
+                _ => {}
+            }
+        }
+        let text = String::from_utf8(bytes).expect("ASCII mutations stay UTF-8");
+        if let Ok(spec) = text.parse::<ChaosSpec>() {
+            parsed += 1;
+            let shown = spec.to_string();
+            assert_eq!(
+                shown.parse::<ChaosSpec>(),
+                Ok(spec),
+                "case {case}: {text:?} shows as {shown:?}"
+            );
+        }
+    }
+    assert!(parsed >= 100, "only {parsed} mutated specs parsed");
+}
+
 #[test]
 fn idempotency_gate_is_total_over_all_kinds() {
     let default = RetryPolicy::standard();

@@ -88,7 +88,7 @@ fn run_parallel(spec: &RunSpec, progress: &mut dyn Progress, workers: usize) -> 
             scope.spawn(move || {
                 elc_simcore::shard::with_worker_budget(shard_budget, || {
                     // Each worker owns its scratch for its whole lifetime;
-                    // tasks reuse the previous task's working set.
+                    // tasks reuse the previous task's scenario clone.
                     let mut scratch = Scratch::new();
                     loop {
                         // Hold the lock only to dequeue, not while running.
@@ -115,21 +115,19 @@ fn run_parallel(spec: &RunSpec, progress: &mut dyn Progress, workers: usize) -> 
 }
 
 fn execute(spec: &RunSpec, index: u32, scratch: &mut Scratch) -> TaskResult {
-    let (scenario, buffers) = scratch.parts(spec, index);
+    let scenario = scratch.scenario(spec, index);
     let seed = scenario.seed();
     let start = Instant::now();
     // The metrics-only entry point: the section render (title strings,
-    // notes, row formatting) would be thrown away here, so skip it. The
-    // scratch variant reuses this worker's buffers; scratch is storage,
-    // never state, so the result still depends only on (scenario, seed).
+    // notes, row formatting) would be thrown away here, so skip it.
     let (metrics, trace) = match spec.trace_filter() {
-        None => (spec.experiment().run_metrics_with(scenario, buffers), None),
+        None => (spec.experiment().run_metrics(scenario), None),
         Some(filter) => {
             // One tracer per task, installed only for this replication:
             // the trace depends on (scenario, seed, filter), never on
             // which worker thread ran it.
             let (metrics, tracer) = elc_trace::with_tracer(Tracer::new(filter.clone()), || {
-                spec.experiment().run_metrics_with(scenario, buffers)
+                spec.experiment().run_metrics(scenario)
             });
             (metrics, Some(tracer))
         }

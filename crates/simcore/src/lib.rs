@@ -4,11 +4,12 @@
 //! environment (see the workspace `DESIGN.md`). It provides:
 //!
 //! * a virtual clock with integer-nanosecond precision ([`time`]),
-//! * a pending-event set with deterministic tie-breaking and O(1)
-//!   cancellation ([`queue`]) plus a naive baseline for ablation
-//!   ([`baseline`]),
-//! * a multi-server FIFO queueing station validated against M/M/c theory
-//!   ([`queueing`]),
+//! * a pending-event set with deterministic tie-breaking ([`queue`]) plus
+//!   a naive baseline for ablation ([`baseline`]); an event scheduled one
+//!   at a time can be cancelled by handle, in O(log n) from the heap and
+//!   O(1) from the push run, while batch-scheduled events cannot be,
+//! * the c-server FIFO queueing station E18's engine runs, checked against
+//!   the M/D/1 and Erlang-B closed forms ([`queueing`]),
 //! * the simulation executive ([`sim::Simulation`]),
 //! * a splittable, platform-independent PRNG ([`rng::SimRng`]) and a set of
 //!   validated probability distributions ([`dist`]),

@@ -1,212 +1,188 @@
-//! A multi-server FIFO queueing station.
+//! The c-server queueing station, simulated request by request.
 //!
-//! [`Station`] models an M/M/c-style service point in virtual time: jobs
-//! arrive, wait in FIFO order for one of `c` servers, are served for a
-//! sampled duration, and leave. The station is *clock-driven by its
-//! caller* — it exposes `arrive` and `advance_to` so it composes with the
-//! event executive or with slot-based loops alike — and records waiting
-//! time, sojourn time and queue-length statistics.
+//! [`Station`] is `servers` identical servers in front of a bounded FIFO
+//! waiting room, each serving one request in a fixed service time. It
+//! runs inside a [`Simulation`]: [`Station::arrive`] is the arrival
+//! handler callers schedule, one event per request (usually a whole slot
+//! at once through [`Simulation::schedule_batch`]), and the station
+//! schedules each service completion itself. An arrival that finds every
+//! server busy and the waiting room full is shed.
 //!
-//! No experiment uses it yet: the `a4_latency_model` bench runs it as the
-//! explicit M/M/c reference for E12's closed-form latency curve, and the
-//! unit tests validate it against the closed-form M/M/1 and M/M/c
-//! results.
+//! This is the station `elc-fluid`'s engine runs for E18, at event
+//! fidelity throughout and at auto fidelity inside each event segment,
+//! where [`Station::seed_backlog`] turns the fluid backlog into waiting
+//! requests. The tests check it against results that are exact for
+//! deterministic service: the Pollaczek–Khinchine mean sojourn of M/D/1,
+//! Erlang-B blocking of an M/D/c loss system (Erlang-B does not depend on
+//! the service-time distribution), and conservation of requests.
 
 use std::collections::VecDeque;
 
-use crate::metrics::{Counter, Histogram};
-use crate::series::TimeWeighted;
+use crate::metrics::Histogram;
+use crate::sim::Simulation;
 use crate::time::{SimDuration, SimTime};
 
-/// One waiting job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Job {
-    arrived_at: SimTime,
-    service: SimDuration,
-}
-
-/// A busy server: when it frees up.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct Busy(SimTime);
-
-/// A c-server FIFO station with unbounded (or bounded) waiting room.
+/// `servers` identical servers over a bounded FIFO waiting room, with a
+/// deterministic service time.
 ///
 /// # Examples
 ///
 /// ```
 /// use elc_simcore::queueing::Station;
-/// use elc_simcore::time::{SimDuration, SimTime};
+/// use elc_simcore::{SimDuration, Simulation};
 ///
-/// let mut st = Station::new(1, None);
-/// st.arrive(SimTime::ZERO, SimDuration::from_secs(2));
-/// st.arrive(SimTime::from_secs(1), SimDuration::from_secs(2));
-/// st.advance_to(SimTime::from_secs(10));
-/// assert_eq!(st.completed().value(), 2);
-/// // Second job waited one second for the first to finish.
-/// assert!(st.waiting_time().mean() > 0.0);
+/// // One server, 2 s per request, room for one waiting request.
+/// let station = Station::new(1, SimDuration::from_secs(2), 1);
+/// let mut sim = Simulation::new(7, station);
+/// let at = [0, 1, 1].map(SimDuration::from_secs);
+/// sim.schedule_batch(&at, Station::arrive);
+/// sim.run();
+/// let st = sim.state();
+/// assert_eq!((st.offered(), st.served(), st.shed()), (3, 2, 1));
+/// // The second request waited one second behind the first.
+/// assert_eq!(st.latency().min_max(), Some((2.0, 3.0)));
 /// ```
 #[derive(Debug, Clone)]
 pub struct Station {
-    servers: usize,
-    waiting_cap: Option<usize>,
-    queue: VecDeque<Job>,
-    busy: Vec<Busy>,
-    now: SimTime,
-    completed: Counter,
-    rejected: Counter,
-    waiting: Histogram,
-    sojourn: Histogram,
-    queue_len: TimeWeighted,
+    servers: u64,
+    busy: u64,
+    service: SimDuration,
+    /// Arrival instants of the waiting requests.
+    queue: VecDeque<SimTime>,
+    queue_limit: usize,
+    offered: u64,
+    served: u64,
+    shed: u64,
+    peak_queue: usize,
+    latency: Histogram,
 }
 
 impl Station {
-    /// Creates a station with `servers` servers and an optional waiting-room
-    /// bound (`None` = unbounded; `Some(0)` = loss system).
+    /// A station of `servers` servers, each taking `service` per request,
+    /// over a waiting room of `queue_limit` requests (0 makes it a loss
+    /// system).
     ///
     /// # Panics
     ///
     /// Panics if `servers` is zero.
     #[must_use]
-    pub fn new(servers: usize, waiting_cap: Option<usize>) -> Self {
+    pub fn new(servers: u64, service: SimDuration, queue_limit: u64) -> Self {
         assert!(servers > 0, "a station needs at least one server");
         Station {
             servers,
-            waiting_cap,
-            queue: VecDeque::new(),
-            busy: Vec::new(),
-            now: SimTime::ZERO,
-            completed: Counter::new(),
-            rejected: Counter::new(),
-            waiting: Histogram::new(),
-            sojourn: Histogram::new(),
-            queue_len: TimeWeighted::new(SimTime::ZERO, 0.0),
-        }
-    }
-
-    /// Number of servers.
-    #[must_use]
-    pub fn servers(&self) -> usize {
-        self.servers
-    }
-
-    /// Resizes the server pool (elastic stations). Shrinking does not
-    /// preempt jobs already in service; the pool drains down naturally.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `servers` is zero.
-    pub fn resize(&mut self, servers: usize) {
-        assert!(servers > 0, "a station needs at least one server");
-        self.servers = servers;
-    }
-
-    /// Advances the station clock to `t`, completing any service that
-    /// finishes by then and starting queued jobs as servers free up.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is before the current station clock.
-    pub fn advance_to(&mut self, t: SimTime) {
-        assert!(t >= self.now, "station clock cannot go backwards");
-        loop {
-            // Earliest completion within the pool.
-            self.busy.sort_unstable();
-            let next_free = self.busy.first().copied();
-            match next_free {
-                Some(Busy(done)) if done <= t => {
-                    self.busy.remove(0);
-                    self.completed.incr();
-                    self.now = done;
-                    self.try_start_queued();
-                    // Record the queue transition at the instant it
-                    // happened, so the time-weighted average is exact.
-                    self.queue_len.set(done, self.queue.len() as f64);
-                }
-                _ => break,
-            }
-        }
-        self.now = t;
-        self.try_start_queued();
-        self.queue_len.set(t, self.queue.len() as f64);
-    }
-
-    fn try_start_queued(&mut self) {
-        while self.busy.len() < self.servers {
-            let Some(job) = self.queue.pop_front() else {
-                break;
-            };
-            let wait = self.now.saturating_since(job.arrived_at);
-            self.waiting.record_duration(wait);
-            self.sojourn.record_duration(wait + job.service);
-            self.busy.push(Busy(self.now + job.service));
-        }
-    }
-
-    /// A job arrives at `t` needing `service` time.
-    ///
-    /// Returns `false` if the waiting room was full and the job was lost.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` precedes the station clock — call sites must feed
-    /// arrivals in time order (the event executive guarantees this).
-    pub fn arrive(&mut self, t: SimTime, service: SimDuration) -> bool {
-        self.advance_to(t);
-        if let Some(cap) = self.waiting_cap {
-            if self.busy.len() >= self.servers && self.queue.len() >= cap {
-                self.rejected.incr();
-                return false;
-            }
-        }
-        self.queue.push_back(Job {
-            arrived_at: t,
+            busy: 0,
             service,
-        });
-        self.try_start_queued();
-        self.queue_len.set(t, self.queue.len() as f64);
-        true
+            queue: VecDeque::new(),
+            queue_limit: usize::try_from(queue_limit).unwrap_or(usize::MAX),
+            offered: 0,
+            served: 0,
+            shed: 0,
+            peak_queue: 0,
+            latency: Histogram::new(),
+        }
     }
 
-    /// Jobs finished so far.
-    #[must_use]
-    pub fn completed(&self) -> Counter {
-        self.completed
+    /// The arrival handler: one request arrives now. It starts service on
+    /// a free server, waits if the waiting room has space, and is shed
+    /// otherwise.
+    #[inline]
+    pub fn arrive(sim: &mut Simulation<Station>) {
+        let now = sim.now();
+        let st = sim.state_mut();
+        st.offered += 1;
+        if st.busy < st.servers {
+            st.busy += 1;
+            let service = st.service;
+            st.latency.record(service.as_secs_f64());
+            sim.schedule_in(service, Station::complete);
+        } else if st.queue.len() < st.queue_limit {
+            st.queue.push_back(now);
+            st.peak_queue = st.peak_queue.max(st.queue.len());
+        } else {
+            st.shed += 1;
+        }
     }
 
-    /// Jobs lost to a full waiting room.
-    #[must_use]
-    pub fn rejected(&self) -> Counter {
-        self.rejected
+    /// A service completion: the freed server takes the longest-waiting
+    /// request, or goes idle.
+    #[inline]
+    fn complete(sim: &mut Simulation<Station>) {
+        let now = sim.now();
+        let st = sim.state_mut();
+        st.served += 1;
+        if let Some(arrived) = st.queue.pop_front() {
+            let service = st.service;
+            let wait = now.saturating_since(arrived);
+            st.latency.record((wait + service).as_secs_f64());
+            sim.schedule_in(service, Station::complete);
+        } else {
+            st.busy -= 1;
+        }
     }
 
-    /// Jobs currently waiting (not in service).
+    /// Seeds `backlog` requests that are already waiting at the current
+    /// instant — a backlog materialized from fluid state — and starts as
+    /// many of them as there are free servers. They count toward
+    /// [`Station::peak_queue`] but not toward [`Station::offered`], and the
+    /// waiting-room limit does not apply to them.
+    pub fn seed_backlog(sim: &mut Simulation<Station>, backlog: u64) {
+        let now = sim.now();
+        let st = sim.state_mut();
+        let backlog = usize::try_from(backlog).expect("backlog fits in memory");
+        st.queue.extend(std::iter::repeat_n(now, backlog));
+        st.peak_queue = st.peak_queue.max(st.queue.len());
+        let starters = (st.servers - st.busy).min(st.queue.len() as u64);
+        for _ in 0..starters {
+            let st = sim.state_mut();
+            st.queue.pop_front();
+            st.busy += 1;
+            let service = st.service;
+            st.latency.record(service.as_secs_f64());
+            sim.schedule_in(service, Station::complete);
+        }
+    }
+
+    /// Requests that arrived through [`Station::arrive`].
     #[must_use]
-    pub fn queue_length(&self) -> usize {
+    pub fn offered(&self) -> u64 {
+        self.offered
+    }
+
+    /// Requests served to completion.
+    #[must_use]
+    pub fn served(&self) -> u64 {
+        self.served
+    }
+
+    /// Requests shed at a full waiting room.
+    #[must_use]
+    pub fn shed(&self) -> u64 {
+        self.shed
+    }
+
+    /// Requests waiting for a server now.
+    #[must_use]
+    pub fn waiting(&self) -> usize {
         self.queue.len()
     }
 
-    /// Jobs currently in service.
+    /// Requests in service now.
     #[must_use]
-    pub fn in_service(&self) -> usize {
-        self.busy.len()
+    pub fn in_service(&self) -> u64 {
+        self.busy
     }
 
-    /// Waiting-time distribution (seconds) of started jobs.
+    /// The most requests ever waiting at once.
     #[must_use]
-    pub fn waiting_time(&self) -> &Histogram {
-        &self.waiting
+    pub fn peak_queue(&self) -> usize {
+        self.peak_queue
     }
 
-    /// Sojourn-time distribution (wait + service, seconds) of started jobs.
+    /// Latency (wait + service, seconds) of every request that started
+    /// service, recorded as it starts.
     #[must_use]
-    pub fn sojourn_time(&self) -> &Histogram {
-        &self.sojourn
-    }
-
-    /// Time-average queue length since the station was created.
-    #[must_use]
-    pub fn mean_queue_length(&self) -> f64 {
-        self.queue_len.time_average(self.now)
+    pub fn latency(&self) -> &Histogram {
+        &self.latency
     }
 }
 
@@ -220,158 +196,184 @@ mod tests {
         SimTime::from_secs(s)
     }
 
-    #[test]
-    fn single_server_fifo_order() {
-        let mut st = Station::new(1, None);
-        st.arrive(secs(0), SimDuration::from_secs(5));
-        st.arrive(secs(1), SimDuration::from_secs(5));
-        st.arrive(secs(2), SimDuration::from_secs(5));
-        st.advance_to(secs(4));
-        assert_eq!(st.completed().value(), 0);
-        assert_eq!(st.in_service(), 1);
-        assert_eq!(st.queue_length(), 2);
-        st.advance_to(secs(15));
-        assert_eq!(st.completed().value(), 3);
-        assert_eq!(st.queue_length(), 0);
+    fn station(servers: u64, service_s: u64, queue_limit: u64) -> Simulation<Station> {
+        Simulation::new(
+            1,
+            Station::new(servers, SimDuration::from_secs(service_s), queue_limit),
+        )
+    }
+
+    fn arrivals_at(sim: &mut Simulation<Station>, secs: &[u64]) {
+        let offsets: Vec<SimDuration> = secs.iter().map(|&s| SimDuration::from_secs(s)).collect();
+        sim.schedule_batch(&offsets, Station::arrive);
     }
 
     #[test]
-    fn waits_accumulate_behind_a_long_job() {
-        let mut st = Station::new(1, None);
-        st.arrive(secs(0), SimDuration::from_secs(10));
-        st.arrive(secs(0), SimDuration::from_secs(1));
-        st.advance_to(secs(20));
-        // Second job waited exactly 10 seconds.
-        let (lo, hi) = st.waiting_time().min_max().unwrap();
-        assert_eq!(lo, 0.0);
-        assert!((hi - 10.0).abs() < 0.5, "hi {hi}");
+    fn single_server_fifo_order() {
+        let mut sim = station(1, 5, 10);
+        arrivals_at(&mut sim, &[0, 1, 2]);
+        sim.run_until(secs(4));
+        let st = sim.state();
+        assert_eq!((st.served(), st.in_service(), st.waiting()), (0, 1, 2));
+        sim.run_until(secs(15));
+        let st = sim.state();
+        assert_eq!((st.served(), st.in_service(), st.waiting()), (3, 0, 0));
+        // Served in arrival order: waits of 0, 4 and 8 seconds.
+        assert_eq!(st.latency().min_max(), Some((5.0, 13.0)));
+        assert_eq!(st.latency().mean(), 9.0);
     }
 
     #[test]
     fn parallel_servers_avoid_waits() {
-        let mut st = Station::new(3, None);
-        for _ in 0..3 {
-            st.arrive(secs(0), SimDuration::from_secs(5));
-        }
-        st.advance_to(secs(6));
-        assert_eq!(st.completed().value(), 3);
-        assert_eq!(st.waiting_time().mean(), 0.0);
+        let mut sim = station(3, 5, 10);
+        arrivals_at(&mut sim, &[0, 0, 0]);
+        sim.run_until(secs(6));
+        let st = sim.state();
+        assert_eq!(st.served(), 3);
+        assert_eq!(st.latency().min_max(), Some((5.0, 5.0)));
+        assert_eq!(st.peak_queue(), 0);
     }
 
     #[test]
-    fn loss_system_rejects_when_full() {
-        let mut st = Station::new(1, Some(0));
-        assert!(st.arrive(secs(0), SimDuration::from_secs(10)));
-        assert!(!st.arrive(secs(1), SimDuration::from_secs(1)));
-        assert_eq!(st.rejected().value(), 1);
-        st.advance_to(secs(11));
-        assert!(st.arrive(secs(11), SimDuration::from_secs(1)));
+    fn loss_system_sheds_when_full() {
+        let mut sim = station(1, 10, 0);
+        arrivals_at(&mut sim, &[0, 1, 11]);
+        sim.run();
+        let st = sim.state();
+        assert_eq!((st.offered(), st.served(), st.shed()), (3, 2, 1));
+        assert_eq!(st.peak_queue(), 0);
     }
 
     #[test]
     fn bounded_waiting_room() {
-        let mut st = Station::new(1, Some(2));
-        assert!(st.arrive(secs(0), SimDuration::from_secs(100)));
-        assert!(st.arrive(secs(0), SimDuration::from_secs(1)));
-        assert!(st.arrive(secs(0), SimDuration::from_secs(1)));
-        assert!(!st.arrive(secs(0), SimDuration::from_secs(1)));
-        assert_eq!(st.queue_length(), 2);
+        let mut sim = station(1, 100, 2);
+        arrivals_at(&mut sim, &[0, 0, 0, 0]);
+        sim.run_until(secs(1));
+        let st = sim.state();
+        assert_eq!((st.in_service(), st.waiting(), st.shed()), (1, 2, 1));
+        assert_eq!(st.peak_queue(), 2);
     }
 
     #[test]
-    fn resize_grows_service_capacity() {
-        let mut st = Station::new(1, None);
-        for _ in 0..4 {
-            st.arrive(secs(0), SimDuration::from_secs(10));
-        }
-        st.resize(4);
-        st.advance_to(secs(0));
-        assert_eq!(st.in_service(), 4);
-        st.advance_to(secs(10));
-        assert_eq!(st.completed().value(), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot go backwards")]
-    fn clock_is_monotone() {
-        let mut st = Station::new(1, None);
-        st.advance_to(secs(10));
-        st.advance_to(secs(5));
-    }
-
-    /// M/M/1 sanity: with λ = 0.5, μ = 1 (ρ = 0.5), the mean waiting time
-    /// in queue is ρ/(μ−λ) = 1.0 and mean sojourn 1/(μ−λ) = 2.0.
-    #[test]
-    fn mm1_matches_theory() {
-        let mut rng = SimRng::seed(42);
-        let arrivals = Exp::new(0.5).unwrap();
-        let service = Exp::new(1.0).unwrap();
-        let mut st = Station::new(1, None);
-        let mut t = 0.0;
-        for _ in 0..200_000 {
-            t += arrivals.sample(&mut rng);
-            let s = service.sample(&mut rng);
-            st.arrive(
-                SimTime::from_nanos((t * 1e9) as u64),
-                SimDuration::from_secs_f64(s),
-            );
-        }
-        st.advance_to(SimTime::from_nanos((t * 1e9) as u64) + SimDuration::from_secs(10_000));
-        let wq = st.waiting_time().mean();
-        let w = st.sojourn_time().mean();
-        assert!((wq - 1.0).abs() < 0.1, "Wq {wq} (theory 1.0)");
-        assert!((w - 2.0).abs() < 0.1, "W {w} (theory 2.0)");
-    }
-
-    /// M/M/2 sanity: λ = 1.2, μ = 1 per server (ρ = 0.6). Erlang-C gives
-    /// P(wait) = 0.45 and Wq = C/(cμ−λ) = 0.5625.
-    #[test]
-    fn mm2_matches_erlang_c() {
-        let mut rng = SimRng::seed(7);
-        let arrivals = Exp::new(1.2).unwrap();
-        let service = Exp::new(1.0).unwrap();
-        let mut st = Station::new(2, None);
-        let mut t = 0.0;
-        for _ in 0..200_000 {
-            t += arrivals.sample(&mut rng);
-            let s = service.sample(&mut rng);
-            st.arrive(
-                SimTime::from_nanos((t * 1e9) as u64),
-                SimDuration::from_secs_f64(s),
-            );
-        }
-        st.advance_to(SimTime::from_nanos((t * 1e9) as u64) + SimDuration::from_secs(10_000));
-        let wq = st.waiting_time().mean();
-        assert!((wq - 0.5625).abs() < 0.05, "Wq {wq} (theory 0.5625)");
-    }
-
-    #[test]
-    fn mean_queue_length_little_law() {
-        // Little's law: Lq = λ · Wq. Reuse the M/M/1 setup (λ=0.5 ⇒ Lq=0.5).
-        let mut rng = SimRng::seed(11);
-        let arrivals = Exp::new(0.5).unwrap();
-        let service = Exp::new(1.0).unwrap();
-        let mut st = Station::new(1, None);
-        let mut t = 0.0;
-        for _ in 0..200_000 {
-            t += arrivals.sample(&mut rng);
-            let s = service.sample(&mut rng);
-            st.arrive(
-                SimTime::from_nanos((t * 1e9) as u64),
-                SimDuration::from_secs_f64(s),
-            );
-        }
-        let lq = st.mean_queue_length();
-        assert!((lq - 0.5).abs() < 0.06, "Lq {lq} (theory 0.5)");
+    fn a_seeded_backlog_starts_on_free_servers_and_counts_toward_the_peak() {
+        let mut sim = station(2, 1, 1);
+        Station::seed_backlog(&mut sim, 5);
+        let st = sim.state();
+        assert_eq!((st.in_service(), st.waiting(), st.peak_queue()), (2, 3, 5));
+        assert_eq!(st.offered(), 0, "a seeded request was offered before");
+        sim.run();
+        let st = sim.state();
+        assert_eq!((st.served(), st.in_service(), st.waiting()), (5, 0, 0));
+        // Two at once per second: latencies 1, 1, 2, 2, 3.
+        assert_eq!(st.latency().count(), 5);
+        assert_eq!(st.latency().min_max(), Some((1.0, 3.0)));
+        assert_eq!(st.latency().summary().sum(), 9.0);
     }
 
     #[test]
     fn counters_start_at_zero() {
-        let st = Station::new(2, None);
-        assert_eq!(st.completed().value(), 0);
-        assert_eq!(st.rejected().value(), 0);
-        assert_eq!(st.queue_length(), 0);
-        assert_eq!(st.in_service(), 0);
-        assert_eq!(st.servers(), 2);
+        let st = Station::new(2, SimDuration::from_secs(1), 4);
+        assert_eq!((st.offered(), st.served(), st.shed()), (0, 0, 0));
+        assert_eq!((st.waiting(), st.in_service(), st.peak_queue()), (0, 0, 0));
+        assert_eq!(st.latency().count(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one server")]
+    fn a_station_needs_a_server() {
+        let _ = Station::new(0, SimDuration::from_secs(1), 4);
+    }
+
+    /// Service time of the oracle runs.
+    const SERVICE_S: f64 = 1.0;
+
+    /// Drives `arrivals` Poisson arrivals at `rate` per second through a
+    /// `servers`-server station and runs it empty.
+    fn poisson_run(servers: u64, queue_limit: u64, rate: f64, arrivals: usize) -> Station {
+        let mut rng = SimRng::seed(2024).derive("station-oracle");
+        let gaps = Exp::new(rate).expect("positive rate");
+        let mut t = 0.0;
+        let offsets: Vec<SimDuration> = (0..arrivals)
+            .map(|_| {
+                t += gaps.sample(&mut rng);
+                SimDuration::from_secs_f64(t)
+            })
+            .collect();
+        let service = SimDuration::from_secs_f64(SERVICE_S);
+        let mut sim = Simulation::new(1, Station::new(servers, service, queue_limit));
+        sim.schedule_batch(&offsets, Station::arrive);
+        sim.run();
+        sim.into_state()
+    }
+
+    /// Pollaczek–Khinchine for M/D/1: mean sojourn D + ρD / (2(1 − ρ)).
+    fn pk_sojourn(rho: f64) -> f64 {
+        SERVICE_S + rho * SERVICE_S / (2.0 * (1.0 - rho))
+    }
+
+    /// Erlang-B blocking of `c` servers under `load` erlangs, by the
+    /// recursion B(k) = a·B(k−1) / (k + a·B(k−1)), B(0) = 1.
+    fn erlang_b(c: u64, load: f64) -> f64 {
+        (1..=c).fold(1.0, |b, k| load * b / (k as f64 + load * b))
+    }
+
+    /// Mean sojourn of an M/D/1 run at utilization `rho`, relative to P-K.
+    fn pk_error(rho: f64, arrivals: usize) -> f64 {
+        let st = poisson_run(1, u64::MAX, rho / SERVICE_S, arrivals);
+        assert_eq!(st.served(), arrivals as u64);
+        st.latency().mean() / pk_sojourn(rho) - 1.0
+    }
+
+    /// Shed fraction of an M/D/c loss run under `load` erlangs, minus
+    /// Erlang-B.
+    fn erlang_b_error(c: u64, load: f64, arrivals: usize) -> f64 {
+        let st = poisson_run(c, 0, load / SERVICE_S, arrivals);
+        assert_eq!(st.served() + st.shed(), arrivals as u64);
+        st.shed() as f64 / st.offered() as f64 - erlang_b(c, load)
+    }
+
+    #[test]
+    fn erlang_b_recursion_matches_the_closed_form() {
+        // B(4, 3) = (3⁴/4!) / Σₖ₌₀⁴ 3ᵏ/k! = 3.375 / 16.375.
+        assert!((erlang_b(4, 3.0) - 3.375 / 16.375).abs() < 1e-12);
+        assert!((erlang_b(1, 0.5) - 0.5 / 1.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn md1_mean_sojourn_matches_pollaczek_khinchine() {
+        for rho in [0.5, 0.8] {
+            let err = pk_error(rho, 200_000);
+            assert!(err.abs() < 0.05, "ρ = {rho}: sojourn off P-K by {err:+.4}");
+        }
+    }
+
+    #[test]
+    fn mdc_loss_system_matches_erlang_b() {
+        for (c, load) in [(1, 0.5), (4, 3.0)] {
+            let err = erlang_b_error(c, load, 200_000);
+            assert!(
+                err.abs() < 0.01,
+                "B({c}, {load}): shed off Erlang-B by {err:+.4}"
+            );
+        }
+    }
+
+    #[test]
+    #[ignore = "wide sweep, 14M arrivals: run in release with --include-ignored"]
+    fn oracles_hold_across_a_wide_sweep() {
+        for c in [1, 2, 4, 8, 16] {
+            for rho in [0.5, 1.0] {
+                let load = rho * c as f64;
+                let err = erlang_b_error(c, load, 1_000_000);
+                assert!(
+                    err.abs() < 0.002,
+                    "B({c}, {load}): shed off Erlang-B by {err:+.5}"
+                );
+            }
+        }
+        for rho in [0.3, 0.5, 0.7, 0.9] {
+            let err = pk_error(rho, 1_000_000);
+            assert!(err.abs() < 0.01, "ρ = {rho}: sojourn off P-K by {err:+.5}");
+        }
     }
 }

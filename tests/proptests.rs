@@ -406,40 +406,46 @@ fn workload_rate_bounded_by_peak() {
     });
 }
 
-/// Queueing station conservation: completed + in-service + waiting +
-/// rejected equals total arrivals, for any arrival pattern.
+/// Queueing station conservation: after every tick, offered + seeded =
+/// served + shed + waiting + in service, for any arrival pattern, waiting
+/// room and seeded backlog; run empty, the station has served or shed
+/// every request.
 #[test]
 fn station_conserves_jobs() {
     use elearn_cloud::simcore::queueing::Station;
+    use elearn_cloud::simcore::Simulation;
 
     cases(48, 0xE016, |rng| {
-        let gaps = vec_u64(rng, 1, 4_999, 1..200);
-        let services = vec_u64(rng, 1, 9_999, 1..200);
-        let servers = rng.range_u64(1, 5) as usize;
-        let cap = if rng.chance(0.5) {
-            Some(rng.next_below(8) as usize)
+        let servers = rng.range_u64(1, 5);
+        let queue_limit = if rng.chance(0.5) {
+            rng.next_below(8)
         } else {
-            None
+            u64::MAX
         };
-        let mut st = Station::new(servers, cap);
-        let mut t = SimTime::ZERO;
-        let n = gaps.len().min(services.len());
-        let mut accepted = 0u64;
-        for i in 0..n {
-            t += SimDuration::from_millis(gaps[i]);
-            if st.arrive(t, SimDuration::from_millis(services[i])) {
-                accepted += 1;
-            }
+        let service = SimDuration::from_millis(rng.range_u64(1, 9_999));
+        let station = Station::new(servers, service, queue_limit);
+        let mut sim = Simulation::new(rng.next_u64(), station);
+        let seeded = rng.next_below(12);
+        Station::seed_backlog(&mut sim, seeded);
+        let tick_ms = rng.range_u64(1, 20_000);
+        for _ in 0..rng.range_u64(1, 12) {
+            let mut offsets = vec_u64(rng, 0, tick_ms - 1, 0..40);
+            offsets.sort_unstable();
+            let offsets: Vec<SimDuration> =
+                offsets.into_iter().map(SimDuration::from_millis).collect();
+            sim.schedule_batch(&offsets, Station::arrive);
+            sim.run_for(SimDuration::from_millis(tick_ms));
+            let st = sim.state();
+            assert_eq!(
+                st.offered() + seeded,
+                st.served() + st.shed() + st.waiting() as u64 + st.in_service()
+            );
+            assert!(st.in_service() <= servers);
         }
-        let before_drain =
-            st.completed().value() + st.in_service() as u64 + st.queue_length() as u64;
-        assert_eq!(before_drain, accepted);
-        assert_eq!(accepted + st.rejected().value(), n as u64);
-        // Drain completely.
-        st.advance_to(t + SimDuration::from_secs(10_000));
-        assert_eq!(st.completed().value(), accepted);
-        assert_eq!(st.queue_length(), 0);
-        assert_eq!(st.in_service(), 0);
+        sim.run();
+        let st = sim.state();
+        assert_eq!((st.waiting(), st.in_service()), (0, 0));
+        assert_eq!(st.offered() + seeded, st.served() + st.shed());
     });
 }
 

@@ -2,7 +2,7 @@
 //! depend on the random seed. The stochastic digits move; the shapes the
 //! paper asserts do not.
 
-use elearn_cloud::core::experiments::{e12, run_all};
+use elearn_cloud::core::experiments::{e12, e16, run_all};
 use elearn_cloud::core::Scenario;
 use elearn_cloud::deploy::model::DeploymentKind;
 
@@ -79,5 +79,30 @@ fn university_scale_surge_verdict_is_stable() {
             fixed > 0.3 && elastic < 0.05,
             "seed {seed}: surge verdict moved (fixed {fixed}, elastic {elastic})"
         );
+    }
+}
+
+/// E16's claim over 32 seeds fixed in advance, at two scales: under the
+/// default exam-day crisis the hybrid loses no quiz submission, while the
+/// public model (through the uplink storm) and the private one (after the
+/// site disaster) each lose some.
+#[test]
+fn hybrid_alone_keeps_every_quiz_submission_over_32_seeds() {
+    use e16::DeployModel::{Hybrid, Private, Public};
+
+    for preset in [Scenario::small_college, Scenario::university] {
+        for seed in 1..=32 {
+            let scenario = preset(seed);
+            let out = e16::run(&scenario);
+            let lost = |m| out.row(m).quiz_submits_lost;
+            let name = scenario.name();
+            assert_eq!(
+                lost(Hybrid),
+                0.0,
+                "{name} seed {seed}: hybrid lost quiz submissions"
+            );
+            assert!(lost(Public) > 0.0, "{name} seed {seed}: public lost none");
+            assert!(lost(Private) > 0.0, "{name} seed {seed}: private lost none");
+        }
     }
 }
