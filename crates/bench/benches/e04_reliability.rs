@@ -16,9 +16,16 @@ fn bench(c: &mut Criterion) {
         g.bench_function(format!("analytic_{kind}"), |b| {
             b.iter(|| profile.asset_loss_probability(black_box(3.0)))
         });
+        // One E04 Monte-Carlo run: 20 objects, each run on a fresh stream
+        // derived from its index.
         g.bench_function(format!("mc_survival_{kind}"), |b| {
-            let mut rng = SimRng::seed(HARNESS_SEED);
-            b.iter(|| profile.simulate_survival(&mut rng, black_box(100), 10.0))
+            let rng = SimRng::seed(HARNESS_SEED).derive(&kind.to_string());
+            let mut run = 0u64;
+            b.iter(|| {
+                let mut r = rng.derive_u64(run);
+                run += 1;
+                profile.simulate_survival(&mut r, black_box(20), 10.0)
+            })
         });
     }
     g.finish();

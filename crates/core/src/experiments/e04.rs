@@ -160,18 +160,29 @@ mod tests {
 
     #[test]
     fn mc_agrees_with_analytic_disaster_path() {
-        let out = output();
-        let private = out.row(DeploymentKind::Private);
-        // The MC covers the disaster path only; compare against the
-        // disaster component (site loss destroys all private replicas).
-        let profile = StorageProfile::for_model(DeploymentKind::Private);
-        let expected = 1.0 - profile.failures.disaster_probability(10.0);
-        assert!(
-            (private.mc_survival_10y - expected).abs() < 0.03,
-            "mc {} vs {}",
-            private.mc_survival_10y,
-            expected
-        );
+        // The MC covers the disaster path only: an object is lost when
+        // every site it spans burns, so it survives with probability
+        // 1 - p_site^spread. All three profiles spread each object over
+        // every site, so each run survives all or nothing and the mean of
+        // MC_RUNS runs is binomial: the bound is 4 standard errors.
+        for seed in [1, 7, 42, 2013, 9001] {
+            let out = run(&Scenario::university(seed));
+            for kind in DeploymentKind::ALL {
+                let profile = StorageProfile::for_model(kind);
+                assert_eq!(profile.replication.spread(), profile.replication.sites);
+                let p_loss = profile
+                    .failures
+                    .disaster_probability(10.0)
+                    .powi(profile.replication.spread() as i32);
+                let se = (p_loss * (1.0 - p_loss) / MC_RUNS as f64).sqrt();
+                let mc = out.row(kind).mc_survival_10y;
+                assert!(
+                    (mc - (1.0 - p_loss)).abs() <= 4.0 * se,
+                    "seed {seed} {kind}: mc {mc} vs analytic {} ± 4 × {se}",
+                    1.0 - p_loss
+                );
+            }
+        }
     }
 
     #[test]

@@ -111,6 +111,7 @@ impl Output {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use elc_deploy::cost::tco;
 
     fn output() -> Output {
         run(&Scenario::national_platform(31))
@@ -142,6 +143,27 @@ mod tests {
         // It is the unique minimum of both security and exit axes.
         let out = output();
         assert!(out.frontier.iter().any(|p| p.public_fraction == 0.0));
+    }
+
+    #[test]
+    fn sweep_prices_every_placement_as_a_lone_tco() {
+        // The sweep samples the half-year once for all 64 placements; each
+        // total must keep the exact bits `tco` computes on its own.
+        for scenario in [Scenario::small_college(42), Scenario::national_platform(42)] {
+            let mut inputs = CostInputs::standard(scenario.workload_model());
+            inputs.years = scenario.years();
+            let out = run(&scenario);
+            assert_eq!(out.points.len(), 64);
+            for p in &out.points {
+                assert_eq!(
+                    p.total_cost.amount().to_bits(),
+                    tco(&p.deployment, &inputs).total().amount().to_bits(),
+                    "{}: {:?}",
+                    scenario.name(),
+                    p.deployment
+                );
+            }
+        }
     }
 
     #[test]

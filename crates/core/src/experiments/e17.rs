@@ -598,33 +598,17 @@ impl Output {
     }
 }
 
-/// The FaaS column of the T1 appendix, derived from the same experiment
-/// outputs that fill the three VM columns.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaasColumn {
-    /// TCO over the horizon, USD.
-    pub tco: f64,
-    /// Mean update staleness, days (provider-pushed, the SaaS channel).
-    pub staleness_days: f64,
-    /// Asset loss probability over 3 years (provider-replicated storage).
-    pub loss_probability: f64,
-    /// Confidential incidents per year (shared multi-tenant platform).
-    pub confidential_incidents: f64,
-    /// Exit cost, USD — the public exit amplified by the proprietary
-    /// function runtime ([`calib::FAAS_LOCKIN_FACTOR`]).
-    pub exit_cost: f64,
-    /// Time to first service, days.
-    pub time_to_service_days: f64,
-    /// Ongoing operations staffing, FTE.
-    pub ops_fte: f64,
-    /// Exam-day lost fraction, from the E17 burst-pool starvation.
-    pub surge_rejected: f64,
-}
+/// The FaaS column of the T1 appendix: one value per T1 criterion, derived
+/// from the same experiment outputs that fill the three VM columns.
+pub type FaasColumn = t1::ModelMetrics<f64>;
 
 impl FaasColumn {
     /// Derives the column: measured E17 surge behaviour, the invocation
     /// TCO, and the public column's provider-side values where the FaaS
-    /// platform shares the public cloud's properties.
+    /// platform shares the public cloud's properties — provider-pushed
+    /// updates (the SaaS channel), provider-replicated storage and a shared
+    /// multi-tenant platform. Its exit cost is the public exit amplified by
+    /// the proprietary function runtime ([`calib::FAAS_LOCKIN_FACTOR`]).
     #[must_use]
     pub fn derive(scenario: &Scenario, base: &t1::ModelMetrics, e17: &Output) -> Self {
         let mut inputs = CostInputs::standard(scenario.workload_model());
@@ -648,44 +632,19 @@ impl FaasColumn {
     #[must_use]
     pub fn wide_matrix(&self, base: &t1::ModelMetrics) -> WideMatrix {
         let mut m = WideMatrix::new(["public", "private", "hybrid", "faas"]);
-        let mut add = |name: &str, exp: &str, three: [f64; 3], faas: f64| {
+        for ((name, experiment, three), (_, _, faas)) in
+            base.criteria().into_iter().zip(self.criteria())
+        {
+            // FaaS's exam-day loss is E17's measurement.
+            let experiment = if experiment == "E12" {
+                "E12/E17"
+            } else {
+                experiment
+            };
             let mut values = three.to_vec();
             values.push(faas);
-            m.add(name, exp, values, Direction::LowerIsBetter);
-        };
-        add("3-year TCO ($)", "E1", base.tco, self.tco);
-        add(
-            "update staleness (days)",
-            "E3",
-            base.staleness_days,
-            self.staleness_days,
-        );
-        add(
-            "asset loss probability (3y)",
-            "E4",
-            base.loss_probability,
-            self.loss_probability,
-        );
-        add(
-            "confidential incidents (/yr)",
-            "E6",
-            base.confidential_incidents,
-            self.confidential_incidents,
-        );
-        add("exit cost ($)", "E8", base.exit_cost, self.exit_cost);
-        add(
-            "time to service (days)",
-            "E9",
-            base.time_to_service_days,
-            self.time_to_service_days,
-        );
-        add("operations (FTE)", "E11", base.ops_fte, self.ops_fte);
-        add(
-            "exam-day rejected (frac)",
-            "E12/E17",
-            base.surge_rejected,
-            self.surge_rejected,
-        );
+            m.add(name, experiment, values, Direction::LowerIsBetter);
+        }
         m
     }
 

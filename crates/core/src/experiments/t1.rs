@@ -12,26 +12,50 @@ use elc_deploy::model::{Deployment, DeploymentKind};
 
 use super::{e01, e03, e04, e06, e08, e09, e11, e12};
 
-/// Per-model metric values (order: public, private, hybrid) for every
-/// criterion the advisor weighs.
+/// Metric values for every criterion the advisor weighs. The default
+/// `[f64; 3]` holds one value per model (order: public, private, hybrid);
+/// the T1 appendix's FaaS column ([`FaasColumn`](super::e17::FaasColumn))
+/// holds a single `f64`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ModelMetrics {
+pub struct ModelMetrics<V = [f64; 3]> {
     /// TCO over the horizon, USD.
-    pub tco: [f64; 3],
+    pub tco: V,
     /// Mean update staleness, days.
-    pub staleness_days: [f64; 3],
+    pub staleness_days: V,
     /// Asset loss probability over 3 years.
-    pub loss_probability: [f64; 3],
+    pub loss_probability: V,
     /// Confidential incidents per year.
-    pub confidential_incidents: [f64; 3],
+    pub confidential_incidents: V,
     /// Exit cost, USD.
-    pub exit_cost: [f64; 3],
+    pub exit_cost: V,
     /// Time to first service, days.
-    pub time_to_service_days: [f64; 3],
+    pub time_to_service_days: V,
     /// Ongoing operations staffing, FTE.
-    pub ops_fte: [f64; 3],
+    pub ops_fte: V,
     /// Exam-day rejected fraction.
-    pub surge_rejected: [f64; 3],
+    pub surge_rejected: V,
+}
+
+impl<V: Copy> ModelMetrics<V> {
+    /// The comparison criteria in matrix row order: name, source
+    /// experiment and value. Every one is lower-is-better.
+    #[must_use]
+    pub fn criteria(&self) -> [(&'static str, &'static str, V); 8] {
+        [
+            ("3-year TCO ($)", "E1", self.tco),
+            ("update staleness (days)", "E3", self.staleness_days),
+            ("asset loss probability (3y)", "E4", self.loss_probability),
+            (
+                "confidential incidents (/yr)",
+                "E6",
+                self.confidential_incidents,
+            ),
+            ("exit cost ($)", "E8", self.exit_cost),
+            ("time to service (days)", "E9", self.time_to_service_days),
+            ("operations (FTE)", "E11", self.ops_fte),
+            ("exam-day rejected (frac)", "E12", self.surge_rejected),
+        ]
+    }
 }
 
 impl ModelMetrics {
@@ -94,21 +118,9 @@ impl ModelMetrics {
     #[must_use]
     pub fn matrix(&self) -> WideMatrix {
         let mut m = WideMatrix::new(["public", "private", "hybrid"]);
-        let mut add = |name: &str, exp: &str, values: [f64; 3]| {
-            m.add(name, exp, values.to_vec(), Direction::LowerIsBetter);
-        };
-        add("3-year TCO ($)", "E1", self.tco);
-        add("update staleness (days)", "E3", self.staleness_days);
-        add("asset loss probability (3y)", "E4", self.loss_probability);
-        add(
-            "confidential incidents (/yr)",
-            "E6",
-            self.confidential_incidents,
-        );
-        add("exit cost ($)", "E8", self.exit_cost);
-        add("time to service (days)", "E9", self.time_to_service_days);
-        add("operations (FTE)", "E11", self.ops_fte);
-        add("exam-day rejected (frac)", "E12", self.surge_rejected);
+        for (name, experiment, values) in self.criteria() {
+            m.add(name, experiment, values.to_vec(), Direction::LowerIsBetter);
+        }
         m
     }
 

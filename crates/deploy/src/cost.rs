@@ -144,13 +144,43 @@ pub fn private_unit_day_cost(unit: VmSize) -> Usd {
     per_server_year * (scale / 365.0)
 }
 
-/// Prices a deployment over the horizon.
+/// Two identical terms per year: public usage is sampled hourly over one
+/// 26-week half-year and doubled.
+const HALF_YEAR: SimDuration = SimDuration::from_days(26 * 7);
+
+/// The workload's offered rate at every hour of the half-year [`tco`]
+/// integrates public usage over.
+pub(crate) fn half_year_rates(workload: &WorkloadModel) -> Vec<f64> {
+    (0..HALF_YEAR.as_secs() / 3_600)
+        .map(|hour| workload.rate_at(SimTime::ZERO + SimDuration::from_hours(hour)))
+        .collect()
+}
+
+/// Prices a deployment over the horizon. A deployment with a public share
+/// samples the workload's half-year hour by hour; one without skips it.
 ///
 /// # Panics
 ///
 /// Panics if `inputs.years` is not positive.
 #[must_use]
 pub fn tco(deployment: &Deployment, inputs: &CostInputs) -> CostBreakdown {
+    let rates = if deployment.components_on(Site::PublicCloud).is_empty() {
+        Vec::new()
+    } else {
+        half_year_rates(&inputs.workload)
+    };
+    tco_sampled(deployment, inputs, &rates)
+}
+
+/// [`tco`] over the half-year's hourly rates, sampled by the caller with
+/// [`half_year_rates`] so that pricing many placements of one workload
+/// samples it once. `rates` is read only when the deployment has a public
+/// share.
+pub(crate) fn tco_sampled(
+    deployment: &Deployment,
+    inputs: &CostInputs,
+    rates: &[f64],
+) -> CostBreakdown {
     assert!(inputs.years > 0.0, "horizon must be positive");
     let public_frac = deployment.public_load_fraction();
     let has_public = !deployment.components_on(Site::PublicCloud).is_empty();
@@ -165,21 +195,15 @@ pub fn tco(deployment: &Deployment, inputs: &CostInputs) -> CostBreakdown {
         let unit_rps = VmSize::Medium.requests_per_sec();
         let mix = elc_elearn::request::RequestMix::teaching();
         let mean_response = mix.mean_response_size().as_u64() as f64;
-        // Two identical terms per year; sample hourly over one 26-week
-        // half-year and double.
-        let half_year = SimDuration::from_days(26 * 7);
-        let step = SimDuration::from_hours(1);
         let public_egress_share: f64 = deployment
             .components_on(Site::PublicCloud)
             .iter()
             .map(|c| c.egress_share())
             .sum();
-        let mut t = SimTime::ZERO;
         let mut vm_hours = 0.0;
         let mut egress_bytes = 0.0;
         let mut min_instances = u32::MAX;
-        while t < SimTime::ZERO + half_year {
-            let total_rate = inputs.workload.rate_at(t);
+        for &total_rate in rates {
             let rate = total_rate * public_frac;
             let instances =
                 ((rate / (unit_rps * PUBLIC_TARGET_UTIL)).ceil() as u32).max(PUBLIC_MIN_INSTANCES);
@@ -189,7 +213,6 @@ pub fn tco(deployment: &Deployment, inputs: &CostInputs) -> CostBreakdown {
             samples += 1;
             egress_bytes +=
                 total_rate * public_egress_share * 3_600.0 * mean_response * EGRESS_BILLED_FRACTION;
-            t += step;
         }
         // The always-on baseline can be covered by reserved instances:
         // those hours leave the metered on-demand bill and come back as

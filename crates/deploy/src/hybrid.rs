@@ -12,7 +12,7 @@ use elc_cloud::billing::{PriceSheet, Usd};
 use elc_net::link::{Link, LinkProfile};
 use elc_net::units::Bytes;
 
-use crate::cost::{tco, CostInputs};
+use crate::cost::{half_year_rates, tco_sampled, CostInputs};
 use crate::migration::exit_plan;
 use crate::model::{Component, Deployment, Site};
 use crate::security::ThreatModel;
@@ -34,9 +34,12 @@ pub struct SplitPoint {
 
 /// Sweeps all `2^6` component placements.
 ///
-/// `data` is the stored-content volume used for exit pricing.
+/// `data` is the stored-content volume used for exit pricing. Each
+/// placement is priced as [`tco`](crate::cost::tco) prices it, over one
+/// hourly sampling of the workload's half-year shared by the whole sweep.
 #[must_use]
 pub fn sweep(inputs: &CostInputs, threat: &ThreatModel, data: Bytes) -> Vec<SplitPoint> {
+    let rates = half_year_rates(&inputs.workload);
     let prices = PriceSheet::public_2013();
     let egress_link = Link::from_profile(LinkProfile::InterDatacenter);
     let n = Component::ALL.len();
@@ -55,7 +58,7 @@ pub fn sweep(inputs: &CostInputs, threat: &ThreatModel, data: Bytes) -> Vec<Spli
             })
             .collect();
         let deployment = Deployment::with_placement(placement);
-        let cost = tco(&deployment, inputs);
+        let cost = tco_sampled(&deployment, inputs, &rates);
         let exit = exit_plan(&deployment, data, &prices, &egress_link);
         points.push(SplitPoint {
             public_fraction: deployment.public_load_fraction(),

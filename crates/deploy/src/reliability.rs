@@ -67,7 +67,7 @@ impl StorageProfile {
         // Disaster path: a site disaster wipes every replica in that site.
         // With replicas spread over `sites` domains, the asset dies only if
         // *all* its sites are destroyed.
-        let sites = self.replication.placement(0).len() as i32;
+        let sites = self.replication.spread() as i32;
         let p_site = self.failures.disaster_probability(years).powi(sites);
         // Union of (approximately) independent loss paths.
         1.0 - (1.0 - p_disk) * (1.0 - p_site)
@@ -77,7 +77,7 @@ impl StorageProfile {
     /// Monte-Carlo disaster experiments.
     #[must_use]
     pub fn build_store(&self, objects: usize, object_size: Bytes) -> ObjectStore {
-        let mut store = ObjectStore::new(self.replication);
+        let mut store = ObjectStore::with_capacity(self.replication, objects);
         for _ in 0..objects {
             store.put(object_size);
         }
@@ -89,10 +89,9 @@ impl StorageProfile {
     #[must_use]
     pub fn simulate_survival(&self, rng: &mut SimRng, objects: usize, years: f64) -> f64 {
         let mut store = self.build_store(objects, Bytes::from_mib(1));
-        let sites = self.replication.sites;
-        for site in 0..sites {
+        let p = self.failures.disaster_probability(years);
+        for site in 0..self.replication.sites {
             let mut site_rng = rng.derive_u64(u64::from(site));
-            let p = self.failures.disaster_probability(years);
             if site_rng.chance(p) {
                 store.destroy_site(site);
             }

@@ -20,7 +20,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use elc_elearn::request::{RequestKind, RequestMix};
-use elc_simcore::time::SimDuration;
+use elc_simcore::time::{SimDuration, NANOS_PER_SEC};
 
 /// Errors from trace validation, codecs, morphing or recording.
 #[derive(Debug, Clone, PartialEq)]
@@ -288,11 +288,11 @@ impl WorkloadTrace {
         }
         let scale_t = |t: u64| -> u64 {
             let rel = u128::from(t.saturating_sub(t0));
-            let scaled = rel * num / 1_000_000_000u128;
+            let scaled = rel.saturating_mul(num) / 1_000_000_000u128;
             t0.saturating_add(u64::try_from(scaled).unwrap_or(u64::MAX))
         };
         let scale_span = |d: u64| -> u64 {
-            let scaled = u128::from(d) * num / 1_000_000_000u128;
+            let scaled = u128::from(d).saturating_mul(num) / 1_000_000_000u128;
             u64::try_from(scaled).unwrap_or(u64::MAX).max(1)
         };
         let inv = 1.0 / factor;
@@ -523,11 +523,7 @@ impl MorphSpec {
                 Morph::Clip {
                     from_hours,
                     to_hours,
-                } => {
-                    let from = SimDuration::from_secs_f64(from_hours * 3_600.0);
-                    let to = SimDuration::from_secs_f64(to_hours * 3_600.0);
-                    out.clip(from, to)?
-                }
+                } => out.clip(hours_span(from_hours)?, hours_span(to_hours)?)?,
             };
         }
         Ok(out)
@@ -552,12 +548,23 @@ fn parse_hours(s: &str) -> Result<f64, TraceError> {
         .trim()
         .parse()
         .map_err(|_| TraceError::BadMorph(format!("not a number: {s:?}")))?;
-    if !v.is_finite() || v < 0.0 {
+    hours_span(v)?;
+    Ok(v)
+}
+
+/// `hours` as a span: non-negative and within the nanoseconds a
+/// [`SimDuration`] holds (about 5.1M hours).
+fn hours_span(hours: f64) -> Result<SimDuration, TraceError> {
+    let secs = hours * 3_600.0;
+    // `SimDuration::from_secs_f64`'s own bounds, in its own arithmetic
+    // (and false for NaN).
+    let fits = secs >= 0.0 && secs * NANOS_PER_SEC as f64 <= u64::MAX as f64;
+    if !fits {
         return Err(TraceError::BadMorph(format!(
-            "hours must be non-negative, got {s}"
+            "hours must be non-negative and at most ~5.1M, got {hours}"
         )));
     }
-    Ok(v)
+    Ok(SimDuration::from_secs_f64(secs))
 }
 
 #[cfg(test)]
@@ -705,6 +712,12 @@ mod tests {
         assert!(MorphSpec::parse("stretch").is_err());
         assert!(MorphSpec::parse("warp=2").is_err());
         assert!(MorphSpec::parse("clip=5").is_err());
+        // Hours past what a `SimDuration` holds are refused, not a panic.
+        assert!(MorphSpec::parse("clip=0..5000000").is_ok());
+        assert!(matches!(
+            MorphSpec::parse("clip=0..6000000"),
+            Err(TraceError::BadMorph(msg)) if msg.contains("got 6000000")
+        ));
         assert!(MorphSpec::parse("scale=zero").is_err());
     }
 

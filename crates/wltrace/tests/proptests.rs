@@ -234,3 +234,54 @@ fn csv_round_trips_single_stream_traces() {
         }
     });
 }
+
+/// The `--morph` grammar never panics: seed-derived mutations of valid
+/// specs (characters inserted, deleted or replaced, specs joined) either
+/// fail to parse, or parse to a pipeline whose application to a small
+/// trace returns `Ok` or `Err`.
+#[test]
+fn mutated_morph_specs_are_rejected_or_apply() {
+    const CORPUS: [&str; 7] = [
+        "stretch=2",
+        "scale=0.5",
+        "clip=0..6",
+        "stretch=2,scale=0.5",
+        "clip=0.1..0.4,scale=40,stretch=0.5",
+        "clip=0..5000000",
+        "stretch=1e30,scale=1e300",
+    ];
+    const ALPHABET: &[u8] = b"0123456789.-+eE,= scalirthpNnIf";
+    let trace = arb_trace(&mut SimRng::seed(0x71AC_E007));
+    let (mut parsed, mut applied) = (0, 0);
+    for case in 0..4_000u64 {
+        let mut rng = SimRng::seed(0x71AC_E008).derive_u64(case);
+        let mut text = rng.pick(&CORPUS).unwrap().to_string();
+        if rng.chance(0.3) {
+            text = format!("{text},{}", rng.pick(&CORPUS).unwrap());
+        }
+        let mut bytes = text.into_bytes();
+        for _ in 0..rng.range_u64(1, 4) {
+            let at = rng.range_u64(0, bytes.len() as u64) as usize;
+            let byte = *rng.pick(ALPHABET).unwrap();
+            match rng.next_below(3) {
+                0 => bytes.insert(at, byte),
+                1 if at < bytes.len() => {
+                    bytes.remove(at);
+                }
+                _ if at < bytes.len() => bytes[at] = byte,
+                _ => {}
+            }
+        }
+        let text = String::from_utf8(bytes).expect("ASCII mutations stay UTF-8");
+        if let Ok(spec) = MorphSpec::parse(&text) {
+            parsed += 1;
+            if spec.apply(&trace).is_ok() {
+                applied += 1;
+            }
+        }
+    }
+    assert!(
+        applied >= 100,
+        "only {applied} of {parsed} parsed specs applied"
+    );
+}

@@ -209,6 +209,43 @@ fn elc_rejects_a_malformed_chaos_spec() {
     assert!(err.contains("--chaos:"), "{err}");
 }
 
+/// A clip bound past what a simulated duration holds (~5.1M hours) is a
+/// usage error naming `--morph`, not a panic.
+#[test]
+fn an_out_of_range_morph_is_refused() {
+    use elearn_cloud::wltrace::{codec, SlotSample, Stream, WorkloadTrace};
+
+    let dir = scratch_dir("morph");
+    let path = dir.join("day.elcw");
+    let mut trace = WorkloadTrace::empty(2_000, 50.0);
+    trace.streams.push(Stream {
+        slots: vec![SlotSample {
+            t_ns: 0,
+            slot_ns: 60_000_000_000,
+            count: 10,
+        }],
+        ..Stream::default()
+    });
+    codec::write_file(&trace, &path).expect("trace written");
+    let workload = format!("trace:{}", path.display());
+    let out = elc()
+        .args([
+            "experiment",
+            "e12",
+            "small-college",
+            "--workload",
+            &workload,
+        ])
+        .args(["--morph", "clip=0..6000000"])
+        .output()
+        .expect("binary runs");
+    assert_refused(
+        &out,
+        "--morph: bad morph: hours must be non-negative and at most ~5.1M",
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn elc_run_requires_an_experiment() {
     let out = elc_run().output().expect("binary runs");
