@@ -52,7 +52,7 @@ const TIE_EPSILON: f64 = 1e-2;
 ///
 /// A column is `Good` when it loses to nobody and beats somebody (or
 /// everything is tied), `Poor` when it beats nobody and loses to somebody,
-/// `Fair` otherwise. Ties within [`TIE_EPSILON`] relative tolerance share
+/// `Fair` otherwise. Ties within `TIE_EPSILON` relative tolerance share
 /// the better rating.
 #[must_use]
 pub fn rate_columns(values: &[f64], direction: Direction) -> Vec<Rating> {

@@ -42,12 +42,6 @@ impl MetricKey {
     pub fn name(self) -> &'static str {
         with_pool(|p| p.names[self.0 as usize])
     }
-
-    /// The raw id, for logging.
-    #[must_use]
-    pub const fn as_u32(self) -> u32 {
-        self.0
-    }
 }
 
 impl std::fmt::Display for MetricKey {

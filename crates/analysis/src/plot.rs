@@ -91,42 +91,6 @@ pub fn line_chart(series: &[(&str, &[(f64, f64)])], width: usize, height: usize)
     out
 }
 
-/// Renders labelled values as a horizontal bar chart (values must be
-/// non-negative).
-///
-/// # Examples
-///
-/// ```
-/// use elc_analysis::plot::bar_chart;
-///
-/// let chart = bar_chart(&[("public", 2.2), ("private", 55.0)], 30);
-/// assert!(chart.contains("private"));
-/// assert!(chart.contains('#'));
-/// ```
-///
-/// # Panics
-///
-/// Panics if `width < 1` or any value is negative or non-finite.
-#[must_use]
-pub fn bar_chart(items: &[(&str, f64)], width: usize) -> String {
-    assert!(width >= 1, "bars need at least one column");
-    let max = items.iter().map(|&(_, v)| v).fold(0.0f64, f64::max);
-    for &(_, v) in items {
-        assert!(v.is_finite() && v >= 0.0, "bar values must be >= 0");
-    }
-    let label_w = items.iter().map(|(l, _)| l.len()).max().unwrap_or(0);
-    let mut out = String::new();
-    for &(label, v) in items {
-        let n = if max == 0.0 {
-            0
-        } else {
-            ((v / max) * width as f64).round() as usize
-        };
-        out.push_str(&format!("{label:>label_w$} |{} {v:.3}\n", "#".repeat(n)));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,21 +134,5 @@ mod tests {
     fn line_chart_rejects_nan() {
         let pts = [(0.0, f64::NAN)];
         let _ = line_chart(&[("bad", &pts)], 10, 4);
-    }
-
-    #[test]
-    fn bar_chart_scales_to_max() {
-        let chart = bar_chart(&[("a", 1.0), ("b", 2.0)], 10);
-        let lines: Vec<&str> = chart.lines().collect();
-        let hashes = |l: &str| l.matches('#').count();
-        assert_eq!(hashes(lines[0]), 5);
-        assert_eq!(hashes(lines[1]), 10);
-    }
-
-    #[test]
-    fn bar_chart_all_zero() {
-        let chart = bar_chart(&[("z", 0.0)], 10);
-        assert!(!chart.contains('#'));
-        assert!(chart.contains("0.000"));
     }
 }

@@ -131,18 +131,6 @@ pub fn ci95(xs: &[f64]) -> Ci95 {
     }
 }
 
-/// Relative change of `new` versus `baseline`, e.g. `-0.25` = 25% lower.
-///
-/// Returns 0.0 when the baseline is zero.
-#[must_use]
-pub fn relative_change(new: f64, baseline: f64) -> f64 {
-    if baseline == 0.0 {
-        0.0
-    } else {
-        (new - baseline) / baseline
-    }
-}
-
 /// Speedup of `baseline` over `new` (how many times faster `new` is).
 ///
 /// Returns `f64::INFINITY` when `new` is zero and `baseline` is not.
@@ -231,13 +219,6 @@ mod tests {
         let ci = ci95(&[3.0]);
         assert_eq!(ci.mean, 3.0);
         assert_eq!(ci.half_width, 0.0);
-    }
-
-    #[test]
-    fn relative_change_directions() {
-        assert_eq!(relative_change(75.0, 100.0), -0.25);
-        assert_eq!(relative_change(150.0, 100.0), 0.5);
-        assert_eq!(relative_change(5.0, 0.0), 0.0);
     }
 
     #[test]

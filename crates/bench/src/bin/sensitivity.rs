@@ -82,7 +82,6 @@ impl Knobs {
             years: self.years,
             prices: scaled_prices(self.price_factor),
             reserved: None,
-            dr: None,
         }
     }
 

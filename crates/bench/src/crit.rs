@@ -160,14 +160,6 @@ impl BenchmarkId {
             label: format!("{name}/{parameter}"),
         }
     }
-
-    /// Creates an id from the parameter alone.
-    #[must_use]
-    pub fn from_parameter(parameter: impl Display) -> Self {
-        BenchmarkId {
-            label: parameter.to_string(),
-        }
-    }
 }
 
 /// Passed to the benchmark closure; `iter` runs the timing loop.
@@ -376,7 +368,6 @@ mod tests {
     #[test]
     fn benchmark_id_renders_name_and_parameter() {
         assert_eq!(BenchmarkId::new("heap", 1000).label, "heap/1000");
-        assert_eq!(BenchmarkId::from_parameter(7).label, "7");
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //! allocation of computation and storage resources". [`AutoScaler`] is a
 //! reactive target-tracking controller: it sizes the fleet so that offered
 //! load sits at a target fraction of capacity, with a cooldown to prevent
-//! flapping. [`FixedCapacity`] is the non-elastic baseline the paper's
-//! argument implies (a fixed on-premise fleet).
+//! flapping.
 
 use elc_simcore::time::{SimDuration, SimTime};
 use elc_trace::{Field, Level};
@@ -33,72 +32,8 @@ pub struct AutoScaler {
     last_action_at: Option<SimTime>,
 }
 
-/// Why a capacity-controller configuration was rejected.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CapacityError {
-    /// `target_utilization` was outside `(0, 1]` (or not finite).
-    BadTargetUtilization(f64),
-    /// A fleet floor of zero instances.
-    ZeroInstances,
-    /// `min_instances` exceeded `max_instances`.
-    InvertedBounds {
-        /// The configured floor.
-        min: u32,
-        /// The configured ceiling.
-        max: u32,
-    },
-}
-
-impl std::fmt::Display for CapacityError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CapacityError::BadTargetUtilization(u) => {
-                write!(f, "target utilization must be in (0, 1], got {u}")
-            }
-            CapacityError::ZeroInstances => write!(f, "need at least one instance"),
-            CapacityError::InvertedBounds { min, max } => write!(f, "min {min} > max {max}"),
-        }
-    }
-}
-
-impl std::error::Error for CapacityError {}
-
 impl AutoScaler {
     /// Creates a target-tracking scaler.
-    ///
-    /// # Errors
-    ///
-    /// Rejects `target_utilization` outside `(0, 1]`, a zero
-    /// `min_instances`, and `min_instances > max_instances`.
-    pub fn try_new(
-        min_instances: u32,
-        max_instances: u32,
-        target_utilization: f64,
-        cooldown: SimDuration,
-    ) -> Result<Self, CapacityError> {
-        if !target_utilization.is_finite() || target_utilization <= 0.0 || target_utilization > 1.0
-        {
-            return Err(CapacityError::BadTargetUtilization(target_utilization));
-        }
-        if min_instances < 1 {
-            return Err(CapacityError::ZeroInstances);
-        }
-        if min_instances > max_instances {
-            return Err(CapacityError::InvertedBounds {
-                min: min_instances,
-                max: max_instances,
-            });
-        }
-        Ok(AutoScaler {
-            min_instances,
-            max_instances,
-            target_utilization,
-            cooldown,
-            last_action_at: None,
-        })
-    }
-
-    /// Panicking counterpart of [`AutoScaler::try_new`].
     ///
     /// # Panics
     ///
@@ -111,8 +46,22 @@ impl AutoScaler {
         target_utilization: f64,
         cooldown: SimDuration,
     ) -> Self {
-        AutoScaler::try_new(min_instances, max_instances, target_utilization, cooldown)
-            .unwrap_or_else(|e| panic!("{e}"))
+        assert!(
+            target_utilization.is_finite() && target_utilization > 0.0 && target_utilization <= 1.0,
+            "target utilization must be in (0, 1], got {target_utilization}"
+        );
+        assert!(min_instances >= 1, "need at least one instance");
+        assert!(
+            min_instances <= max_instances,
+            "min {min_instances} > max {max_instances}"
+        );
+        AutoScaler {
+            min_instances,
+            max_instances,
+            target_utilization,
+            cooldown,
+            last_action_at: None,
+        }
     }
 
     /// The fleet size this scaler would choose for `load_rps` given each
@@ -172,72 +121,21 @@ impl AutoScaler {
         }
         decision
     }
-
-    /// Configured floor.
-    #[must_use]
-    pub fn min_instances(&self) -> u32 {
-        self.min_instances
-    }
-
-    /// Configured ceiling.
-    #[must_use]
-    pub fn max_instances(&self) -> u32 {
-        self.max_instances
-    }
-}
-
-/// The non-elastic baseline: a fixed fleet sized once, up front.
-///
-/// On-premise deployments without virtualization headroom behave this way —
-/// capacity is whatever was procured.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FixedCapacity {
-    instances: u32,
-}
-
-impl FixedCapacity {
-    /// Creates a fixed fleet of `instances`.
-    ///
-    /// # Errors
-    ///
-    /// Rejects an empty fleet.
-    pub fn try_new(instances: u32) -> Result<Self, CapacityError> {
-        if instances < 1 {
-            return Err(CapacityError::ZeroInstances);
-        }
-        Ok(FixedCapacity { instances })
-    }
-
-    /// Panicking counterpart of [`FixedCapacity::try_new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `instances` is zero.
-    #[must_use]
-    pub fn new(instances: u32) -> Self {
-        FixedCapacity::try_new(instances).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Sizes a fixed fleet for an expected *average* load — the procurement
-    /// decision an institution makes once per budget cycle.
-    #[must_use]
-    pub fn sized_for(avg_load_rps: f64, unit_rps: f64, headroom: f64) -> Self {
-        assert!(unit_rps > 0.0, "unit capacity must be positive");
-        assert!(headroom >= 1.0, "headroom must be >= 1");
-        let n = (avg_load_rps * headroom / unit_rps).ceil().max(1.0) as u32;
-        FixedCapacity::new(n)
-    }
-
-    /// The fleet size (never changes).
-    #[must_use]
-    pub fn instances(&self) -> u32 {
-        self.instances
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The message `f` panics with.
+    fn panic_message(f: impl FnOnce() + std::panic::UnwindSafe) -> String {
+        let payload = std::panic::catch_unwind(f).expect_err("expected a panic");
+        payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_owned())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .expect("a string panic payload")
+    }
 
     fn scaler() -> AutoScaler {
         AutoScaler::new(1, 20, 0.6, SimDuration::from_mins(5))
@@ -307,58 +205,24 @@ mod tests {
     }
 
     #[test]
-    fn try_new_rejects_each_bad_knob() {
-        assert_eq!(
-            AutoScaler::try_new(1, 10, 0.0, SimDuration::ZERO),
-            Err(CapacityError::BadTargetUtilization(0.0))
-        );
-        assert_eq!(
-            AutoScaler::try_new(1, 10, 1.5, SimDuration::ZERO),
-            Err(CapacityError::BadTargetUtilization(1.5))
-        );
-        assert!(AutoScaler::try_new(1, 10, f64::NAN, SimDuration::ZERO).is_err());
-        assert_eq!(
-            AutoScaler::try_new(0, 10, 0.5, SimDuration::ZERO),
-            Err(CapacityError::ZeroInstances)
-        );
-        assert_eq!(
-            AutoScaler::try_new(5, 2, 0.5, SimDuration::ZERO),
-            Err(CapacityError::InvertedBounds { min: 5, max: 2 })
-        );
-        assert!(AutoScaler::try_new(1, 10, 0.5, SimDuration::ZERO).is_ok());
-        assert_eq!(FixedCapacity::try_new(0), Err(CapacityError::ZeroInstances));
-        assert_eq!(FixedCapacity::try_new(3).map(|f| f.instances()), Ok(3));
-    }
-
-    #[test]
-    #[should_panic(expected = "target utilization")]
-    fn rejects_bad_target() {
-        let _ = AutoScaler::new(1, 10, 0.0, SimDuration::ZERO);
-    }
-
-    #[test]
-    #[should_panic(expected = "min 5 > max 2")]
-    fn rejects_inverted_bounds() {
-        let _ = AutoScaler::new(5, 2, 0.5, SimDuration::ZERO);
-    }
-
-    #[test]
-    fn fixed_capacity_sizing() {
-        let f = FixedCapacity::sized_for(250.0, 100.0, 1.5);
-        assert_eq!(f.instances(), 4); // ceil(250*1.5/100)
-        assert_eq!(FixedCapacity::sized_for(0.0, 100.0, 2.0).instances(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one instance")]
-    fn fixed_capacity_rejects_zero() {
-        let _ = FixedCapacity::new(0);
-    }
-
-    #[test]
-    fn accessors() {
-        let s = scaler();
-        assert_eq!(s.min_instances(), 1);
-        assert_eq!(s.max_instances(), 20);
+    fn new_rejects_each_bad_knob() {
+        let cases: [(u32, u32, f64, &str); 5] = [
+            (1, 10, 0.0, "target utilization must be in (0, 1], got 0"),
+            (1, 10, 1.5, "target utilization must be in (0, 1], got 1.5"),
+            (
+                1,
+                10,
+                f64::NAN,
+                "target utilization must be in (0, 1], got NaN",
+            ),
+            (0, 10, 0.5, "need at least one instance"),
+            (5, 2, 0.5, "min 5 > max 2"),
+        ];
+        for (min, max, util, want) in cases {
+            let msg = panic_message(|| {
+                let _ = AutoScaler::new(min, max, util, SimDuration::ZERO);
+            });
+            assert_eq!(msg, want);
+        }
     }
 }

@@ -146,15 +146,6 @@ impl ReservedTerms {
     pub fn annual_cost(&self, on_demand_hour: Usd) -> Usd {
         self.upfront_per_instance_year + on_demand_hour * (self.hourly_fraction * 8_760.0)
     }
-
-    /// True if reserving beats on-demand for an instance that runs
-    /// `hours_per_year` hours.
-    #[must_use]
-    pub fn worth_it(&self, on_demand_hour: Usd, hours_per_year: f64) -> bool {
-        let reserved = self.upfront_per_instance_year
-            + on_demand_hour * (self.hourly_fraction * hours_per_year);
-        reserved < on_demand_hour * hours_per_year
-    }
 }
 
 /// Unit prices for metered usage.
@@ -484,11 +475,6 @@ mod tests {
         let terms = ReservedTerms::standard_2013();
         let hourly = PriceSheet::public_2013().vm_hour(VmSize::Medium);
         // 24x7 for a year: reserving wins.
-        assert!(terms.worth_it(hourly, 8_760.0));
-        // A couple of hundred hours a year: stay on-demand.
-        assert!(!terms.worth_it(hourly, 200.0));
-        // The break-even sits somewhere in between, and annual_cost is
-        // consistent with worth_it at 24x7.
         assert!(terms.annual_cost(hourly) < hourly * 8_760.0);
     }
 }

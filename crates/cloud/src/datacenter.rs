@@ -85,18 +85,6 @@ impl Datacenter {
         }
     }
 
-    /// The datacenter name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The VM boot delay.
-    #[must_use]
-    pub fn boot_delay(&self) -> SimDuration {
-        self.boot_delay
-    }
-
     /// Adds a physical host and returns its id.
     pub fn add_host(&mut self, capacity: Resources) -> HostId {
         let id = self.host_ids.next_id();
@@ -109,12 +97,6 @@ impl Datacenter {
         for _ in 0..n {
             self.add_host(capacity);
         }
-    }
-
-    /// Number of hosts (live or failed).
-    #[must_use]
-    pub fn host_count(&self) -> usize {
-        self.hosts.len()
     }
 
     /// Provisions a VM of `size` at time `now`.
@@ -351,16 +333,6 @@ impl Datacenter {
             .filter(|vm| matches!(vm.state(), VmState::Provisioning { .. } | VmState::Running))
             .count()
     }
-
-    /// Mean utilization across live hosts, in `[0, 1]`.
-    #[must_use]
-    pub fn mean_utilization(&self) -> f64 {
-        let live: Vec<&Host> = self.hosts.iter().filter(|h| h.is_alive()).collect();
-        if live.is_empty() {
-            return 0.0;
-        }
-        live.iter().map(|h| h.utilization()).sum::<f64>() / live.len() as f64
-    }
 }
 
 impl fmt::Debug for Datacenter {
@@ -452,14 +424,6 @@ mod tests {
             rps,
             VmSize::Small.requests_per_sec() + VmSize::Large.requests_per_sec()
         );
-    }
-
-    #[test]
-    fn mean_utilization_tracks_allocation() {
-        let mut d = dc();
-        assert_eq!(d.mean_utilization(), 0.0);
-        d.provision(VmSize::XLarge, SimTime::ZERO).unwrap(); // fills host 0
-        assert!((d.mean_utilization() - 0.5).abs() < 1e-9);
     }
 
     #[test]

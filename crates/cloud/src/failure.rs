@@ -1,132 +1,56 @@
-//! Hardware and site failure processes.
+//! Disk and site failure hazards.
 //!
 //! Private clouds carry their own iron, so the paper's §IV.B risk ("data
 //! loss due to physical damage of the unit") needs concrete hazard rates:
-//! host crashes, disk losses, and rare whole-site disasters (fire, flood,
-//! power incident). All processes are Poisson — adequate for steady-state
-//! hazard modelling, and analytically checkable.
-
-use elc_simcore::dist::{Distribution, Exp};
-use elc_simcore::rng::SimRng;
-use elc_simcore::time::{SimDuration, SimTime};
-use elc_trace::{Field, Level};
-
-use crate::TRACE_TARGET;
-
-/// Seconds per (365-day) year, the unit hazard rates are quoted in.
-pub const SECONDS_PER_YEAR: f64 = 365.0 * 86_400.0;
+//! disk losses and rare whole-site disasters (fire, flood, power
+//! incident). Both are Poisson — adequate for steady-state hazard
+//! modelling, and analytically checkable.
 
 /// Annualized hazard rates for one site's hardware.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FailureModel {
-    host_failures_per_year: f64,
     disk_afr: f64,
     site_disasters_per_year: f64,
 }
 
-/// Why a [`FailureModel`] configuration was rejected.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FailureModelError {
-    /// A rate was negative or non-finite. Carries the knob name (as used
-    /// in the panic message of [`FailureModel::new`]) and the value.
-    NegativeRate(&'static str, f64),
-    /// `disk_afr` exceeded 1 — an AFR is an annual *probability*.
-    AfrAboveOne(f64),
-}
-
-impl std::fmt::Display for FailureModelError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FailureModelError::NegativeRate(name, v) => {
-                write!(f, "{name} must be >= 0, got {v}")
-            }
-            FailureModelError::AfrAboveOne(v) => {
-                write!(f, "disk AFR is a fraction, got {v}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for FailureModelError {}
-
 impl FailureModel {
     /// Creates a failure model.
     ///
-    /// * `host_failures_per_year` — per-host crash rate (hardware fault
-    ///   needing intervention),
     /// * `disk_afr` — annualized failure rate of a disk (fraction, e.g.
     ///   0.04),
     /// * `site_disasters_per_year` — rate of events destroying the whole
     ///   site's storage.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Rejects rates that are negative or non-finite, and `disk_afr > 1`.
-    pub fn try_new(
-        host_failures_per_year: f64,
-        disk_afr: f64,
-        site_disasters_per_year: f64,
-    ) -> Result<Self, FailureModelError> {
+    /// Panics if any rate is negative or non-finite, or `disk_afr > 1`.
+    #[must_use]
+    pub fn new(disk_afr: f64, site_disasters_per_year: f64) -> Self {
         for (name, v) in [
-            ("host rate", host_failures_per_year),
             ("disk afr", disk_afr),
             ("disaster rate", site_disasters_per_year),
         ] {
-            if !v.is_finite() || v < 0.0 {
-                return Err(FailureModelError::NegativeRate(name, v));
-            }
+            assert!(v.is_finite() && v >= 0.0, "{name} must be >= 0, got {v}");
         }
-        if disk_afr > 1.0 {
-            return Err(FailureModelError::AfrAboveOne(disk_afr));
-        }
-        Ok(FailureModel {
-            host_failures_per_year,
+        assert!(disk_afr <= 1.0, "disk AFR is a fraction, got {disk_afr}");
+        FailureModel {
             disk_afr,
             site_disasters_per_year,
-        })
+        }
     }
 
-    /// Panicking counterpart of [`FailureModel::try_new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any rate is negative, non-finite, or `disk_afr > 1`.
-    #[must_use]
-    pub fn new(host_failures_per_year: f64, disk_afr: f64, site_disasters_per_year: f64) -> Self {
-        FailureModel::try_new(host_failures_per_year, disk_afr, site_disasters_per_year)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// A professionally run datacenter: rare host faults, 2% disk AFR,
-    /// disaster every ~200 years.
+    /// A professionally run datacenter: 2% disk AFR, disaster every ~200
+    /// years.
     #[must_use]
     pub fn datacenter_grade() -> Self {
-        FailureModel::new(0.1, 0.02, 0.005)
+        FailureModel::new(0.02, 0.005)
     }
 
-    /// A campus server room: more host faults, 5% disk AFR, disaster every
-    /// ~50 years (burst pipe, power surge — the paper's "physical damage").
+    /// A campus server room: 5% disk AFR, disaster every ~50 years (burst
+    /// pipe, power surge — the paper's "physical damage").
     #[must_use]
     pub fn server_room_grade() -> Self {
-        FailureModel::new(0.5, 0.05, 0.02)
-    }
-
-    /// Per-host crash rate, per year.
-    #[must_use]
-    pub fn host_failures_per_year(&self) -> f64 {
-        self.host_failures_per_year
-    }
-
-    /// Disk annualized failure rate.
-    #[must_use]
-    pub fn disk_afr(&self) -> f64 {
-        self.disk_afr
-    }
-
-    /// Whole-site disaster rate, per year.
-    #[must_use]
-    pub fn site_disasters_per_year(&self) -> f64 {
-        self.site_disasters_per_year
+        FailureModel::new(0.05, 0.02)
     }
 
     /// Probability of at least one site disaster within `years`
@@ -149,121 +73,40 @@ impl FailureModel {
         let rate = -(1.0 - self.disk_afr).ln();
         1.0 - (-rate * years).exp()
     }
-
-    /// Samples the times of site disasters over `[0, horizon)`.
-    #[must_use]
-    pub fn sample_disasters(&self, rng: &mut SimRng, horizon: SimTime) -> Vec<SimTime> {
-        let times = sample_poisson_times(rng, self.site_disasters_per_year, horizon);
-        if elc_trace::enabled(TRACE_TARGET, Level::Warn) {
-            for &t in &times {
-                elc_trace::instant(
-                    t.as_nanos(),
-                    TRACE_TARGET,
-                    "site.disaster",
-                    Level::Warn,
-                    &[Field::f64("rate_per_year", self.site_disasters_per_year)],
-                );
-            }
-        }
-        times
-    }
-
-    /// Samples host-crash times for a fleet of `hosts` over `[0, horizon)`,
-    /// returning `(time, host_index)` sorted by time.
-    #[must_use]
-    pub fn sample_host_failures(
-        &self,
-        rng: &mut SimRng,
-        hosts: usize,
-        horizon: SimTime,
-    ) -> Vec<(SimTime, usize)> {
-        let mut events = Vec::new();
-        for h in 0..hosts {
-            let mut r = rng.derive_u64(h as u64);
-            for t in sample_poisson_times(&mut r, self.host_failures_per_year, horizon) {
-                events.push((t, h));
-            }
-        }
-        events.sort_unstable();
-        if elc_trace::enabled(TRACE_TARGET, Level::Warn) {
-            for &(t, h) in &events {
-                elc_trace::instant(
-                    t.as_nanos(),
-                    TRACE_TARGET,
-                    "host.crash",
-                    Level::Warn,
-                    &[Field::u64("host", h as u64)],
-                );
-            }
-        }
-        events
-    }
-}
-
-/// Samples event times of a Poisson process with `rate_per_year` over
-/// `[0, horizon)`.
-fn sample_poisson_times(rng: &mut SimRng, rate_per_year: f64, horizon: SimTime) -> Vec<SimTime> {
-    if rate_per_year <= 0.0 {
-        return Vec::new();
-    }
-    let rate_per_sec = rate_per_year / SECONDS_PER_YEAR;
-    let gap = Exp::new(rate_per_sec).expect("positive rate");
-    let mut times = Vec::new();
-    let mut t = SimTime::ZERO;
-    loop {
-        let dt = SimDuration::from_secs_f64(gap.sample(rng));
-        let Some(next) = t.checked_add(dt) else { break };
-        if next >= horizon {
-            break;
-        }
-        times.push(next);
-        t = next;
-    }
-    times
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn years(n: f64) -> SimTime {
-        SimTime::from_secs((n * SECONDS_PER_YEAR) as u64)
+    /// The message `f` panics with.
+    fn panic_message(f: impl FnOnce() + std::panic::UnwindSafe) -> String {
+        let payload = std::panic::catch_unwind(f).expect_err("expected a panic");
+        payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_owned())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .expect("a string panic payload")
     }
 
     #[test]
-    fn try_new_rejects_each_bad_rate() {
-        assert_eq!(
-            FailureModel::try_new(-0.1, 0.02, 0.005),
-            Err(FailureModelError::NegativeRate("host rate", -0.1))
-        );
-        assert_eq!(
-            FailureModel::try_new(0.1, -0.02, 0.005),
-            Err(FailureModelError::NegativeRate("disk afr", -0.02))
-        );
-        assert_eq!(
-            FailureModel::try_new(0.1, 0.02, f64::INFINITY),
-            Err(FailureModelError::NegativeRate(
-                "disaster rate",
-                f64::INFINITY
-            ))
-        );
-        assert_eq!(
-            FailureModel::try_new(0.1, 1.2, 0.005),
-            Err(FailureModelError::AfrAboveOne(1.2))
-        );
-        assert!(FailureModel::try_new(0.1, 0.02, 0.005).is_ok());
-        // The error messages back the unchanged panic contract of `new`.
-        assert_eq!(
-            FailureModel::try_new(0.1, 1.2, 0.005)
-                .unwrap_err()
-                .to_string(),
-            "disk AFR is a fraction, got 1.2"
-        );
+    fn new_rejects_each_bad_rate() {
+        let cases: [(f64, f64, &str); 3] = [
+            (-0.02, 0.005, "disk afr must be >= 0, got -0.02"),
+            (0.02, f64::INFINITY, "disaster rate must be >= 0, got inf"),
+            (1.2, 0.005, "disk AFR is a fraction, got 1.2"),
+        ];
+        for (afr, disaster, want) in cases {
+            let msg = panic_message(|| {
+                let _ = FailureModel::new(afr, disaster);
+            });
+            assert_eq!(msg, want);
+        }
     }
 
     #[test]
     fn disaster_probability_formula() {
-        let m = FailureModel::new(0.0, 0.0, 0.02);
+        let m = FailureModel::new(0.0, 0.02);
         assert!((m.disaster_probability(1.0) - (1.0 - (-0.02f64).exp())).abs() < 1e-12);
         assert_eq!(m.disaster_probability(0.0), 0.0);
         assert!(m.disaster_probability(1_000.0) > 0.99);
@@ -271,7 +114,7 @@ mod tests {
 
     #[test]
     fn disk_loss_probability_composes_over_years() {
-        let m = FailureModel::new(0.0, 0.05, 0.0);
+        let m = FailureModel::new(0.05, 0.0);
         let one = m.disk_loss_probability(1.0);
         assert!((one - 0.05).abs() < 1e-12, "1-year loss should equal AFR");
         let three = m.disk_loss_probability(3.0);
@@ -279,111 +122,12 @@ mod tests {
     }
 
     #[test]
-    fn disaster_sampling_matches_rate() {
-        let m = FailureModel::new(0.0, 0.0, 2.0);
-        let rng = SimRng::seed(1);
-        let mut total = 0usize;
-        let runs = 200;
-        for i in 0..runs {
-            let mut r = rng.derive_u64(i);
-            total += m.sample_disasters(&mut r, years(10.0)).len();
-        }
-        let mean = total as f64 / runs as f64;
-        assert!((mean - 20.0).abs() < 1.5, "mean disasters {mean}, want ~20");
-    }
-
-    #[test]
-    fn zero_rate_never_fires() {
-        let m = FailureModel::new(0.0, 0.0, 0.0);
-        let mut rng = SimRng::seed(2);
-        assert!(m.sample_disasters(&mut rng, years(100.0)).is_empty());
-        assert!(m
-            .sample_host_failures(&mut rng, 10, years(100.0))
-            .is_empty());
-    }
-
-    #[test]
-    fn host_failures_sorted_and_bounded() {
-        let m = FailureModel::server_room_grade();
-        let mut rng = SimRng::seed(3);
-        let horizon = years(5.0);
-        let events = m.sample_host_failures(&mut rng, 8, horizon);
-        for w in events.windows(2) {
-            assert!(w[0].0 <= w[1].0);
-        }
-        for &(t, h) in &events {
-            assert!(t < horizon);
-            assert!(h < 8);
-        }
-        // 8 hosts * 0.5/yr * 5yr = 20 expected.
-        assert!(!events.is_empty());
-    }
-
-    #[test]
     fn grades_are_ordered() {
-        let dc = FailureModel::datacenter_grade();
-        let sr = FailureModel::server_room_grade();
-        assert!(dc.host_failures_per_year() < sr.host_failures_per_year());
-        assert!(dc.disk_afr() < sr.disk_afr());
-        assert!(dc.site_disasters_per_year() < sr.site_disasters_per_year());
-    }
-
-    #[test]
-    fn deterministic_sampling() {
-        let m = FailureModel::server_room_grade();
-        let mut a = SimRng::seed(9);
-        let mut b = SimRng::seed(9);
-        assert_eq!(
-            m.sample_host_failures(&mut a, 4, years(3.0)),
-            m.sample_host_failures(&mut b, 4, years(3.0))
+        let (dc, sr) = (
+            FailureModel::datacenter_grade(),
+            FailureModel::server_room_grade(),
         );
-    }
-
-    #[test]
-    fn host_failure_sampling_is_stable_under_derive() {
-        let m = FailureModel::server_room_grade();
-        let horizon = years(3.0);
-        let a = m.sample_host_failures(&mut SimRng::seed(7).derive("failures"), 6, horizon);
-        let b = m.sample_host_failures(&mut SimRng::seed(7).derive("failures"), 6, horizon);
-        assert_eq!(a, b, "identical lineage must sample identical timelines");
-
-        // Derivation is position-independent: draining draws from the parent
-        // before deriving must not shift the failure stream.
-        let mut parent = SimRng::seed(7);
-        let _ = parent.next_u64();
-        let _ = parent.next_u64();
-        let c = m.sample_host_failures(&mut parent.derive("failures"), 6, horizon);
-        assert_eq!(a, c);
-
-        // A sibling label is an independent stream.
-        let d = m.sample_host_failures(&mut SimRng::seed(7).derive("repairs"), 6, horizon);
-        assert_ne!(a, d);
-    }
-
-    #[test]
-    fn per_host_streams_are_independent_of_fleet_size() {
-        // Host h's timeline comes from `rng.derive_u64(h)`, so growing the
-        // fleet must not disturb the failures of existing hosts.
-        let m = FailureModel::server_room_grade();
-        let horizon = years(5.0);
-        let small = m.sample_host_failures(&mut SimRng::seed(11).derive("f"), 4, horizon);
-        let large = m.sample_host_failures(&mut SimRng::seed(11).derive("f"), 8, horizon);
-        let large_first_four: Vec<(SimTime, usize)> =
-            large.iter().copied().filter(|&(_, h)| h < 4).collect();
-        assert_eq!(small, large_first_four);
-    }
-
-    #[test]
-    #[should_panic(expected = "disk AFR is a fraction")]
-    fn rejects_afr_above_one() {
-        let _ = FailureModel::new(0.0, 1.5, 0.0);
-    }
-
-    #[test]
-    fn accessors() {
-        let m = FailureModel::new(0.1, 0.02, 0.005);
-        assert_eq!(m.host_failures_per_year(), 0.1);
-        assert_eq!(m.disk_afr(), 0.02);
-        assert_eq!(m.site_disasters_per_year(), 0.005);
+        assert!(dc.disaster_probability(1.0) < sr.disaster_probability(1.0));
+        assert!(dc.disk_loss_probability(1.0) < sr.disk_loss_probability(1.0));
     }
 }

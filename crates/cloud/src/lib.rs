@@ -6,11 +6,11 @@
 //! they differ in scale, provisioning latency, failure grade and who pays.
 //!
 //! * [`resources`] / [`vm`] / [`host`] — capacity units and lifecycles,
-//! * [`placement`] — first-fit / best-fit / worst-fit policies,
+//! * [`placement`] — first-fit / best-fit policies,
 //! * [`datacenter`] — hosts + VMs under one policy,
-//! * [`autoscale`] — target-tracking elasticity and the fixed baseline,
+//! * [`autoscale`] — target-tracking elasticity,
 //! * [`storage`] — replica placement and survival under site loss,
-//! * [`failure`] — host/disk/site hazard processes,
+//! * [`failure`] — disk and site hazard rates,
 //! * [`billing`] — usage meters, price sheets, invoices,
 //! * [`mesh`] — the multi-region LMS mesh driven shard-parallel by
 //!   `elc_simcore::shard`.
@@ -49,12 +49,12 @@ pub mod resources;
 pub mod storage;
 pub mod vm;
 
-pub use autoscale::{AutoScaler, FixedCapacity, ScaleDecision};
+pub use autoscale::{AutoScaler, ScaleDecision};
 pub use billing::{Invoice, PriceSheet, ReservedTerms, UsageMeter, Usd};
 pub use datacenter::{CapacityError, Datacenter};
 pub use failure::FailureModel;
 pub use host::Host;
-pub use placement::{BestFit, FirstFit, PlacementPolicy, WorstFit};
+pub use placement::{BestFit, FirstFit, PlacementPolicy};
 pub use resources::{Resources, VmSize};
 pub use storage::{ObjectId, ObjectStore, ReplicationPolicy};
 pub use vm::{HostId, Vm, VmId, VmState};

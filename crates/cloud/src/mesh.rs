@@ -19,7 +19,6 @@
 //! window protocol.
 
 use elc_analysis::metrics::{intern, MetricSet};
-use elc_elearn::source::WorkloadSource;
 use elc_net::link::Link;
 use elc_net::topology::Topology;
 use elc_simcore::shard::{
@@ -64,46 +63,6 @@ struct Params {
     tick_jitter_ns: u64,
 }
 
-/// Per-region demand for a mesh run: one [`WorkloadSource`] cohort per
-/// region, sampled on its own event chain (the activity hot path is
-/// untouched when no demand is attached).
-///
-/// The source can be anything behind the trait — the synthetic
-/// [`WorkloadModel`](elc_elearn::workload::WorkloadModel) or a replayed
-/// trace — split into per-region cohorts via
-/// [`WorkloadSource::split`]. Region `g` always samples cohort `g` with
-/// the RNG lineage `seed → "mesh-demand" → g`, so arrival totals are
-/// byte-identical at any shard count.
-#[derive(Debug, Clone)]
-pub struct MeshDemand {
-    sources: Vec<Box<dyn WorkloadSource>>,
-    slot: SimDuration,
-}
-
-impl MeshDemand {
-    /// Splits `source` into one cohort per region, sampled every `slot`
-    /// of simulated time.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `regions` is zero or `slot` is zero.
-    #[must_use]
-    pub fn from_source(source: &dyn WorkloadSource, regions: u32, slot: SimDuration) -> Self {
-        assert!(regions > 0, "demand needs at least one region");
-        assert!(!slot.is_zero(), "demand slot must be positive");
-        MeshDemand {
-            sources: source.split(regions),
-            slot,
-        }
-    }
-
-    /// Number of per-region cohorts.
-    #[must_use]
-    pub fn regions(&self) -> u32 {
-        self.sources.len() as u32
-    }
-}
-
 /// One region of the mesh: roster, course counters, RNG lineage and
 /// activity counters. Handlers only ever touch their own region, which is
 /// what makes cross-region event order commute.
@@ -116,23 +75,10 @@ struct Region {
     events: u64,
     sent: u64,
     received: u64,
-    /// Demand cohort and its dedicated RNG lineage, when the spec
-    /// attaches [`MeshDemand`]. Kept separate from the activity RNG so
-    /// attaching demand never disturbs the roster checksum.
-    demand: Option<(Box<dyn WorkloadSource>, SimRng)>,
-    arrivals: u64,
 }
 
 impl Region {
     fn new(spec: &MeshSpec, root: &SimRng, global: u32) -> Self {
-        let demand = spec.demand.as_ref().map(|d| {
-            (
-                d.sources[global as usize].clone(),
-                SimRng::seed(spec.seed)
-                    .derive("mesh-demand")
-                    .derive_u64(u64::from(global)),
-            )
-        });
         Region {
             global,
             rng: root.derive("shard").derive_u64(u64::from(global)),
@@ -141,8 +87,6 @@ impl Region {
             events: 0,
             sent: 0,
             received: 0,
-            demand,
-            arrivals: 0,
         }
     }
 
@@ -151,11 +95,6 @@ impl Region {
         set.push(intern("mesh.events"), self.events as f64);
         set.push(intern("mesh.msgs_sent"), self.sent as f64);
         set.push(intern("mesh.msgs_received"), self.received as f64);
-        if self.demand.is_some() {
-            // Only demand-driven meshes report arrivals, so the pinned
-            // default reports never change shape.
-            set.push(intern("mesh.demand_arrivals"), self.arrivals as f64);
-        }
         set
     }
 
@@ -254,26 +193,6 @@ fn tick(sim: &mut Simulation<MeshState>, local: u32) {
     }
 }
 
-/// One demand-sampling event: draws the region's cohort for the slot
-/// `[now, now + slot)` and re-arms while the region's activity chains are
-/// still running. Lives on its own chain so meshes without demand never
-/// pay for it.
-fn demand_tick(sim: &mut Simulation<MeshState>, local: u32, slot: SimDuration) {
-    let now = sim.now();
-    let budget = sim.state().params.budget;
-    let more = {
-        let region = &mut sim.state_mut().regions[local as usize];
-        if let Some((source, rng)) = region.demand.as_mut() {
-            let count = source.sample_arrivals(rng, now, slot);
-            region.arrivals += count;
-        }
-        region.events < budget
-    };
-    if more {
-        sim.schedule_in(slot, move |sim| demand_tick(sim, local, slot));
-    }
-}
-
 /// Folds one delivered sync message into the destination region.
 fn apply_msg(sim: &mut Simulation<MeshState>, delivery: Delivery<MeshMsg>) {
     let local = sim.state().local_of[delivery.msg.dest as usize];
@@ -333,11 +252,6 @@ pub struct MeshSpec {
     pub link: Link,
     /// Base seed; region lineages derive from it.
     pub seed: u64,
-    /// Optional per-region demand (generated or replayed): when present,
-    /// every region samples its cohort on a dedicated event chain and
-    /// reports `mesh.demand_arrivals`. `None` (the default presets) runs
-    /// the mesh exactly as before.
-    pub demand: Option<MeshDemand>,
 }
 
 impl MeshSpec {
@@ -364,26 +278,6 @@ impl MeshSpec {
             tick_jitter_ns: 30_000,
             link: Link::from_profile(elc_net::link::LinkProfile::InterDatacenter),
             seed,
-            demand: None,
-        }
-    }
-
-    /// A small mesh for tests: fast, but still multi-region and chatty.
-    #[must_use]
-    pub fn smoke(seed: u64) -> Self {
-        MeshSpec {
-            regions: 4,
-            students_per_region: 500,
-            courses_per_region: 64,
-            actors_per_region: 2,
-            events_per_region: 2_000,
-            touches_per_event: 2,
-            cross_period: 16,
-            tick_floor_ns: 500_000,
-            tick_jitter_ns: 1_500_000,
-            link: Link::from_profile(elc_net::link::LinkProfile::InterDatacenter),
-            seed,
-            demand: None,
         }
     }
 
@@ -432,18 +326,6 @@ impl MeshSpec {
         }
     }
 
-    /// Schedules each region's demand-sampling chain, when demand is
-    /// attached. Chains start at t=0 and re-arm every demand slot.
-    fn schedule_demand(&self, sim: &mut Simulation<MeshState>) {
-        let Some(demand) = &self.demand else {
-            return;
-        };
-        let slot = demand.slot;
-        for local in 0..sim.state().regions.len() as u32 {
-            sim.schedule_at(SimTime::ZERO, move |sim| demand_tick(sim, local, slot));
-        }
-    }
-
     /// Runs the mesh on `shards` shards (worker threads capped by
     /// [`worker_budget`]). The report is byte-identical for every shard
     /// and worker count; a zero-lookahead topology falls back to one
@@ -451,19 +333,11 @@ impl MeshSpec {
     ///
     /// # Panics
     ///
-    /// Panics when the spec has no regions, `shards` is zero, or attached
-    /// demand was split for a different region count.
+    /// Panics when the spec has no regions or `shards` is zero.
     #[must_use]
     pub fn run(&self, shards: u32) -> MeshReport {
         assert!(self.regions > 0, "a mesh needs at least one region");
         assert!(shards > 0, "at least one shard is required");
-        if let Some(demand) = &self.demand {
-            assert_eq!(
-                demand.regions(),
-                self.regions,
-                "demand must be split for exactly this mesh's regions"
-            );
-        }
         let identity: Vec<u32> = (0..self.regions).collect();
         let lookahead = self.topology().cross_shard_lookahead(&identity);
         let window = match lookahead {
@@ -508,7 +382,6 @@ impl MeshSpec {
                 };
                 let mut sim = Simulation::new(self.seed ^ u64::from(shard), state);
                 self.schedule_actors(&mut sim);
-                self.schedule_demand(&mut sim);
                 MeshWorld { sim }
             })
             .collect();
@@ -550,7 +423,6 @@ impl MeshSpec {
         };
         let mut sim = Simulation::new(self.seed, state);
         self.schedule_actors(&mut sim);
-        self.schedule_demand(&mut sim);
         let mut messages = 0u64;
         loop {
             let progressed = sim.step();
@@ -615,9 +487,26 @@ mod tests {
     use elc_net::units::Bandwidth;
     use elc_trace::{TraceFilter, Tracer};
 
+    /// A small mesh: fast, but still multi-region and chatty.
+    fn smoke(seed: u64) -> MeshSpec {
+        MeshSpec {
+            regions: 4,
+            students_per_region: 500,
+            courses_per_region: 64,
+            actors_per_region: 2,
+            events_per_region: 2_000,
+            touches_per_event: 2,
+            cross_period: 16,
+            tick_floor_ns: 500_000,
+            tick_jitter_ns: 1_500_000,
+            link: Link::from_profile(elc_net::link::LinkProfile::InterDatacenter),
+            seed,
+        }
+    }
+
     #[test]
     fn report_is_identical_at_any_shard_count() {
-        let spec = MeshSpec::smoke(42);
+        let spec = smoke(42);
         let base = spec.run(1);
         assert!(base.messages > 0, "smoke mesh must exchange messages");
         assert!(base.windows > 0, "single shard still runs windowed");
@@ -637,21 +526,21 @@ mod tests {
 
     #[test]
     fn shard_count_is_capped_by_region_count() {
-        let spec = MeshSpec::smoke(7);
+        let spec = smoke(7);
         let report = spec.run(16);
         assert_eq!(report.shards, spec.regions);
     }
 
     #[test]
     fn different_seeds_diverge() {
-        let a = MeshSpec::smoke(1).run(2);
-        let b = MeshSpec::smoke(2).run(2);
+        let a = smoke(1).run(2);
+        let b = smoke(2).run(2);
         assert_ne!(a.checksum, b.checksum);
     }
 
     #[test]
     fn zero_latency_link_falls_back_to_one_shard_with_a_warning() {
-        let mut spec = MeshSpec::smoke(42);
+        let mut spec = smoke(42);
         spec.link = Link::new(
             SimDuration::ZERO,
             SimDuration::ZERO,
@@ -675,111 +564,11 @@ mod tests {
 
     #[test]
     fn single_region_mesh_runs_plain() {
-        let mut spec = MeshSpec::smoke(42);
+        let mut spec = smoke(42);
         spec.regions = 1;
         let report = spec.run(4);
         assert_eq!(report.shards, 1);
         assert_eq!(report.messages, 0);
         assert_eq!(report.windows, 0);
-    }
-
-    #[test]
-    fn generated_demand_is_shard_invariant_and_leaves_the_roster_alone() {
-        use elc_elearn::calendar::AcademicCalendar;
-        use elc_elearn::workload::WorkloadModel;
-
-        let plain = MeshSpec::smoke(42).run(1);
-        let mut spec = MeshSpec::smoke(42);
-        let model =
-            WorkloadModel::builder(4_000, AcademicCalendar::standard_semester(SimTime::ZERO))
-                .build()
-                .unwrap();
-        spec.demand = Some(MeshDemand::from_source(
-            &model,
-            spec.regions,
-            SimDuration::from_millis(200),
-        ));
-        let base = spec.run(1);
-        assert_eq!(
-            base.checksum, plain.checksum,
-            "demand samples on its own RNG lineage, so rosters are untouched"
-        );
-        let arrivals = base
-            .metrics
-            .named()
-            .find(|(n, _)| *n == "mesh.demand_arrivals")
-            .map(|(_, v)| v);
-        assert!(
-            arrivals.is_some_and(|v| v > 0.0),
-            "demand-driven meshes report arrivals"
-        );
-        for shards in [2, 4] {
-            let report = spec.run(shards);
-            let mut expect = base.clone();
-            expect.shards = report.shards;
-            assert_eq!(report, expect, "shards={shards}");
-        }
-    }
-
-    #[test]
-    fn replayed_traces_drive_exact_regional_arrivals() {
-        use elc_wltrace::{RateSample, SlotSample, Stream, TraceReplayer, WorkloadTrace};
-
-        // Three recorded 200 ms slots (400 + 800 + 1200 arrivals) over a
-        // pinned floor rate of zero: past the recorded horizon the
-        // replayer's Poisson fallback draws from rate 0, so the recorded
-        // counts are the only demand — and largest-remainder splitting
-        // preserves them exactly across the four regional cohorts.
-        let slot_ns = 200_000_000u64;
-        let mut trace = WorkloadTrace::empty(2_000, 120.0);
-        trace.streams.push(Stream {
-            rates: vec![RateSample {
-                t_ns: 0,
-                rate_bits: 0.0f64.to_bits(),
-            }],
-            mixes: Vec::new(),
-            slots: (0..3u64)
-                .map(|i| SlotSample {
-                    t_ns: i * slot_ns,
-                    slot_ns,
-                    count: 400 * (i + 1),
-                })
-                .collect(),
-        });
-        let replayer = TraceReplayer::stream(trace.into_shared(), 0).expect("trace is valid");
-        let mut spec = MeshSpec::smoke(11);
-        spec.demand = Some(MeshDemand::from_source(
-            &replayer,
-            spec.regions,
-            SimDuration::from_millis(200),
-        ));
-        for shards in [1, 2, 4] {
-            let total = spec
-                .run(shards)
-                .metrics
-                .named()
-                .find(|(n, _)| *n == "mesh.demand_arrivals")
-                .map(|(_, v)| v);
-            assert_eq!(total, Some(2_400.0), "shards={shards}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "demand must be split for exactly this mesh's regions")]
-    fn mismatched_demand_split_is_rejected() {
-        use elc_elearn::calendar::AcademicCalendar;
-        use elc_elearn::workload::WorkloadModel;
-
-        let mut spec = MeshSpec::smoke(42);
-        let model =
-            WorkloadModel::builder(4_000, AcademicCalendar::standard_semester(SimTime::ZERO))
-                .build()
-                .unwrap();
-        spec.demand = Some(MeshDemand::from_source(
-            &model,
-            spec.regions + 1,
-            SimDuration::from_millis(200),
-        ));
-        let _ = spec.run(1);
     }
 }

@@ -58,30 +58,6 @@ impl PlacementPolicy for BestFit {
     }
 }
 
-/// Host with the most headroom — spreads load, maximizes per-VM burst room.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WorstFit;
-
-impl PlacementPolicy for WorstFit {
-    fn choose(&self, hosts: &[Host], demand: &Resources) -> Option<HostId> {
-        hosts
-            .iter()
-            .filter(|h| h.can_place(demand))
-            .min_by(|a, b| {
-                let ua = a.utilization();
-                let ub = b.utilization();
-                ua.partial_cmp(&ub)
-                    .expect("utilization is never NaN")
-                    .then(a.id().cmp(&b.id()))
-            })
-            .map(Host::id)
-    }
-
-    fn name(&self) -> &'static str {
-        "worst-fit"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,19 +91,11 @@ mod tests {
     }
 
     #[test]
-    fn worst_fit_spreads() {
-        let hs = hosts();
-        let got = WorstFit.choose(&hs, &Resources::new(1, 1.0, 1.0));
-        assert_eq!(got, Some(HostId::new(2)));
-    }
-
-    #[test]
     fn none_when_nothing_fits() {
         let hs = hosts();
         let demand = Resources::new(16, 1.0, 1.0);
         assert_eq!(FirstFit.choose(&hs, &demand), None);
         assert_eq!(BestFit.choose(&hs, &demand), None);
-        assert_eq!(WorstFit.choose(&hs, &demand), None);
     }
 
     #[test]
@@ -143,7 +111,6 @@ mod tests {
     fn policies_have_names() {
         assert_eq!(FirstFit.name(), "first-fit");
         assert_eq!(BestFit.name(), "best-fit");
-        assert_eq!(WorstFit.name(), "worst-fit");
     }
 
     #[test]
@@ -155,6 +122,5 @@ mod tests {
         ];
         let d = Resources::new(1, 1.0, 1.0);
         assert_eq!(BestFit.choose(&hs, &d), Some(HostId::new(0)));
-        assert_eq!(WorstFit.choose(&hs, &d), Some(HostId::new(0)));
     }
 }

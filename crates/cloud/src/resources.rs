@@ -95,16 +95,6 @@ impl Resources {
         }
         u
     }
-
-    /// Scales every dimension by `n`.
-    #[must_use]
-    pub fn times(&self, n: u32) -> Resources {
-        Resources {
-            vcpus: self.vcpus * n,
-            mem_gib: self.mem_gib * n as f64,
-            disk_gib: self.disk_gib * n as f64,
-        }
-    }
 }
 
 impl Add for Resources {
@@ -243,12 +233,6 @@ mod tests {
         let used = Resources::new(5, 90.0, 10.0);
         assert!((cap.utilization(&used) - 0.9).abs() < 1e-12);
         assert_eq!(Resources::ZERO.utilization(&Resources::ZERO), 0.0);
-    }
-
-    #[test]
-    fn times_scales_all_dimensions() {
-        let r = Resources::new(2, 4.0, 8.0).times(3);
-        assert_eq!(r, Resources::new(6, 12.0, 24.0));
     }
 
     #[test]

@@ -48,12 +48,6 @@ impl ReplicationPolicy {
         ReplicationPolicy { replicas, sites }
     }
 
-    /// Single copy on a single site — the paper's at-risk private setup.
-    #[must_use]
-    pub fn single_copy() -> Self {
-        ReplicationPolicy::new(1, 1)
-    }
-
     /// Three replicas across three sites — public-cloud object storage.
     #[must_use]
     pub fn cloud_triplicate() -> Self {
@@ -96,13 +90,6 @@ impl ReplicationPolicy {
             "probability out of range: {p_replica}"
         );
         p_replica.powi(self.replicas as i32)
-    }
-
-    /// True if an object survives the total destruction of `site` —
-    /// it does iff any replica lives elsewhere.
-    #[must_use]
-    pub fn survives_site_loss(&self, first_site: u32, lost_site: u32) -> bool {
-        self.placement(first_site).iter().any(|&s| s != lost_site)
     }
 }
 
@@ -179,12 +166,6 @@ impl ObjectStore {
         }
     }
 
-    /// The replication policy.
-    #[must_use]
-    pub fn policy(&self) -> ReplicationPolicy {
-        self.policy
-    }
-
     /// Stores an object, spreading replicas round-robin over sites.
     pub fn put(&mut self, size: Bytes) -> ObjectId {
         let id = ObjectId::new(self.objects.len() as u64);
@@ -213,23 +194,6 @@ impl ObjectStore {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.objects.is_empty()
-    }
-
-    /// Total bytes of surviving objects (counting each object once, not per
-    /// replica).
-    #[must_use]
-    pub fn surviving_bytes(&self) -> Bytes {
-        self.objects
-            .iter()
-            .filter(|o| !o.is_lost())
-            .map(StoredObject::size)
-            .sum()
-    }
-
-    /// Objects lost so far.
-    #[must_use]
-    pub fn lost_count(&self) -> usize {
-        self.lost
     }
 
     /// Destroys a failure domain. Every replica on `site` disappears;
@@ -307,33 +271,20 @@ mod tests {
     fn loss_probability_is_independent_product() {
         let p = ReplicationPolicy::new(3, 3);
         assert!((p.loss_probability(0.1) - 0.001).abs() < 1e-12);
-        assert_eq!(ReplicationPolicy::single_copy().loss_probability(0.1), 0.1);
+        assert_eq!(ReplicationPolicy::new(1, 1).loss_probability(0.1), 0.1);
         assert_eq!(p.loss_probability(0.0), 0.0);
         assert_eq!(p.loss_probability(1.0), 1.0);
     }
 
     #[test]
-    fn site_loss_survival() {
-        let single = ReplicationPolicy::single_copy();
-        assert!(!single.survives_site_loss(0, 0));
-        let tri = ReplicationPolicy::cloud_triplicate();
-        assert!(tri.survives_site_loss(0, 0));
-        // Two replicas on two sites survives either site's loss.
-        let two = ReplicationPolicy::new(2, 2);
-        assert!(two.survives_site_loss(0, 0));
-        assert!(two.survives_site_loss(0, 1));
-    }
-
-    #[test]
     fn single_site_store_loses_everything() {
-        let mut store = ObjectStore::new(ReplicationPolicy::single_copy());
+        let mut store = ObjectStore::new(ReplicationPolicy::new(1, 1));
         for _ in 0..10 {
             store.put(Bytes::from_mib(1));
         }
         let lost = store.destroy_site(0);
         assert_eq!(lost.len(), 10);
         assert_eq!(store.survival_rate(), 0.0);
-        assert_eq!(store.surviving_bytes(), Bytes::ZERO);
     }
 
     #[test]
@@ -359,16 +310,8 @@ mod tests {
     }
 
     #[test]
-    fn surviving_bytes_counts_objects_once() {
-        let mut store = ObjectStore::new(ReplicationPolicy::cloud_triplicate());
-        store.put(Bytes::from_mib(3));
-        store.put(Bytes::from_mib(5));
-        assert_eq!(store.surviving_bytes(), Bytes::from_mib(8));
-    }
-
-    #[test]
     fn empty_store_metrics() {
-        let store = ObjectStore::new(ReplicationPolicy::single_copy());
+        let store = ObjectStore::new(ReplicationPolicy::new(1, 1));
         assert!(store.is_empty());
         assert_eq!(store.len(), 0);
         assert_eq!(store.survival_rate(), 1.0);
@@ -376,13 +319,13 @@ mod tests {
 
     #[test]
     fn lost_objects_stay_lost() {
-        let mut store = ObjectStore::new(ReplicationPolicy::single_copy());
+        let mut store = ObjectStore::new(ReplicationPolicy::new(1, 1));
         let id = store.put(Bytes::from_kib(1));
         store.destroy_site(0);
         // Second disaster reports nothing new.
         assert!(store.destroy_site(0).is_empty());
         assert!(store.object(id).unwrap().is_lost());
-        assert_eq!(store.lost_count(), 1);
+        assert_eq!(store.survival_rate(), 0.0);
     }
 
     /// The store as it was before it went dense: a `BTreeMap` of objects,
@@ -426,10 +369,6 @@ mod tests {
 
             pub fn len(&self) -> usize {
                 self.objects.len()
-            }
-
-            pub fn surviving_bytes(&self) -> Bytes {
-                self.objects.values().filter(|o| !o.2).map(|o| o.0).sum()
             }
 
             pub fn lost_count(&self) -> usize {
@@ -492,13 +431,11 @@ mod tests {
                     assert_eq!(dense.destroy_site(site), lost, "{at}: destroy {site}");
                 }
                 assert_eq!(dense.len(), btree.len(), "{at}");
-                assert_eq!(dense.lost_count(), btree.lost_count(), "{at}");
                 assert_eq!(
                     dense.survival_rate().to_bits(),
                     btree.survival_rate().to_bits(),
                     "{at}"
                 );
-                assert_eq!(dense.surviving_bytes(), btree.surviving_bytes(), "{at}");
                 for id in (0..=dense.len() as u64).map(ObjectId::new) {
                     assert_eq!(
                         dense.object(id).map(StoredObject::is_lost),

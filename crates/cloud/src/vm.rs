@@ -108,18 +108,6 @@ impl Vm {
         }
     }
 
-    /// Marks the VM running (idempotent for already running VMs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the VM is stopped or failed.
-    pub fn mark_running(&mut self) {
-        match self.state {
-            VmState::Provisioning { .. } | VmState::Running => self.state = VmState::Running,
-            other => panic!("cannot mark {other:?} VM running"),
-        }
-    }
-
     /// Stops the VM at `t`.
     ///
     /// # Panics
@@ -189,10 +177,8 @@ mod tests {
     }
 
     #[test]
-    fn running_and_stopping() {
+    fn stopping_ends_service() {
         let mut vm = sample_vm();
-        vm.mark_running();
-        assert_eq!(vm.state(), VmState::Running);
         vm.stop(secs(1_000));
         assert!(!vm.is_serving(secs(2_000)));
         assert_eq!(vm.state(), VmState::Stopped { at: secs(1_000) });
@@ -220,14 +206,6 @@ mod tests {
         vm.stop(secs(10));
         vm.fail(secs(20));
         assert_eq!(vm.state(), VmState::Stopped { at: secs(10) });
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot mark")]
-    fn cannot_resurrect_failed_vm() {
-        let mut vm = sample_vm();
-        vm.fail(secs(10));
-        vm.mark_running();
     }
 
     #[test]

@@ -38,13 +38,6 @@ pub struct ClientRow {
     pub install_s: f64,
 }
 
-/// Links swept (the mobile path covers the paper's ref.\[5\] scenario).
-pub const LINKS: [LinkProfile; 3] = [
-    LinkProfile::MetroInternet,
-    LinkProfile::RuralInternet,
-    LinkProfile::Mobile3g,
-];
-
 /// E2 output.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Output {

@@ -58,6 +58,20 @@ const TICK: SimDuration = SimDuration::from_secs(60);
 /// Autoscaler probe interval.
 const SCALE_EVERY: SimDuration = SimDuration::from_secs(120);
 
+/// Hosts in the datacenter every strategy provisions from.
+const POOL_HOSTS: usize = 40;
+
+/// Medium VMs the host pool holds: 40 hosts × 16.
+pub const POOL_VMS: u32 = 640;
+
+/// The datacenter every strategy provisions from: [`POOL_HOSTS`] hosts,
+/// each with room for 16 [`UNIT`] VMs.
+fn pool() -> Datacenter {
+    let mut dc = Datacenter::new("e12", FirstFit, SimDuration::from_secs(120));
+    dc.add_hosts(POOL_HOSTS, Resources::new(32, 128.0, 2_000.0));
+    dc
+}
+
 /// How a fleet is sized (and whether a host failure is injected at the
 /// evening peak).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -232,39 +246,79 @@ fn autoscale(sim: &mut Simulation<World>) {
     }
 }
 
+/// The simulated day: day 2 of the exam period (a weekday under the
+/// standard calendar).
+fn day_start(scenario: &Scenario) -> SimTime {
+    scenario.calendar().exams_start() + SimDuration::from_days(1)
+}
+
+/// The fleet `strategy` starts the exam day with, in [`UNIT`] VMs,
+/// against the demand of `workload`.
+fn initial_fleet(workload: &dyn WorkloadSource, day_start: SimTime, strategy: Strategy) -> u32 {
+    let size = |rate: f64, per_vm: f64| ((rate / per_vm).ceil() as u32).max(2);
+    match strategy {
+        // Start right-sized for the midnight load.
+        Strategy::Elastic | Strategy::ElasticHostFailure => {
+            size(workload.rate_at(day_start), UNIT.requests_per_sec() * 0.6)
+        }
+        // Teaching-week evening peak (no exam multiplier): phase factor
+        // 1.0, diurnal max 1.3.
+        Strategy::FixedTeaching => size(
+            f64::from(workload.students()) / 1_000.0 * 20.0 * 1.3 * 1.2,
+            UNIT.requests_per_sec(),
+        ),
+        Strategy::FixedExam | Strategy::FixedExamHostFailure => {
+            size(workload.peak_rate() * 1.2, UNIT.requests_per_sec())
+        }
+    }
+}
+
+/// Checks that every strategy's initial fleet fits the host pool.
+///
+/// Reads the workload the way [`run`] does: one source per strategy, in
+/// [`Strategy::ALL`] order, each bound to its replay stream at the day's
+/// start. The sources come from a clone of `scenario`, so the run's own
+/// stream claims stay untouched.
+///
+/// # Errors
+///
+/// Names the largest fleet the scenario's workload asks for when it
+/// exceeds the [`POOL_VMS`]-VM pool.
+pub fn check_fleets(scenario: &Scenario) -> Result<(), String> {
+    let probe = scenario.clone();
+    let day = day_start(&probe);
+    let largest = Strategy::ALL
+        .iter()
+        .map(|&s| {
+            let workload = probe.workload();
+            // `simulate` binds every source at the day's start: elastic
+            // ones when sizing their fleet, fixed ones at the first tick.
+            let _ = workload.rate_at(day);
+            initial_fleet(workload.as_ref(), day, s)
+        })
+        .max()
+        .unwrap_or(0);
+    if largest > POOL_VMS {
+        return Err(format!(
+            "e12 on {} needs an initial fleet of {largest} {UNIT} VMs, beyond its \
+             {POOL_VMS}-VM host pool ({POOL_HOSTS} hosts)",
+            scenario.name()
+        ));
+    }
+    Ok(())
+}
+
 /// Simulates one strategy over 24 hours of the exam day.
 fn simulate(scenario: &Scenario, strategy: Strategy) -> SurgeRow {
     let workload = scenario.workload();
-    let cal = scenario.calendar();
-    // Day 2 of the exam period (a weekday under the standard calendar).
-    let day_start = cal.exams_start() + SimDuration::from_days(1);
+    let day_start = day_start(scenario);
     let horizon = SimTime::ZERO + SimDuration::from_hours(24);
 
-    let mut dc = Datacenter::new("e12", FirstFit, SimDuration::from_secs(120));
-    // A generous host pool: enough for any fleet the experiment can ask.
-    dc.add_hosts(40, Resources::new(32, 128.0, 2_000.0));
-
-    // Teaching-week evening peak (no exam multiplier): phase factor 1.0,
-    // diurnal max 1.3.
-    let teaching_peak = f64::from(workload.students()) / 1_000.0 * 20.0 * 1.3;
-    let exam_peak = workload.peak_rate();
-
-    let initial = match strategy {
-        Strategy::Elastic | Strategy::ElasticHostFailure => {
-            // Start right-sized for the midnight load.
-            let rate0 = workload.rate_at(day_start);
-            ((rate0 / (UNIT.requests_per_sec() * 0.6)).ceil() as u32).max(2)
-        }
-        Strategy::FixedTeaching => {
-            ((teaching_peak * 1.2 / UNIT.requests_per_sec()).ceil() as u32).max(2)
-        }
-        Strategy::FixedExam | Strategy::FixedExamHostFailure => {
-            ((exam_peak * 1.2 / UNIT.requests_per_sec()).ceil() as u32).max(2)
-        }
-    };
+    let mut dc = pool();
+    let initial = initial_fleet(workload.as_ref(), day_start, strategy);
     for _ in 0..initial {
         dc.provision(UNIT, SimTime::ZERO)
-            .expect("host pool sized for any fleet");
+            .expect("initial fleets fit the pool (see check_fleets)");
     }
 
     let scaler = strategy
@@ -397,6 +451,29 @@ mod tests {
 
     fn output() -> Output {
         run(&Scenario::university(41))
+    }
+
+    #[test]
+    fn the_pool_holds_exactly_pool_vms() {
+        let mut dc = pool();
+        for _ in 0..POOL_VMS {
+            dc.provision(UNIT, SimTime::ZERO).expect("within the pool");
+        }
+        assert!(dc.provision(UNIT, SimTime::ZERO).is_err());
+    }
+
+    #[test]
+    fn every_preset_fits_the_pool_and_a_larger_fleet_is_refused() {
+        for name in crate::scenario::PRESETS {
+            let scenario = Scenario::preset(name, 42).expect("preset exists");
+            let fits = check_fleets(&scenario);
+            if name == "national-5m" {
+                let msg = fits.expect_err("5M students outgrow the pool");
+                assert!(msg.contains("640-VM host pool"), "{msg}");
+            } else {
+                assert_eq!(fits, Ok(()), "{name}");
+            }
+        }
     }
 
     #[test]

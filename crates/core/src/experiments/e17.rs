@@ -35,7 +35,7 @@ use elc_deploy::faas::{faas_tco, FaasDeployment, TEACHING_FRACTIONS};
 use elc_deploy::provisioning::faas_schedule;
 use elc_elearn::calendar::Phase;
 use elc_elearn::request::RequestKind;
-use elc_faas::{FaasScaler, InvocationBilling, Invoker, InvokerConfig};
+use elc_faas::{FaasScaler, FixedWindow, InvocationBilling, Invoker, InvokerConfig};
 use elc_resil::chaos::{ChaosSpec, FaultTimeline};
 use elc_simcore::metrics::Histogram;
 use elc_simcore::rng::SimRng;
@@ -397,12 +397,10 @@ fn simulate_faas(
     let mut invokers: Vec<Invoker> = RequestKind::ALL
         .iter()
         .map(|&k| {
-            // The deployment's reaper policy: the classic fixed window,
-            // or the histogram-adaptive keepalive when configured.
             Invoker::new(
                 k,
                 InvokerConfig::new(
-                    deploy.invoker_keepalive(),
+                    FixedWindow::new(deploy.keepalive),
                     deploy.per_function_concurrency,
                     deploy.buffer_capacity,
                 ),
@@ -502,15 +500,7 @@ fn simulate_faas(
 /// none is configured.
 #[must_use]
 pub fn run(scenario: &Scenario) -> Output {
-    run_with_deployment(scenario, &FaasDeployment::standard())
-}
-
-/// Like [`run`], but with a caller-chosen serverless deployment — the
-/// hook that lets the histogram-adaptive keepalive (or any other account
-/// configuration) drive the same three days. [`run`] is exactly
-/// `run_with_deployment(scenario, &FaasDeployment::standard())`.
-#[must_use]
-pub fn run_with_deployment(scenario: &Scenario, deploy: &FaasDeployment) -> Output {
+    let deploy = &FaasDeployment::standard();
     let chaos = scenario
         .chaos()
         .cloned()
@@ -725,29 +715,6 @@ mod tests {
         assert!(
             faas.reaped > 0,
             "the overnight trough must reap idle sandboxes"
-        );
-    }
-
-    #[test]
-    fn adaptive_keepalive_changes_reap_timing() {
-        let scenario = Scenario::university(41);
-        let fixed = output();
-        let adaptive = run_with_deployment(&scenario, &FaasDeployment::adaptive());
-        // The histogram reaper learns per-function reuse gaps, so idle
-        // sandboxes die on a different clock than the fixed window —
-        // visible in the day's reap count.
-        let f = fixed.row(Day::Diurnal, Model::Faas);
-        let a = adaptive.row(Day::Diurnal, Model::Faas);
-        assert_ne!(
-            (f.reaped, f.cold_starts),
-            (a.reaped, a.cold_starts),
-            "the adaptive reaper must change reap timing"
-        );
-        // The account configuration is serverless-only: VM rows are
-        // untouched.
-        assert_eq!(
-            fixed.row(Day::Diurnal, Model::Public),
-            adaptive.row(Day::Diurnal, Model::Public)
         );
     }
 

@@ -29,6 +29,7 @@
 
 use elc_analysis::metrics::{Cell, MetricSet, MetricTable};
 use elc_analysis::report::Section;
+use elc_elearn::source::WorkloadSource;
 use elc_fluid::{EngineConfig, EngineReport, Fidelity};
 use elc_simcore::rng::SimRng;
 use elc_simcore::time::{SimDuration, SimTime};
@@ -87,16 +88,90 @@ pub fn event_count_estimate(scenario: &Scenario) -> f64 {
     mean * WINDOW.as_secs_f64() * 2.0
 }
 
+/// The most arrivals one tick may materialize at event or auto fidelity.
+/// The engine holds a tick's arrivals in memory at once, 24 bytes each
+/// (an offset and a pending event), so this caps a tick at 1.5 GiB. A
+/// region of `national-5m` offers under 8M a tick at its peak.
+const MAX_TICK_ARRIVALS: f64 = (1u64 << 26) as f64;
+
+/// The station each region of `scenario` runs at `fidelity`, sized for
+/// the region's share of `workload`'s declared peak.
+///
+/// An offered rate above the station's capacity is not refused: the
+/// station sheds the excess, as it does in any overload.
+///
+/// # Errors
+///
+/// When the station cannot run: the declared peak is not a positive
+/// number whose server count fits a `u64`, or — at the fidelities that
+/// materialize requests — one tick of the window offers more than
+/// [`MAX_TICK_ARRIVALS`] arrivals.
+fn region_station(
+    scenario: &Scenario,
+    workload: &dyn WorkloadSource,
+    fidelity: Fidelity,
+) -> Result<EngineConfig, String> {
+    let share = f64::from(regions(scenario));
+    let peak = workload.peak_rate() / share;
+    let refuse = |why: String| Err(format!("e18 on {}: {why}", scenario.name()));
+    if !(peak.is_finite() && peak > 0.0) {
+        return refuse(format!("cannot size a station for a peak of {peak} req/s"));
+    }
+    let cfg = EngineConfig {
+        start: window_start(scenario),
+        horizon: WINDOW,
+        ..EngineConfig::sized_for(peak, TARGET_UTIL, fidelity)
+    };
+    // `sized_for` saturates a server count past `u64::MAX`.
+    if cfg.servers == u64::MAX {
+        return refuse(format!(
+            "a peak of {peak:e} req/s per region needs more servers than a station counts"
+        ));
+    }
+    if fidelity != Fidelity::Fluid {
+        // The instants the event and auto engines read the rate at.
+        let ticks = cfg.horizon.as_nanos() / cfg.tick.as_nanos();
+        let busiest = (0..=ticks)
+            .map(|i| workload.rate_at(cfg.start + SimDuration::from_nanos(cfg.tick.as_nanos() * i)))
+            .fold(0.0, f64::max)
+            / share;
+        let arrivals = busiest * cfg.tick.as_secs_f64();
+        if arrivals > MAX_TICK_ARRIVALS {
+            return refuse(format!(
+                "one tick of the window offers {arrivals:.1e} arrivals per region, beyond the \
+                 {MAX_TICK_ARRIVALS} an event-level tick materializes; rerun with \
+                 --fidelity fluid"
+            ));
+        }
+    }
+    Ok(cfg)
+}
+
+/// Checks that every region's station can run, building them the way
+/// [`run`] does: one workload source per region, each claiming its
+/// replay stream from a clone of `scenario`, so the run's own stream
+/// claims stay untouched.
+///
+/// # Errors
+///
+/// Names the first station that cannot run: its declared peak is not a
+/// positive number whose server count fits a `u64`, or, at event and
+/// auto fidelity, one tick of the window offers more arrivals than an
+/// event-level tick materializes (2^26).
+pub fn check_stations(scenario: &Scenario) -> Result<(), String> {
+    let probe = scenario.clone();
+    for _ in 0..regions(&probe) {
+        region_station(&probe, probe.workload().as_ref(), probe.fidelity())?;
+    }
+    Ok(())
+}
+
 /// Simulates one region's station at the given fidelity.
 fn simulate_region(scenario: &Scenario, region: u32, fidelity: Fidelity) -> RegionRow {
     let workload = scenario.workload();
     let share = f64::from(regions(scenario));
-    let start = window_start(scenario);
-    let cfg = EngineConfig {
-        start,
-        horizon: WINDOW,
-        ..EngineConfig::sized_for(workload.peak_rate() / share, TARGET_UTIL, fidelity)
-    };
+    let cfg = region_station(scenario, workload.as_ref(), fidelity)
+        .expect("elc refuses stations that cannot run (see check_stations)");
     let mut rng = SimRng::seed(scenario.seed())
         .derive("e18")
         .derive_u64(u64::from(region));

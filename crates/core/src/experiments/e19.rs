@@ -259,9 +259,12 @@ fn simulate(scenario: &Scenario, chaos: &ChaosSpec, model: DeployModel) -> DrRow
             let lost = link.fail_over();
             let window = match posture.replication() {
                 ReplicationSpec::Sync => SimDuration::ZERO,
-                ReplicationSpec::AsyncAtPeakFraction(_) => {
-                    SimDuration::from_secs_f64(lost / write_rate.max(1.0))
-                }
+                // The lost writes were committed no earlier than the
+                // link's first instant.
+                ReplicationSpec::AsyncAtPeakFraction(_) => SimDuration::from_secs_f64(
+                    (lost / write_rate.max(1.0))
+                        .min(safe_until.saturating_since(SimTime::ZERO).as_secs_f64()),
+                ),
                 ReplicationSpec::Snapshot(interval) => {
                     safe_until.saturating_since(floor_to(safe_until, interval))
                 }
@@ -418,6 +421,19 @@ mod tests {
 
     fn output() -> Output {
         run(&Scenario::university(41))
+    }
+
+    #[test]
+    fn nightly_floor_is_the_last_midnight() {
+        let nightly = SimDuration::from_hours(24);
+        let evening = SimTime::ZERO + SimDuration::from_days(10) + SimDuration::from_hours(19);
+        assert_eq!(
+            floor_to(evening, nightly),
+            SimTime::ZERO + SimDuration::from_days(10)
+        );
+        // Exactly on the boundary the floor is that instant.
+        let midnight = SimTime::ZERO + SimDuration::from_days(3);
+        assert_eq!(floor_to(midnight, nightly), midnight);
     }
 
     #[test]

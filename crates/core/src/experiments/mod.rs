@@ -6,7 +6,7 @@
 //! national-scale hybrid fidelity, E19 disaster recovery) and the
 //! measured comparison matrix (T1). Every module exposes `run(&Scenario)`
 //! returning a typed output with a `section()` renderer; [`run_all`]
-//! executes the whole suite and assembles the report, and [`registry`]
+//! executes the whole suite and assembles the report, and [`registry()`]
 //! exposes every experiment behind the uniform [`Experiment`] interface
 //! (one trait object per id) for consumers like the CLI and the
 //! `elc-runner` replication engine.
@@ -110,7 +110,7 @@ impl SuiteOutputs {
 /// Runs the whole report suite against one scenario.
 ///
 /// E16–E18 are registry-only extensions: they run through
-/// [`registry`]/[`find`] (the CLI's `--experiment` path) but stay out
+/// [`registry()`]/[`find`] (the CLI's `--experiment` path) but stay out
 /// of the assembled report, whose section set and goldens predate them.
 /// E18 in particular defaults to national scale, where only the fluid
 /// fast path is tractable.

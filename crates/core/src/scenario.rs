@@ -61,8 +61,6 @@ impl Error for ScenarioError {}
 enum WorkloadSpec {
     /// Synthesise demand from the standard model (population + calendar).
     Generated,
-    /// Drive demand from an explicitly configured model.
-    Model(WorkloadModel),
     /// Replay a recorded trace; the handout assigns streams to sources.
     Trace(TraceHandout),
 }
@@ -71,7 +69,6 @@ impl Clone for WorkloadSpec {
     fn clone(&self) -> Self {
         match self {
             WorkloadSpec::Generated => WorkloadSpec::Generated,
-            WorkloadSpec::Model(model) => WorkloadSpec::Model(model.clone()),
             // A cloned scenario starts its own replay: stream claims are
             // per scenario instance, so parallel replication workers
             // (which clone, then reseed) never race on a shared handout.
@@ -89,7 +86,6 @@ impl WorkloadSpec {
     fn matches(&self, other: &WorkloadSpec) -> bool {
         match (self, other) {
             (WorkloadSpec::Generated, WorkloadSpec::Generated) => true,
-            (WorkloadSpec::Model(a), WorkloadSpec::Model(b)) => a == b,
             (WorkloadSpec::Trace(a), WorkloadSpec::Trace(b)) => {
                 a.trace().as_ref() == b.trace().as_ref()
             }
@@ -131,8 +127,6 @@ pub struct ScenarioBuilder {
     chaos: Option<ChaosSpec>,
     shards: u32,
     fidelity: Fidelity,
-    model: Option<WorkloadModel>,
-    trace: Option<Arc<WorkloadTrace>>,
 }
 
 impl ScenarioBuilder {
@@ -153,8 +147,6 @@ impl ScenarioBuilder {
             chaos: None,
             shards: 1,
             fidelity: Fidelity::Event,
-            model: None,
-            trace: None,
         }
     }
 
@@ -222,36 +214,13 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Drives the scenario's demand from an explicitly configured
-    /// workload model instead of the standard one (default: synthesise
-    /// from the population and calendar). Clears any replay trace set
-    /// earlier — the last workload choice wins.
-    #[must_use]
-    pub fn workload_model(mut self, model: WorkloadModel) -> Self {
-        self.model = Some(model);
-        self.trace = None;
-        self
-    }
-
-    /// Replays a recorded workload trace instead of synthesising demand.
-    /// Clears any explicit model set earlier — the last workload choice
-    /// wins. The trace's recorded population replaces the builder's
-    /// student count so capacity and cost planning match the replayed
-    /// demand.
-    #[must_use]
-    pub fn workload_trace(mut self, trace: Arc<WorkloadTrace>) -> Self {
-        self.trace = Some(trace);
-        self.model = None;
-        self
-    }
-
     /// Validates and builds the scenario.
     ///
     /// # Errors
     ///
     /// Returns [`ScenarioError`] if the population is zero, the horizon
-    /// is not a positive, finite number of years, the shard count is
-    /// zero, or a configured replay trace is empty or invalid.
+    /// is not a positive, finite number of years, or the shard count is
+    /// zero.
     pub fn build(self) -> Result<Scenario, ScenarioError> {
         if self.students == 0 {
             return Err(ScenarioError::NoStudents);
@@ -262,22 +231,9 @@ impl ScenarioBuilder {
         if self.shards == 0 {
             return Err(ScenarioError::NoShards);
         }
-        let mut students = self.students;
-        let workload = match (self.trace, self.model) {
-            (Some(trace), _) => {
-                if trace.validate().is_err() {
-                    return Err(ScenarioError::BadTrace);
-                }
-                students = trace.students.max(1);
-                let handout = TraceHandout::new(trace).map_err(|_| ScenarioError::BadTrace)?;
-                WorkloadSpec::Trace(handout)
-            }
-            (None, Some(model)) => WorkloadSpec::Model(model),
-            (None, None) => WorkloadSpec::Generated,
-        };
         Ok(Scenario {
             name: self.name,
-            students,
+            students: self.students,
             seed: self.seed,
             years: self.years,
             link: self.link,
@@ -286,7 +242,7 @@ impl ScenarioBuilder {
             chaos: self.chaos,
             shards: self.shards,
             fidelity: self.fidelity,
-            workload,
+            workload: WorkloadSpec::Generated,
             recorder: None,
         })
     }
@@ -534,13 +490,11 @@ impl Scenario {
     /// The institutional demand source.
     ///
     /// Generated scenarios return the standard [`WorkloadModel`]; a
-    /// scenario configured with [`workload_trace`] returns a
+    /// scenario configured with [`Scenario::with_workload_trace`] returns a
     /// [`TraceReplayer`](elc_wltrace::TraceReplayer) bound lazily to the
     /// next recorded stream. When a recorder is
     /// [attached](Scenario::attach_recorder), the source is wrapped in a
     /// recording tee that observes every query without perturbing it.
-    ///
-    /// [`workload_trace`]: ScenarioBuilder::workload_trace
     #[must_use]
     pub fn workload(&self) -> Box<dyn WorkloadSource> {
         let base: Box<dyn WorkloadSource> = match &self.workload {
@@ -549,7 +503,6 @@ impl Scenario {
                     .build()
                     .expect("population validated at scenario build"),
             ),
-            WorkloadSpec::Model(model) => Box::new(model.clone()),
             WorkloadSpec::Trace(handout) => Box::new(handout.source()),
         };
         match &self.recorder {
@@ -567,23 +520,9 @@ impl Scenario {
     /// comparable across generated and replayed runs of the same cohort.
     #[must_use]
     pub fn workload_model(&self) -> WorkloadModel {
-        match &self.workload {
-            WorkloadSpec::Model(model) => model.clone(),
-            WorkloadSpec::Generated | WorkloadSpec::Trace(_) => {
-                WorkloadModel::builder(self.students, self.calendar)
-                    .build()
-                    .expect("population validated at scenario build")
-            }
-        }
-    }
-
-    /// The replay trace driving this scenario, if one is configured.
-    #[must_use]
-    pub fn replay_trace(&self) -> Option<&Arc<WorkloadTrace>> {
-        match &self.workload {
-            WorkloadSpec::Trace(handout) => Some(handout.trace()),
-            WorkloadSpec::Generated | WorkloadSpec::Model(_) => None,
-        }
+        WorkloadModel::builder(self.students, self.calendar)
+            .build()
+            .expect("population validated at scenario build")
     }
 
     /// A copy that replays `trace` instead of synthesising demand. The
@@ -839,7 +778,6 @@ mod tests {
             .unwrap();
         assert_eq!(s.students(), 4_000, "population follows the trace header");
         assert_eq!(s.workload().students(), 4_000);
-        assert!(s.replay_trace().is_some());
         assert!(
             (s.workload().peak_rate() - 120.0).abs() < 1e-12,
             "replayed peak comes from the header"
@@ -871,30 +809,6 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, ScenarioError::BadTrace);
         assert!(err.to_string().contains("trace"));
-        let err = Scenario::builder("t", 10)
-            .workload_trace(WorkloadTrace::empty(100, 1.0).into_shared())
-            .build()
-            .unwrap_err();
-        assert_eq!(err, ScenarioError::BadTrace);
-    }
-
-    #[test]
-    fn builder_workload_knobs_are_last_wins() {
-        let cal = AcademicCalendar::standard_semester(SimTime::ZERO);
-        let model = WorkloadModel::builder(700, cal).build().unwrap();
-        let s = Scenario::builder("t", 10)
-            .workload_trace(tiny_trace())
-            .workload_model(model.clone())
-            .build()
-            .unwrap();
-        assert!(s.replay_trace().is_none(), "model cleared the trace");
-        assert_eq!(s.workload_model(), model);
-        let s = Scenario::builder("t", 10)
-            .workload_model(model)
-            .workload_trace(tiny_trace())
-            .build()
-            .unwrap();
-        assert!(s.replay_trace().is_some(), "trace cleared the model");
     }
 
     #[test]

@@ -55,10 +55,6 @@ pub struct CostInputs {
     /// Reserve the always-on baseline instances at these terms; `None`
     /// bills everything on-demand.
     pub reserved: Option<ReservedTerms>,
-    /// Carry this disaster-recovery posture on the bill; `None` prices
-    /// no DR at all (the seed behavior, and an honest baseline: a
-    /// posture is an explicit purchase).
-    pub dr: Option<crate::dr::DrPosture>,
 }
 
 impl CostInputs {
@@ -74,7 +70,6 @@ impl CostInputs {
             years: 3.0,
             prices: PriceSheet::public_2013(),
             reserved: None,
-            dr: None,
         }
     }
 
@@ -83,13 +78,6 @@ impl CostInputs {
     #[must_use]
     pub fn with_reserved(mut self) -> Self {
         self.reserved = Some(ReservedTerms::standard_2013());
-        self
-    }
-
-    /// The same inputs carrying `posture`'s annual DR cost.
-    #[must_use]
-    pub fn with_dr(mut self, posture: crate::dr::DrPosture) -> Self {
-        self.dr = Some(posture);
         self
     }
 }
@@ -107,8 +95,6 @@ pub struct CostBreakdown {
     pub cloud_usage: Usd,
     /// One-time setup consultancy.
     pub consultancy: Usd,
-    /// Disaster-recovery posture carrying cost over the horizon.
-    pub dr: Usd,
     /// Private servers the fleet was sized to.
     pub private_servers: u32,
     /// Mean public instances over the simulated year.
@@ -119,14 +105,7 @@ impl CostBreakdown {
     /// Grand total over the horizon.
     #[must_use]
     pub fn total(&self) -> Usd {
-        self.capex + self.facilities + self.staff + self.cloud_usage + self.consultancy + self.dr
-    }
-
-    /// Cost per student per year.
-    #[must_use]
-    pub fn per_student_year(&self, students: u32, years: f64) -> Usd {
-        assert!(students > 0 && years > 0.0, "need students and a horizon");
-        self.total() * (1.0 / (f64::from(students) * years))
+        self.capex + self.facilities + self.staff + self.cloud_usage + self.consultancy
     }
 }
 
@@ -269,26 +248,12 @@ pub(crate) fn tco_sampled(
         instance_samples / samples as f64
     };
 
-    // ---- DR carrying cost: the posture protects whichever fleet serves. ----
-    let dr = match inputs.dr {
-        Some(posture) => {
-            let protected = if private_servers > 0 {
-                private_servers
-            } else {
-                mean_public_instances.ceil() as u32
-            };
-            posture.annual_cost(protected) * inputs.years
-        }
-        None => Usd::ZERO,
-    };
-
     CostBreakdown {
         capex,
         facilities,
         staff,
         cloud_usage,
         consultancy: overhead.setup_consultancy,
-        dr,
         private_servers,
         mean_public_instances,
     }
@@ -415,14 +380,6 @@ mod tests {
     }
 
     #[test]
-    fn per_student_year_normalizes() {
-        let i = inputs(10_000);
-        let c = tco(&Deployment::public(), &i);
-        let per = c.per_student_year(10_000, 3.0);
-        assert!((per.amount() - c.total().amount() / 30_000.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn mean_instances_reported_for_public() {
         let c = tco(&Deployment::public(), &inputs(20_000));
         assert!(c.mean_public_instances >= f64::from(PUBLIC_MIN_INSTANCES));
@@ -465,35 +422,6 @@ mod tests {
                 "reserved should never worsen the public/private ratio at {n}"
             );
         }
-    }
-
-    #[test]
-    fn dr_posture_adds_its_carrying_cost_and_nothing_else() {
-        let bare = inputs(5_000);
-        let with = inputs(5_000).with_dr(crate::dr::DrPosture::nightly_tape());
-        let b = tco(&Deployment::private(), &bare);
-        let w = tco(&Deployment::private(), &with);
-        assert_eq!(b.dr, Usd::ZERO);
-        assert!(w.dr > Usd::ZERO);
-        // The posture bills exactly its annual cost over the horizon.
-        let expected =
-            crate::dr::DrPosture::nightly_tape().annual_cost(w.private_servers) * with.years;
-        assert_eq!(w.dr, expected);
-        // Every other line is untouched; the total moves by exactly dr.
-        assert_eq!(w.capex, b.capex);
-        assert_eq!(w.staff, b.staff);
-        assert_eq!(w.cloud_usage, b.cloud_usage);
-        assert_eq!(w.total(), b.total() + w.dr);
-    }
-
-    #[test]
-    fn public_dr_protects_the_mean_serving_fleet() {
-        let i = inputs(20_000).with_dr(crate::dr::DrPosture::multi_az_sync());
-        let c = tco(&Deployment::public(), &i);
-        assert_eq!(c.private_servers, 0);
-        let protected = c.mean_public_instances.ceil() as u32;
-        let expected = crate::dr::DrPosture::multi_az_sync().annual_cost(protected) * i.years;
-        assert_eq!(c.dr, expected);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! and orchestrator from it per run, so the posture itself carries no
 //! sim state.
 
-use elc_dr::backup::BackupSchedule;
+use elc_dr::backup::MediaRestore;
 use elc_dr::detector::FailureDetector;
 use elc_dr::replication::{ReplicationLink, ReplicationMode};
 use elc_simcore::time::SimDuration;
@@ -47,9 +47,9 @@ pub enum ReplicationSpec {
 pub struct DrPosture {
     name: &'static str,
     replication: ReplicationSpec,
-    /// Restore-from-media schedule, for the postures whose standby is a
+    /// Restore-from-media clock, for the postures whose standby is a
     /// backup artifact rather than a running replica.
-    backup: Option<BackupSchedule>,
+    backup: Option<MediaRestore>,
     heartbeat_every: SimDuration,
     suspect_after_missed: u32,
     confirm_after_missed: u32,
@@ -70,10 +70,7 @@ impl DrPosture {
         DrPosture {
             name: "nightly-tape",
             replication: ReplicationSpec::Snapshot(SimDuration::from_hours(24)),
-            backup: Some(BackupSchedule::new(
-                SimDuration::from_hours(24),
-                calib::DR_TAPE_RESTORE_GIB_PER_HOUR,
-            )),
+            backup: Some(MediaRestore::new(calib::DR_TAPE_RESTORE_GIB_PER_HOUR)),
             heartbeat_every: SimDuration::from_secs(30),
             suspect_after_missed: 2,
             confirm_after_missed: 4,
@@ -135,10 +132,7 @@ impl DrPosture {
         DrPosture {
             name: "mutual-aid",
             replication: ReplicationSpec::Snapshot(SimDuration::from_hours(1)),
-            backup: Some(BackupSchedule::new(
-                SimDuration::from_hours(1),
-                calib::DR_SNAPSHOT_IMPORT_GIB_PER_HOUR,
-            )),
+            backup: Some(MediaRestore::new(calib::DR_SNAPSHOT_IMPORT_GIB_PER_HOUR)),
             heartbeat_every: SimDuration::from_secs(30),
             suspect_after_missed: 2,
             confirm_after_missed: 4,

@@ -11,10 +11,7 @@
 
 use elc_cloud::billing::{UsageMeter, Usd};
 use elc_elearn::request::RequestKind;
-use elc_faas::{
-    AdaptiveKeepalive, ColdStartProfile, FaasPriceSheet, FixedWindow, InvocationBilling,
-    KeepalivePolicy,
-};
+use elc_faas::{ColdStartProfile, FaasPriceSheet, InvocationBilling};
 use elc_net::units::Bytes;
 use elc_simcore::time::{SimDuration, SimTime};
 
@@ -52,10 +49,6 @@ pub struct FaasDeployment {
     pub per_function_concurrency: u32,
     /// Fixed keepalive window idle sandboxes survive.
     pub keepalive: SimDuration,
-    /// Overrides the fixed window with a custom reaper policy (the
-    /// histogram-adaptive keepalive); `None` keeps the classic fixed
-    /// window above, bit-for-bit.
-    pub keepalive_policy: Option<KeepalivePolicy>,
     /// Bounded invocation buffer per function.
     pub buffer_capacity: i64,
 }
@@ -73,44 +66,8 @@ impl FaasDeployment {
             burst_limit: 400,
             per_function_concurrency: 200,
             keepalive: SimDuration::from_mins(5),
-            keepalive_policy: None,
             buffer_capacity: 2_000,
         }
-    }
-
-    /// The standard account with the histogram-adaptive reaper: each
-    /// function keeps idle sandboxes just long enough to cover the 95th
-    /// percentile of its observed reuse gaps, clamped to a 1–20 minute
-    /// band. Bursty functions earn long windows; dead ones are reclaimed
-    /// at the floor.
-    ///
-    /// # Panics
-    ///
-    /// Never panics: the band and percentile are compile-time constants
-    /// that satisfy the keepalive validators.
-    #[must_use]
-    pub fn adaptive() -> Self {
-        FaasDeployment {
-            keepalive_policy: Some(KeepalivePolicy::Adaptive(AdaptiveKeepalive::new(
-                0.95,
-                SimDuration::from_mins(1),
-                SimDuration::from_mins(20),
-            ))),
-            ..Self::standard()
-        }
-    }
-
-    /// The keepalive policy an invoker of this deployment runs: the
-    /// configured override, or the classic fixed window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.keepalive` is zero (rejected by [`FixedWindow`]).
-    #[must_use]
-    pub fn invoker_keepalive(&self) -> KeepalivePolicy {
-        self.keepalive_policy
-            .clone()
-            .unwrap_or_else(|| KeepalivePolicy::Fixed(FixedWindow::new(self.keepalive)))
     }
 }
 
@@ -270,26 +227,6 @@ mod tests {
         assert!(
             at(60_000) > at(1_000),
             "the faas/public ratio should grow with scale"
-        );
-    }
-
-    #[test]
-    fn standard_keepalive_is_the_fixed_window() {
-        let d = FaasDeployment::standard();
-        assert_eq!(d.invoker_keepalive().window(), d.keepalive);
-    }
-
-    #[test]
-    fn adaptive_keepalive_starts_conservative_then_tracks_gaps() {
-        let mut p = FaasDeployment::adaptive().invoker_keepalive();
-        assert_eq!(p.window(), SimDuration::from_mins(20));
-        for _ in 0..100 {
-            p.observe_gap(SimDuration::from_secs(30));
-        }
-        assert!(
-            p.window() <= SimDuration::from_mins(2),
-            "short gaps should pull the window to the floor, got {:?}",
-            p.window()
         );
     }
 

@@ -71,30 +71,6 @@ pub fn sweep(inputs: &CostInputs, threat: &ThreatModel, data: Bytes) -> Vec<Spli
     points
 }
 
-/// Why a [`FailoverPlan`] configuration was rejected.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FailoverPlanError {
-    /// Primary and backup were the same site — nowhere to fail over to.
-    SameSite(Site),
-    /// The burst fraction was outside `(0, 1]` (or not finite).
-    BadBurstFraction(f64),
-}
-
-impl std::fmt::Display for FailoverPlanError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FailoverPlanError::SameSite(site) => {
-                write!(f, "failover needs two sites, got {site} twice")
-            }
-            FailoverPlanError::BadBurstFraction(frac) => {
-                write!(f, "burst fraction must be in (0, 1], got {frac}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for FailoverPlanError {}
-
 /// Where a hybrid deployment sends traffic when its primary site is
 /// unreachable (§IV.C: the hybrid's reliability story — burst into the
 /// other model's capacity instead of going dark).
@@ -113,35 +89,24 @@ impl FailoverPlan {
     /// Creates a plan routing from `primary` to `backup` with
     /// `burst_fraction` of the primary's capacity available there.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Rejects identical sites and burst fractions outside `(0, 1]`.
-    pub fn try_new(
-        primary: Site,
-        backup: Site,
-        burst_fraction: f64,
-    ) -> Result<Self, FailoverPlanError> {
-        if primary == backup {
-            return Err(FailoverPlanError::SameSite(primary));
-        }
-        if !burst_fraction.is_finite() || burst_fraction <= 0.0 || burst_fraction > 1.0 {
-            return Err(FailoverPlanError::BadBurstFraction(burst_fraction));
-        }
-        Ok(FailoverPlan {
+    /// Panics on identical sites and burst fractions outside `(0, 1]`.
+    #[must_use]
+    pub fn new(primary: Site, backup: Site, burst_fraction: f64) -> Self {
+        assert!(
+            primary != backup,
+            "failover needs two sites, got {primary} twice"
+        );
+        assert!(
+            burst_fraction.is_finite() && burst_fraction > 0.0 && burst_fraction <= 1.0,
+            "burst fraction must be in (0, 1], got {burst_fraction}"
+        );
+        FailoverPlan {
             primary,
             backup,
             burst_fraction,
-        })
-    }
-
-    /// Panicking counterpart of [`FailoverPlan::try_new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `try_new` would reject the configuration.
-    #[must_use]
-    pub fn new(primary: Site, backup: Site, burst_fraction: f64) -> Self {
-        FailoverPlan::try_new(primary, backup, burst_fraction).unwrap_or_else(|e| panic!("{e}"))
+        }
     }
 
     /// The common hybrid plan: private primary bursting into public cloud.
@@ -202,6 +167,16 @@ pub fn pareto(points: &[SplitPoint]) -> Vec<SplitPoint> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The message `f` panics with.
+    fn panic_message(f: impl FnOnce() + std::panic::UnwindSafe) -> String {
+        let payload = std::panic::catch_unwind(f).expect_err("expected a panic");
+        payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_owned())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .expect("a string panic payload")
+    }
     use elc_elearn::calendar::AcademicCalendar;
     use elc_elearn::workload::WorkloadModel;
     use elc_simcore::SimTime;
@@ -281,19 +256,30 @@ mod tests {
 
     #[test]
     fn failover_plan_validates_sites_and_fraction() {
-        assert_eq!(
-            FailoverPlan::try_new(Site::PrivateCloud, Site::PrivateCloud, 0.5),
-            Err(FailoverPlanError::SameSite(Site::PrivateCloud))
-        );
-        assert_eq!(
-            FailoverPlan::try_new(Site::PrivateCloud, Site::PublicCloud, 0.0),
-            Err(FailoverPlanError::BadBurstFraction(0.0))
-        );
-        assert_eq!(
-            FailoverPlan::try_new(Site::PrivateCloud, Site::PublicCloud, 1.5),
-            Err(FailoverPlanError::BadBurstFraction(1.5))
-        );
-        assert!(FailoverPlan::try_new(Site::PrivateCloud, Site::PublicCloud, 1.0).is_ok());
+        let cases = [
+            (
+                Site::PrivateCloud,
+                0.5,
+                "failover needs two sites, got private-cloud twice",
+            ),
+            (
+                Site::PublicCloud,
+                0.0,
+                "burst fraction must be in (0, 1], got 0",
+            ),
+            (
+                Site::PublicCloud,
+                1.5,
+                "burst fraction must be in (0, 1], got 1.5",
+            ),
+        ];
+        for (backup, fraction, want) in cases {
+            let msg = panic_message(|| {
+                let _ = FailoverPlan::new(Site::PrivateCloud, backup, fraction);
+            });
+            assert_eq!(msg, want);
+        }
+        let _ = FailoverPlan::new(Site::PrivateCloud, Site::PublicCloud, 1.0);
     }
 
     #[test]

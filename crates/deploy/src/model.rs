@@ -106,20 +106,6 @@ impl Component {
         }
     }
 
-    /// How bursty the component's load is, in `[0, 1]`: 1 = exam-day
-    /// spikes, 0 = flat. Drives how much elasticity is worth.
-    #[must_use]
-    pub fn burstiness(self) -> f64 {
-        match self {
-            Component::WebPortal => 0.6,
-            Component::Database => 0.4,
-            Component::ContentStore => 0.3,
-            Component::VideoStreaming => 0.7,
-            Component::AssessmentEngine => 1.0,
-            Component::GradeBook => 0.2,
-        }
-    }
-
     /// Share of total request load this component serves (sums to 1).
     #[must_use]
     pub fn load_share(self) -> f64 {
@@ -519,7 +505,6 @@ mod tests {
     #[test]
     fn assessment_engine_is_burstiest() {
         for c in Component::ALL {
-            assert!(c.burstiness() <= Component::AssessmentEngine.burstiness());
             assert!(c.peak_factor() <= Component::AssessmentEngine.peak_factor());
         }
     }

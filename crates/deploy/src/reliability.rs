@@ -100,15 +100,6 @@ impl StorageProfile {
     }
 }
 
-/// Whether user data survives the loss of the *client* device (§III.4).
-///
-/// Cloud-backed deployments keep authoritative state server-side; the
-/// desktop baseline loses whatever lived on the machine.
-#[must_use]
-pub fn survives_client_crash(server_side_state: bool) -> bool {
-    server_side_state
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,7 +137,7 @@ mod tests {
         // sites, losing the asset requires both disasters.
         let p = StorageProfile {
             replication: ReplicationPolicy::new(2, 2),
-            failures: FailureModel::new(0.0, 0.0, 0.02),
+            failures: FailureModel::new(0.0, 0.02),
         };
         let years = 3.0;
         let disaster = p.failures.disaster_probability(years);
@@ -193,12 +184,6 @@ mod tests {
         let store = p.build_store(42, Bytes::from_kib(100));
         assert_eq!(store.len(), 42);
         assert_eq!(store.survival_rate(), 1.0);
-    }
-
-    #[test]
-    fn client_crash_semantics() {
-        assert!(survives_client_crash(true));
-        assert!(!survives_client_crash(false));
     }
 
     #[test]

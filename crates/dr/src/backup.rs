@@ -1,97 +1,38 @@
-//! Backup schedules: periodic restore points and the restore clock.
+//! Restoring from backup media.
 //!
-//! A [`BackupSchedule`] is the institutional side of recovery: snapshots
-//! cut every `interval` (anchored at calendar zero, so "nightly" means
-//! each midnight of sim time), and a restore that streams the protected
-//! volume back at a finite rate — the §IV.B story where recovering from
-//! physical damage is bounded by how fast tapes read, not by intent.
+//! A [`MediaRestore`] is the restore clock of a posture whose standby is
+//! a backup artifact: it streams the protected volume back at a finite
+//! rate — the §IV.B story where recovering from physical damage is
+//! bounded by how fast tapes read, not by intent. The cadence that cuts
+//! the restore points is the posture's snapshot interval, which its
+//! `ReplicationLink` ships at.
 
-use std::fmt;
+use elc_simcore::time::SimDuration;
 
-use elc_simcore::time::{SimDuration, SimTime};
-
-/// Why a [`BackupSchedule`] configuration was rejected.
+/// A volume-scaled restore clock.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum BackupError {
-    /// The snapshot interval was zero.
-    ZeroInterval,
-    /// The restore rate was zero, negative, or not finite.
-    BadRestoreRate(f64),
-}
-
-impl fmt::Display for BackupError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BackupError::ZeroInterval => write!(f, "backup interval must be positive"),
-            BackupError::BadRestoreRate(r) => {
-                write!(f, "restore rate must be positive and finite, got {r} GiB/h")
-            }
-        }
-    }
-}
-
-impl std::error::Error for BackupError {}
-
-/// A periodic snapshot schedule with a volume-scaled restore clock.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BackupSchedule {
-    interval: SimDuration,
+pub struct MediaRestore {
     restore_gib_per_hour: f64,
 }
 
-impl BackupSchedule {
-    /// Creates a schedule cutting a restore point every `interval` and
-    /// restoring at `restore_gib_per_hour`.
-    ///
-    /// # Errors
-    ///
-    /// Rejects a zero interval and a non-positive or non-finite restore
-    /// rate.
-    pub fn try_new(interval: SimDuration, restore_gib_per_hour: f64) -> Result<Self, BackupError> {
-        if interval.is_zero() {
-            return Err(BackupError::ZeroInterval);
-        }
-        if !(restore_gib_per_hour > 0.0 && restore_gib_per_hour.is_finite()) {
-            return Err(BackupError::BadRestoreRate(restore_gib_per_hour));
-        }
-        Ok(BackupSchedule {
-            interval,
-            restore_gib_per_hour,
-        })
-    }
-
-    /// Panicking counterpart of [`BackupSchedule::try_new`].
+impl MediaRestore {
+    /// Creates a restore clock streaming `restore_gib_per_hour`.
     ///
     /// # Panics
     ///
-    /// Panics when `try_new` would reject the configuration.
+    /// Panics on a non-positive or non-finite restore rate.
     #[must_use]
-    pub fn new(interval: SimDuration, restore_gib_per_hour: f64) -> Self {
-        BackupSchedule::try_new(interval, restore_gib_per_hour).unwrap_or_else(|e| panic!("{e}"))
+    pub fn new(restore_gib_per_hour: f64) -> Self {
+        assert!(
+            restore_gib_per_hour > 0.0 && restore_gib_per_hour.is_finite(),
+            "restore rate must be positive and finite, got {restore_gib_per_hour} GiB/h"
+        );
+        MediaRestore {
+            restore_gib_per_hour,
+        }
     }
 
-    /// Time between restore points.
-    #[must_use]
-    pub fn interval(&self) -> SimDuration {
-        self.interval
-    }
-
-    /// The most recent restore point at or before `t` (snapshots are
-    /// anchored at `SimTime::ZERO`).
-    #[must_use]
-    pub fn last_snapshot_before(&self, t: SimTime) -> SimTime {
-        let step = self.interval.as_nanos();
-        SimTime::from_nanos(t.as_nanos() / step * step)
-    }
-
-    /// How much committed history a failure at `t` rolls back to the last
-    /// restore point — the schedule's RPO contribution.
-    #[must_use]
-    pub fn data_loss_window(&self, t: SimTime) -> SimDuration {
-        t.saturating_since(self.last_snapshot_before(t))
-    }
-
-    /// How long restoring `data_gib` takes at this schedule's rate.
+    /// How long restoring `data_gib` takes at this rate.
     #[must_use]
     pub fn restore_duration(&self, data_gib: f64) -> SimDuration {
         SimDuration::from_secs_f64(data_gib.max(0.0) / self.restore_gib_per_hour * 3600.0)
@@ -102,39 +43,39 @@ impl BackupSchedule {
 mod tests {
     use super::*;
 
-    #[test]
-    fn try_new_rejects_bad_knobs() {
-        assert_eq!(
-            BackupSchedule::try_new(SimDuration::ZERO, 100.0),
-            Err(BackupError::ZeroInterval)
-        );
-        assert_eq!(
-            BackupSchedule::try_new(SimDuration::from_hours(24), -1.0),
-            Err(BackupError::BadRestoreRate(-1.0))
-        );
-        assert!(matches!(
-            BackupSchedule::try_new(SimDuration::from_hours(24), f64::INFINITY),
-            Err(BackupError::BadRestoreRate(_))
-        ));
+    /// The message `f` panics with.
+    fn panic_message(f: impl FnOnce() + std::panic::UnwindSafe) -> String {
+        let payload = std::panic::catch_unwind(f).expect_err("expected a panic");
+        payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_owned())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .expect("a string panic payload")
     }
 
     #[test]
-    fn nightly_schedule_floors_to_midnight() {
-        let s = BackupSchedule::new(SimDuration::from_hours(24), 200.0);
-        let evening = SimTime::ZERO + SimDuration::from_days(10) + SimDuration::from_hours(19);
-        assert_eq!(
-            s.last_snapshot_before(evening),
-            SimTime::ZERO + SimDuration::from_days(10)
-        );
-        assert_eq!(s.data_loss_window(evening), SimDuration::from_hours(19));
-        // Exactly on the boundary the loss window is zero.
-        let midnight = SimTime::ZERO + SimDuration::from_days(3);
-        assert_eq!(s.data_loss_window(midnight), SimDuration::ZERO);
+    fn new_rejects_bad_knobs() {
+        let cases = [
+            (
+                -1.0,
+                "restore rate must be positive and finite, got -1 GiB/h",
+            ),
+            (
+                f64::INFINITY,
+                "restore rate must be positive and finite, got inf GiB/h",
+            ),
+        ];
+        for (rate, want) in cases {
+            let msg = panic_message(|| {
+                let _ = MediaRestore::new(rate);
+            });
+            assert_eq!(msg, want);
+        }
     }
 
     #[test]
     fn restore_scales_linearly_with_volume() {
-        let s = BackupSchedule::new(SimDuration::from_hours(24), 200.0);
+        let s = MediaRestore::new(200.0);
         assert_eq!(s.restore_duration(200.0), SimDuration::from_hours(1));
         assert_eq!(s.restore_duration(50.0), SimDuration::from_mins(15));
         assert_eq!(s.restore_duration(0.0), SimDuration::ZERO);

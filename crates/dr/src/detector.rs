@@ -38,31 +38,6 @@ impl fmt::Display for Verdict {
     }
 }
 
-/// Why a [`FailureDetector`] configuration was rejected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DetectorError {
-    /// The heartbeat period was zero.
-    ZeroHeartbeat,
-    /// The suspicion threshold was zero (everything would be suspect).
-    ZeroSuspect,
-    /// Confirmation did not require more missed beats than suspicion.
-    ConfirmNotPastSuspect,
-}
-
-impl fmt::Display for DetectorError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DetectorError::ZeroHeartbeat => write!(f, "heartbeat period must be positive"),
-            DetectorError::ZeroSuspect => write!(f, "suspect threshold must be >= 1 missed beat"),
-            DetectorError::ConfirmNotPastSuspect => {
-                write!(f, "confirm threshold must exceed the suspect threshold")
-            }
-        }
-    }
-}
-
-impl std::error::Error for DetectorError {}
-
 /// A heartbeat suspicion detector. See the module docs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FailureDetector {
@@ -79,59 +54,35 @@ impl FailureDetector {
     /// confirming after `confirm_after_missed`. The primary counts as
     /// heard at `SimTime::ZERO`.
     ///
-    /// # Errors
-    ///
-    /// Rejects a zero heartbeat period, a zero suspicion threshold, and
-    /// a confirmation threshold not strictly past suspicion.
-    pub fn try_new(
-        heartbeat_every: SimDuration,
-        suspect_after_missed: u32,
-        confirm_after_missed: u32,
-    ) -> Result<Self, DetectorError> {
-        if heartbeat_every.is_zero() {
-            return Err(DetectorError::ZeroHeartbeat);
-        }
-        if suspect_after_missed == 0 {
-            return Err(DetectorError::ZeroSuspect);
-        }
-        if confirm_after_missed <= suspect_after_missed {
-            return Err(DetectorError::ConfirmNotPastSuspect);
-        }
-        Ok(FailureDetector {
-            heartbeat_every,
-            suspect_after_missed,
-            confirm_after_missed,
-            last_heartbeat: SimTime::ZERO,
-            last_verdict: Verdict::Healthy,
-        })
-    }
-
-    /// Panicking counterpart of [`FailureDetector::try_new`].
-    ///
     /// # Panics
     ///
-    /// Panics when `try_new` would reject the configuration.
+    /// Panics on a zero heartbeat period, a zero suspicion threshold, and
+    /// a confirmation threshold not strictly past suspicion.
     #[must_use]
     pub fn new(
         heartbeat_every: SimDuration,
         suspect_after_missed: u32,
         confirm_after_missed: u32,
     ) -> Self {
-        FailureDetector::try_new(heartbeat_every, suspect_after_missed, confirm_after_missed)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// The expected heartbeat period.
-    #[must_use]
-    pub fn heartbeat_every(&self) -> SimDuration {
-        self.heartbeat_every
-    }
-
-    /// Worst-case time from silence to a confirmed verdict.
-    #[must_use]
-    pub fn confirm_latency(&self) -> SimDuration {
-        self.heartbeat_every
-            .mul_f64(f64::from(self.confirm_after_missed))
+        assert!(
+            !heartbeat_every.is_zero(),
+            "heartbeat period must be positive"
+        );
+        assert!(
+            suspect_after_missed != 0,
+            "suspect threshold must be >= 1 missed beat"
+        );
+        assert!(
+            confirm_after_missed > suspect_after_missed,
+            "confirm threshold must exceed the suspect threshold"
+        );
+        FailureDetector {
+            heartbeat_every,
+            suspect_after_missed,
+            confirm_after_missed,
+            last_heartbeat: SimTime::ZERO,
+            last_verdict: Verdict::Healthy,
+        }
     }
 
     /// Records a heartbeat heard at `now` (later beats only — an
@@ -182,6 +133,16 @@ impl FailureDetector {
 mod tests {
     use super::*;
 
+    /// The message `f` panics with.
+    fn panic_message(f: impl FnOnce() + std::panic::UnwindSafe) -> String {
+        let payload = std::panic::catch_unwind(f).expect_err("expected a panic");
+        payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_owned())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .expect("a string panic payload")
+    }
+
     fn detector() -> FailureDetector {
         // 10 s beats, suspected at 2 missed, confirmed at 4.
         FailureDetector::new(SimDuration::from_secs(10), 2, 4)
@@ -192,19 +153,23 @@ mod tests {
     }
 
     #[test]
-    fn try_new_rejects_bad_knobs() {
-        assert_eq!(
-            FailureDetector::try_new(SimDuration::ZERO, 2, 4),
-            Err(DetectorError::ZeroHeartbeat)
-        );
-        assert_eq!(
-            FailureDetector::try_new(SimDuration::from_secs(10), 0, 4),
-            Err(DetectorError::ZeroSuspect)
-        );
-        assert_eq!(
-            FailureDetector::try_new(SimDuration::from_secs(10), 4, 4),
-            Err(DetectorError::ConfirmNotPastSuspect)
-        );
+    fn new_rejects_bad_knobs() {
+        let cases = [
+            (0, 2, 4, "heartbeat period must be positive"),
+            (10, 0, 4, "suspect threshold must be >= 1 missed beat"),
+            (
+                10,
+                4,
+                4,
+                "confirm threshold must exceed the suspect threshold",
+            ),
+        ];
+        for (beat_s, suspect, confirm, want) in cases {
+            let msg = panic_message(|| {
+                let _ = FailureDetector::new(SimDuration::from_secs(beat_s), suspect, confirm);
+            });
+            assert_eq!(msg, want);
+        }
     }
 
     #[test]
@@ -216,7 +181,6 @@ mod tests {
         assert_eq!(d.poll(secs(120)), Verdict::Suspected, "2 whole beats");
         assert_eq!(d.poll(secs(139)), Verdict::Suspected);
         assert_eq!(d.poll(secs(140)), Verdict::Confirmed, "4 whole beats");
-        assert_eq!(d.confirm_latency(), SimDuration::from_secs(40));
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //!   snapshot-shipping; un-replicated writes are *integrated* from the
 //!   write rates the caller reads off its `WorkloadSource`, so the lag at
 //!   any instant is the exact RPO a failure there would cost,
-//! * [`backup::BackupSchedule`] — periodic restore points plus a restore
-//!   clock that scales with data volume,
+//! * [`backup::MediaRestore`] — a restore-from-media clock that scales
+//!   with data volume,
 //! * [`detector::FailureDetector`] — heartbeat suspicion with
 //!   deterministic missed-beat timeouts, traced `dr.suspect` /
 //!   `dr.confirm`,
@@ -45,7 +45,7 @@ pub mod orchestrator;
 pub mod replication;
 pub mod rpo;
 
-pub use backup::BackupSchedule;
+pub use backup::MediaRestore;
 pub use detector::{FailureDetector, Verdict};
 pub use orchestrator::{DrState, Node, RecoveryOrchestrator};
 pub use replication::{ReplicationLink, ReplicationMode};

@@ -79,26 +79,6 @@ impl fmt::Display for DrState {
     }
 }
 
-/// Why a [`RecoveryOrchestrator`] configuration was rejected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OrchestratorError {
-    /// The failback hold was zero — the pair would flap on the first
-    /// returning heartbeat.
-    ZeroFailbackHold,
-}
-
-impl fmt::Display for OrchestratorError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            OrchestratorError::ZeroFailbackHold => {
-                write!(f, "failback hold must be positive")
-            }
-        }
-    }
-}
-
-impl std::error::Error for OrchestratorError {}
-
 /// The failover state machine. See the module docs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryOrchestrator {
@@ -125,18 +105,18 @@ impl RecoveryOrchestrator {
     /// requires the returned primary to stay healthy for
     /// `failback_hold`.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Rejects a zero failback hold.
-    pub fn try_new(
+    /// Panics on a zero failback hold — the pair would flap on the first
+    /// returning heartbeat.
+    #[must_use]
+    pub fn new(
         detector: FailureDetector,
         promotion_time: SimDuration,
         failback_hold: SimDuration,
-    ) -> Result<Self, OrchestratorError> {
-        if failback_hold.is_zero() {
-            return Err(OrchestratorError::ZeroFailbackHold);
-        }
-        Ok(RecoveryOrchestrator {
+    ) -> Self {
+        assert!(!failback_hold.is_zero(), "failback hold must be positive");
+        RecoveryOrchestrator {
             detector,
             promotion_time,
             failback_hold,
@@ -150,22 +130,7 @@ impl RecoveryOrchestrator {
             failovers: 0,
             failbacks: 0,
             fenced_ticks: 0,
-        })
-    }
-
-    /// Panicking counterpart of [`RecoveryOrchestrator::try_new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `try_new` would reject the configuration.
-    #[must_use]
-    pub fn new(
-        detector: FailureDetector,
-        promotion_time: SimDuration,
-        failback_hold: SimDuration,
-    ) -> Self {
-        RecoveryOrchestrator::try_new(detector, promotion_time, failback_hold)
-            .unwrap_or_else(|e| panic!("{e}"))
+        }
     }
 
     /// The current state.
@@ -221,7 +186,7 @@ impl RecoveryOrchestrator {
     /// Advances the machine one tick. `primary_alive` is the ground
     /// truth the heartbeats follow; `catch_up` is how long the standby
     /// would need to become the serving head if promotion finished now
-    /// (the caller reads it off its `ReplicationLink`/`BackupSchedule`;
+    /// (the caller reads it off its `ReplicationLink`/`MediaRestore`;
     /// it is consumed at the promoting → catching-up edge).
     pub fn tick(&mut self, now: SimTime, primary_alive: bool, catch_up: SimDuration) -> DrState {
         if primary_alive {
@@ -377,14 +342,12 @@ mod tests {
     }
 
     #[test]
-    fn try_new_rejects_zero_failback_hold() {
-        assert_eq!(
-            RecoveryOrchestrator::try_new(
-                FailureDetector::new(SimDuration::from_secs(10), 2, 4),
-                SimDuration::from_secs(60),
-                SimDuration::ZERO,
-            ),
-            Err(OrchestratorError::ZeroFailbackHold)
+    #[should_panic(expected = "failback hold must be positive")]
+    fn new_rejects_zero_failback_hold() {
+        let _ = RecoveryOrchestrator::new(
+            FailureDetector::new(SimDuration::from_secs(10), 2, 4),
+            SimDuration::from_secs(60),
+            SimDuration::ZERO,
         );
     }
 

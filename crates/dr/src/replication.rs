@@ -45,28 +45,6 @@ impl fmt::Display for ReplicationMode {
     }
 }
 
-/// Why a [`ReplicationLink`] configuration was rejected.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ReplicationError {
-    /// An async link's ship rate was zero, negative, or not finite.
-    BadShipRate(f64),
-    /// A snapshot link's interval was zero.
-    ZeroInterval,
-}
-
-impl fmt::Display for ReplicationError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ReplicationError::BadShipRate(r) => {
-                write!(f, "async ship rate must be positive and finite, got {r}")
-            }
-            ReplicationError::ZeroInterval => write!(f, "snapshot interval must be positive"),
-        }
-    }
-}
-
-impl std::error::Error for ReplicationError {}
-
 /// A primary → standby replication link. See the module docs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplicationLink {
@@ -81,35 +59,27 @@ impl ReplicationLink {
     /// Creates a link in `mode` with nothing pending, integrated from
     /// `SimTime::ZERO`.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Rejects a non-positive or non-finite async ship rate and a zero
+    /// Panics on a non-positive or non-finite async ship rate and a zero
     /// snapshot interval.
-    pub fn try_new(mode: ReplicationMode) -> Result<Self, ReplicationError> {
+    #[must_use]
+    pub fn new(mode: ReplicationMode) -> Self {
         match mode {
-            ReplicationMode::Async { ship_rate } if !(ship_rate > 0.0 && ship_rate.is_finite()) => {
-                return Err(ReplicationError::BadShipRate(ship_rate));
+            ReplicationMode::Async { ship_rate } => assert!(
+                ship_rate > 0.0 && ship_rate.is_finite(),
+                "async ship rate must be positive and finite, got {ship_rate}"
+            ),
+            ReplicationMode::Snapshot { interval } => {
+                assert!(!interval.is_zero(), "snapshot interval must be positive");
             }
-            ReplicationMode::Snapshot { interval } if interval.is_zero() => {
-                return Err(ReplicationError::ZeroInterval);
-            }
-            _ => {}
+            ReplicationMode::Sync => {}
         }
-        Ok(ReplicationLink {
+        ReplicationLink {
             mode,
             pending: 0.0,
             advanced_to: SimTime::ZERO,
-        })
-    }
-
-    /// Panicking counterpart of [`ReplicationLink::try_new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `try_new` would reject the configuration.
-    #[must_use]
-    pub fn new(mode: ReplicationMode) -> Self {
-        ReplicationLink::try_new(mode).unwrap_or_else(|e| panic!("{e}"))
+        }
     }
 
     /// The link's mode.
@@ -171,28 +141,6 @@ impl ReplicationLink {
         self.pending
     }
 
-    /// How long the promoted standby needs to drain the pending backlog
-    /// while the primary keeps writing at `write_rate`. `None` when the
-    /// link can never catch up (ship rate ≤ write rate); sync and
-    /// snapshot links report zero — there is no log to replay, what the
-    /// standby has *is* the restore point.
-    #[must_use]
-    pub fn catch_up_duration(&self, write_rate: f64) -> Option<SimDuration> {
-        match self.mode {
-            ReplicationMode::Sync | ReplicationMode::Snapshot { .. } => Some(SimDuration::ZERO),
-            ReplicationMode::Async { ship_rate } => {
-                if self.pending <= 0.0 {
-                    return Some(SimDuration::ZERO);
-                }
-                let headroom = ship_rate - write_rate.max(0.0);
-                if headroom <= 0.0 {
-                    return None;
-                }
-                Some(SimDuration::from_secs_f64(self.pending / headroom))
-            }
-        }
-    }
-
     /// Declares the standby promoted: its copy becomes the new history
     /// head, so nothing is pending any more. Returns the writes that were
     /// lost with the old primary.
@@ -205,28 +153,46 @@ impl ReplicationLink {
 mod tests {
     use super::*;
 
+    /// The message `f` panics with.
+    fn panic_message(f: impl FnOnce() + std::panic::UnwindSafe) -> String {
+        let payload = std::panic::catch_unwind(f).expect_err("expected a panic");
+        payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_owned())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .expect("a string panic payload")
+    }
+
     fn secs(s: u64) -> SimTime {
         SimTime::from_secs(s)
     }
 
     #[test]
-    fn try_new_rejects_bad_knobs() {
-        assert_eq!(
-            ReplicationLink::try_new(ReplicationMode::Async { ship_rate: 0.0 }),
-            Err(ReplicationError::BadShipRate(0.0))
-        );
-        assert!(matches!(
-            ReplicationLink::try_new(ReplicationMode::Async {
-                ship_rate: f64::NAN
-            }),
-            Err(ReplicationError::BadShipRate(_))
-        ));
-        assert_eq!(
-            ReplicationLink::try_new(ReplicationMode::Snapshot {
-                interval: SimDuration::ZERO
-            }),
-            Err(ReplicationError::ZeroInterval)
-        );
+    fn new_rejects_bad_knobs() {
+        let cases = [
+            (
+                ReplicationMode::Async { ship_rate: 0.0 },
+                "async ship rate must be positive and finite, got 0",
+            ),
+            (
+                ReplicationMode::Async {
+                    ship_rate: f64::NAN,
+                },
+                "async ship rate must be positive and finite, got NaN",
+            ),
+            (
+                ReplicationMode::Snapshot {
+                    interval: SimDuration::ZERO,
+                },
+                "snapshot interval must be positive",
+            ),
+        ];
+        for (mode, want) in cases {
+            let msg = panic_message(|| {
+                let _ = ReplicationLink::new(mode);
+            });
+            assert_eq!(msg, want);
+        }
     }
 
     #[test]
@@ -234,22 +200,14 @@ mod tests {
         let mut link = ReplicationLink::new(ReplicationMode::Sync);
         link.advance(secs(3600), 500.0);
         assert_eq!(link.pending_writes(), 0.0);
-        assert_eq!(link.catch_up_duration(500.0), Some(SimDuration::ZERO));
     }
 
     #[test]
-    fn async_link_lags_by_the_rate_excess_and_drains_with_headroom() {
+    fn async_link_lags_by_the_rate_excess_and_drains_below_it() {
         let mut link = ReplicationLink::new(ReplicationMode::Async { ship_rate: 10.0 });
         // 60 s at 25 writes/s against a 10/s ship rate: 15/s excess.
         link.advance(secs(60), 25.0);
         assert!((link.pending_writes() - 900.0).abs() < 1e-9);
-        // With the primary quiet, 900 pending at 10/s drains in 90 s.
-        assert_eq!(
-            link.catch_up_duration(0.0),
-            Some(SimDuration::from_secs(90))
-        );
-        // Writing as fast as the ship rate: never catches up.
-        assert_eq!(link.catch_up_duration(10.0), None);
         // Under-rate writing shrinks the backlog, clamped at zero.
         link.advance(secs(1000), 0.0);
         assert_eq!(link.pending_writes(), 0.0);

@@ -56,12 +56,6 @@ impl RpoRto {
         self.data_lost
     }
 
-    /// Minutes of committed history destroyed.
-    #[must_use]
-    pub fn data_minutes_lost(&self) -> f64 {
-        self.data_lost.as_secs_f64() / 60.0
-    }
-
     /// Seconds from loss to restored service, if service was restored.
     #[must_use]
     pub fn rto(&self) -> Option<SimDuration> {
@@ -89,7 +83,6 @@ mod tests {
         m.add_downtime(SimDuration::from_secs(60));
         m.add_downtime(SimDuration::from_secs(30));
         assert_eq!(m.writes_lost(), 150.0);
-        assert_eq!(m.data_minutes_lost(), 4.0);
         assert_eq!(m.rto(), Some(SimDuration::from_secs(90)));
         assert_eq!(m.downtime(), SimDuration::from_secs(90));
     }

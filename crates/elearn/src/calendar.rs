@@ -115,15 +115,6 @@ impl AcademicCalendar {
         }
     }
 
-    /// Zero-based week index within the term, `None` outside it.
-    #[must_use]
-    pub fn week_of(&self, t: SimTime) -> Option<u32> {
-        if t < self.term_start || t >= self.term_end() {
-            return None;
-        }
-        Some(((t - self.term_start).as_secs() / WEEK) as u32)
-    }
-
     /// True on Saturday/Sunday (term starts on a Monday by convention).
     #[must_use]
     pub fn is_weekend(&self, t: SimTime) -> bool {
@@ -178,15 +169,6 @@ mod tests {
         assert_eq!(c.term_length(), weeks(17));
         assert_eq!(c.term_end(), c.term_start() + weeks(17));
         assert_eq!(c.exams_start(), c.term_start() + weeks(15));
-    }
-
-    #[test]
-    fn week_indexing() {
-        let c = cal();
-        assert_eq!(c.week_of(SimTime::ZERO), None);
-        assert_eq!(c.week_of(c.term_start()), Some(0));
-        assert_eq!(c.week_of(c.term_start() + weeks(3)), Some(3));
-        assert_eq!(c.week_of(c.term_end()), None);
     }
 
     #[test]

@@ -141,13 +141,6 @@ impl ClientModel {
             link.transfer_time(self.install_size) * 2
         }
     }
-
-    /// True if a machine with `available_memory` can run this client
-    /// comfortably (the paper's "high-powered computer" requirement).
-    #[must_use]
-    pub fn runs_on(&self, available_memory: Bytes) -> bool {
-        available_memory.as_u64() >= self.memory.as_u64() * 2
-    }
 }
 
 #[cfg(test)]
@@ -173,10 +166,6 @@ mod tests {
         let thin = ClientModel::thin_cloud();
         let fat = ClientModel::desktop_install();
         assert!(thin.memory() < fat.memory());
-        // A modest 1 GiB machine runs the thin client but not the fat one.
-        let budget = Bytes::from_mib(1_024);
-        assert!(thin.runs_on(budget));
-        assert!(!fat.runs_on(budget));
     }
 
     #[test]
@@ -227,7 +216,6 @@ mod tests {
         let mobile = ClientModel::mobile_browser();
         let thin = ClientModel::thin_cloud();
         assert!(mobile.memory() < thin.memory());
-        assert!(mobile.runs_on(Bytes::from_mib(256)));
         let link = Link::from_profile(LinkProfile::Mobile3g);
         let mut rng = SimRng::seed(8);
         // Startup is dominated by the 3G exchange but still beats the

@@ -1,83 +1,9 @@
-//! Course content and digital assets.
+//! Confidentiality classes of the LMS's digital assets.
 //!
 //! The paper singles out "digital assets (tests, exam questions, results)"
 //! as the data whose confidentiality and survival matter (§III.6, §IV.B).
-//! Every content item therefore carries a [`Sensitivity`], which the
-//! security model in `elc-deploy` uses to weigh incidents, and a size, which
-//! drives storage and transfer costs.
-
-use elc_net::units::Bytes;
-use elc_simcore::dist::{DistError, Distribution, LogNormal};
-use elc_simcore::rng::SimRng;
-
-use crate::model::CourseId;
-
-/// What kind of material a content item is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ContentKind {
-    /// Recorded lecture video — large, public to the course.
-    LectureVideo,
-    /// Slide deck or reading — small, public to the course.
-    Document,
-    /// Quiz/exam question bank — small, confidential.
-    QuestionBank,
-    /// Student submissions — medium, internal.
-    Submission,
-    /// Grades and transcripts — tiny, confidential.
-    GradeRecord,
-}
-
-impl ContentKind {
-    /// All kinds, for sweeps.
-    pub const ALL: [ContentKind; 5] = [
-        ContentKind::LectureVideo,
-        ContentKind::Document,
-        ContentKind::QuestionBank,
-        ContentKind::Submission,
-        ContentKind::GradeRecord,
-    ];
-
-    /// The confidentiality class of this kind.
-    #[must_use]
-    pub fn sensitivity(self) -> Sensitivity {
-        match self {
-            ContentKind::LectureVideo | ContentKind::Document => Sensitivity::CourseMembers,
-            ContentKind::Submission => Sensitivity::Internal,
-            ContentKind::QuestionBank | ContentKind::GradeRecord => Sensitivity::Confidential,
-        }
-    }
-
-    /// A size distribution for this kind (heavy-tailed).
-    ///
-    /// # Errors
-    ///
-    /// Never fails for the built-in parameters; the `Result` mirrors the
-    /// distribution constructor.
-    pub fn size_distribution(self) -> Result<LogNormal, DistError> {
-        // (mean bytes, log-space sigma)
-        let (mean, sigma) = match self {
-            ContentKind::LectureVideo => (300.0 * 1024.0 * 1024.0, 0.6),
-            ContentKind::Document => (2.0 * 1024.0 * 1024.0, 1.0),
-            ContentKind::QuestionBank => (256.0 * 1024.0, 0.8),
-            ContentKind::Submission => (4.0 * 1024.0 * 1024.0, 1.2),
-            ContentKind::GradeRecord => (16.0 * 1024.0, 0.3),
-        };
-        LogNormal::with_mean(mean, sigma)
-    }
-}
-
-impl std::fmt::Display for ContentKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            ContentKind::LectureVideo => "lecture-video",
-            ContentKind::Document => "document",
-            ContentKind::QuestionBank => "question-bank",
-            ContentKind::Submission => "submission",
-            ContentKind::GradeRecord => "grade-record",
-        };
-        f.write_str(s)
-    }
-}
+//! The security model in `elc-deploy` classes each LMS component by a
+//! [`Sensitivity`] and weighs incidents by it.
 
 /// Confidentiality classes, least to most sensitive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -90,223 +16,13 @@ pub enum Sensitivity {
     Confidential,
 }
 
-/// One item in the content repository.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ContentItem {
-    kind: ContentKind,
-    course: CourseId,
-    size: Bytes,
-}
-
-impl ContentItem {
-    /// Creates an item.
-    #[must_use]
-    pub fn new(kind: ContentKind, course: CourseId, size: Bytes) -> Self {
-        ContentItem { kind, course, size }
-    }
-
-    /// The item kind.
-    #[must_use]
-    pub fn kind(&self) -> ContentKind {
-        self.kind
-    }
-
-    /// The owning course.
-    #[must_use]
-    pub fn course(&self) -> CourseId {
-        self.course
-    }
-
-    /// The item size.
-    #[must_use]
-    pub fn size(&self) -> Bytes {
-        self.size
-    }
-
-    /// The item's confidentiality class.
-    #[must_use]
-    pub fn sensitivity(&self) -> Sensitivity {
-        self.kind.sensitivity()
-    }
-}
-
-/// The catalog of all content for an institution.
-#[derive(Debug, Default)]
-pub struct Catalog {
-    items: Vec<ContentItem>,
-}
-
-impl Catalog {
-    /// Creates an empty catalog.
-    #[must_use]
-    pub fn new() -> Self {
-        Catalog::default()
-    }
-
-    /// Generates a realistic catalog for a course: a semester's worth of
-    /// lectures, documents, one question bank, and per-student grade
-    /// records.
-    pub fn populate_course(
-        &mut self,
-        rng: &mut SimRng,
-        course: CourseId,
-        weeks: u32,
-        students: usize,
-    ) {
-        let mut add = |kind: ContentKind, rng: &mut SimRng| {
-            let dist = kind.size_distribution().expect("built-in parameters");
-            let size = Bytes::new(dist.sample(rng).max(1.0) as u64);
-            self.items.push(ContentItem::new(kind, course, size));
-        };
-        for _ in 0..weeks {
-            add(ContentKind::LectureVideo, rng);
-            add(ContentKind::Document, rng);
-            add(ContentKind::Document, rng);
-        }
-        add(ContentKind::QuestionBank, rng);
-        for _ in 0..students {
-            add(ContentKind::Submission, rng);
-            add(ContentKind::GradeRecord, rng);
-        }
-    }
-
-    /// All items.
-    #[must_use]
-    pub fn items(&self) -> &[ContentItem] {
-        &self.items
-    }
-
-    /// Number of items.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// True if the catalog is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// Total stored bytes.
-    #[must_use]
-    pub fn total_bytes(&self) -> Bytes {
-        self.items.iter().map(ContentItem::size).sum()
-    }
-
-    /// Bytes in items at or above a sensitivity class.
-    #[must_use]
-    pub fn bytes_at_least(&self, level: Sensitivity) -> Bytes {
-        self.items
-            .iter()
-            .filter(|i| i.sensitivity() >= level)
-            .map(ContentItem::size)
-            .sum()
-    }
-
-    /// Items of one kind.
-    #[must_use]
-    pub fn count_of(&self, kind: ContentKind) -> usize {
-        self.items.iter().filter(|i| i.kind() == kind).count()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn sensitivity_mapping_matches_paper() {
-        // The paper's critical assets: tests, exam questions, results.
-        assert_eq!(
-            ContentKind::QuestionBank.sensitivity(),
-            Sensitivity::Confidential
-        );
-        assert_eq!(
-            ContentKind::GradeRecord.sensitivity(),
-            Sensitivity::Confidential
-        );
-        assert_eq!(
-            ContentKind::LectureVideo.sensitivity(),
-            Sensitivity::CourseMembers
-        );
-    }
-
-    #[test]
     fn sensitivity_is_ordered() {
         assert!(Sensitivity::Confidential > Sensitivity::Internal);
         assert!(Sensitivity::Internal > Sensitivity::CourseMembers);
-    }
-
-    #[test]
-    fn size_distributions_have_sane_means() {
-        let mut rng = SimRng::seed(1);
-        for kind in ContentKind::ALL {
-            let dist = kind.size_distribution().unwrap();
-            let n = 20_000;
-            let mean: f64 = (0..n).map(|_| dist.sample(&mut rng)).sum::<f64>() / n as f64;
-            assert!(mean > 0.0);
-            // Video is by far the largest.
-            if kind == ContentKind::LectureVideo {
-                assert!(mean > 100.0 * 1024.0 * 1024.0);
-            }
-        }
-    }
-
-    #[test]
-    fn populate_course_counts() {
-        let mut cat = Catalog::new();
-        let mut rng = SimRng::seed(2);
-        cat.populate_course(&mut rng, CourseId::new(0), 14, 100);
-        assert_eq!(cat.count_of(ContentKind::LectureVideo), 14);
-        assert_eq!(cat.count_of(ContentKind::Document), 28);
-        assert_eq!(cat.count_of(ContentKind::QuestionBank), 1);
-        assert_eq!(cat.count_of(ContentKind::Submission), 100);
-        assert_eq!(cat.count_of(ContentKind::GradeRecord), 100);
-        assert_eq!(cat.len(), 14 + 28 + 1 + 200);
-        assert!(!cat.is_empty());
-    }
-
-    #[test]
-    fn confidential_bytes_are_a_small_fraction() {
-        let mut cat = Catalog::new();
-        let mut rng = SimRng::seed(3);
-        cat.populate_course(&mut rng, CourseId::new(0), 14, 200);
-        let total = cat.total_bytes().as_u64() as f64;
-        let confidential = cat.bytes_at_least(Sensitivity::Confidential).as_u64() as f64;
-        assert!(confidential > 0.0);
-        assert!(
-            confidential / total < 0.05,
-            "confidential share {}",
-            confidential / total
-        );
-    }
-
-    #[test]
-    fn deterministic_catalog() {
-        let build = |seed| {
-            let mut cat = Catalog::new();
-            let mut rng = SimRng::seed(seed);
-            cat.populate_course(&mut rng, CourseId::new(0), 4, 10);
-            cat.total_bytes()
-        };
-        assert_eq!(build(7), build(7));
-        assert_ne!(build(7), build(8));
-    }
-
-    #[test]
-    fn item_accessors() {
-        let item = ContentItem::new(ContentKind::Document, CourseId::new(3), Bytes::from_kib(10));
-        assert_eq!(item.kind(), ContentKind::Document);
-        assert_eq!(item.course(), CourseId::new(3));
-        assert_eq!(item.size(), Bytes::from_kib(10));
-        assert_eq!(item.sensitivity(), Sensitivity::CourseMembers);
-    }
-
-    #[test]
-    fn kinds_display() {
-        for kind in ContentKind::ALL {
-            assert!(!kind.to_string().is_empty());
-        }
     }
 }

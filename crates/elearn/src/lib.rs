@@ -1,15 +1,13 @@
 //! # elc-elearn — the e-learning system model
 //!
-//! Models the application whose deployment the paper debates: a Moodle-class
-//! learning-management system plus the workload its users generate.
+//! Models the application whose deployment the paper debates, a
+//! Moodle-class learning-management system, as the traffic its users
+//! generate: experiments see the LMS only as [`RequestKind`]s arriving
+//! through a [`WorkloadSource`].
 //!
-//! * [`model`] — users, roles, courses, enrollments,
-//! * [`content`] — course materials and the paper's critical "digital
-//!   assets" with confidentiality classes,
-//! * [`assessment`] — timed exams, submissions, gradebook,
+//! * [`content`] — the confidentiality classes of the paper's critical
+//!   "digital assets",
 //! * [`session`] — autosave, lost work on disconnect, device continuity,
-//! * [`forum`] — discussion threads and interactivity metrics (§I's
-//!   "interactivity and collaboration"),
 //! * [`request`] — the LMS request taxonomy and phase-specific mixes,
 //! * [`calendar`] — semester phases (registration, teaching, exams),
 //! * [`workload`] — calendar- and diurnal-shaped offered load,
@@ -37,23 +35,17 @@
 /// Trace target every `elc-elearn` event is recorded under.
 pub(crate) const TRACE_TARGET: &str = "elearn";
 
-pub mod assessment;
 pub mod calendar;
 pub mod client;
 pub mod content;
-pub mod forum;
-pub mod model;
 pub mod request;
 pub mod session;
 pub mod source;
 pub mod workload;
 
-pub use assessment::{Assessments, Exam, ExamId, Submission};
 pub use calendar::{AcademicCalendar, Phase};
 pub use client::{ClientKind, ClientModel};
-pub use content::{Catalog, ContentItem, ContentKind, Sensitivity};
-pub use forum::{Forum, Interactivity, Post, Thread, ThreadId};
-pub use model::{Course, CourseId, Lms, LmsError, Role, User, UserId};
+pub use content::Sensitivity;
 pub use request::{RequestKind, RequestLifecycle, RequestMix};
 pub use session::{LossLedger, SessionPolicy, StateLocation, WorkSession};
 pub use source::WorkloadSource;

@@ -160,15 +160,6 @@ impl RequestOutcome {
         RequestOutcome::GaveUp,
     ];
 
-    /// True if the user's request was answered at all.
-    #[must_use]
-    pub fn is_success(self) -> bool {
-        matches!(
-            self,
-            RequestOutcome::Served | RequestOutcome::ServedDegraded
-        )
-    }
-
     /// True if the user's work or intent was lost (the §III failure the
     /// stack must avoid for writes).
     #[must_use]
@@ -381,13 +372,12 @@ mod tests {
     }
 
     #[test]
-    fn outcomes_partition_into_success_and_loss() {
+    fn sheds_and_give_ups_are_losses() {
         for o in RequestOutcome::ALL {
-            assert_ne!(o.is_success(), o.is_loss(), "{o} must be exactly one");
             assert!(!o.to_string().is_empty());
         }
-        assert!(RequestOutcome::Served.is_success());
-        assert!(RequestOutcome::ServedDegraded.is_success());
+        assert!(!RequestOutcome::Served.is_loss());
+        assert!(!RequestOutcome::ServedDegraded.is_loss());
         assert!(RequestOutcome::Shed.is_loss());
         assert!(RequestOutcome::GaveUp.is_loss());
         assert_eq!(

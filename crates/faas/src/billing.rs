@@ -7,30 +7,8 @@
 //! [`FaasPriceSheet`] into a regular [`elc_cloud::billing::Invoice`], so
 //! serverless bills line up next to VM bills in every report.
 
-use std::fmt;
-
 use elc_cloud::billing::{Invoice, InvoiceLine, Usd};
 use elc_simcore::time::SimDuration;
-
-/// Construction errors for [`FaasPriceSheet`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PriceError {
-    /// Prices must not be negative.
-    NegativePrice,
-    /// Free-tier quantities must be finite and non-negative.
-    InvalidFreeTier,
-}
-
-impl fmt::Display for PriceError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PriceError::NegativePrice => write!(f, "FaaS prices must be >= $0"),
-            PriceError::InvalidFreeTier => {
-                write!(f, "free-tier quantities must be finite and >= 0")
-            }
-        }
-    }
-}
 
 /// Serverless price sheet: GB-second rate, per-million-request fee and the
 /// free tier granted per billing period.
@@ -43,37 +21,12 @@ pub struct FaasPriceSheet {
 }
 
 impl FaasPriceSheet {
-    /// Validating constructor.
-    ///
-    /// # Errors
-    ///
-    /// Rejects negative prices and non-finite or negative free-tier
-    /// quantities.
-    pub fn try_new(
-        per_gb_s: Usd,
-        per_million_requests: Usd,
-        free_gb_s: f64,
-        free_requests: u64,
-    ) -> Result<Self, PriceError> {
-        if per_gb_s.amount() < 0.0 || per_million_requests.amount() < 0.0 {
-            return Err(PriceError::NegativePrice);
-        }
-        if !(free_gb_s.is_finite() && free_gb_s >= 0.0) {
-            return Err(PriceError::InvalidFreeTier);
-        }
-        Ok(FaasPriceSheet {
-            per_gb_s,
-            per_million_requests,
-            free_gb_s,
-            free_requests,
-        })
-    }
-
-    /// Panicking constructor; see [`FaasPriceSheet::try_new`].
+    /// A price sheet.
     ///
     /// # Panics
     ///
-    /// Panics on the conditions `try_new` rejects.
+    /// Panics on negative prices and non-finite or negative free-tier
+    /// quantities.
     #[must_use]
     pub fn new(
         per_gb_s: Usd,
@@ -81,9 +34,20 @@ impl FaasPriceSheet {
         free_gb_s: f64,
         free_requests: u64,
     ) -> Self {
-        match Self::try_new(per_gb_s, per_million_requests, free_gb_s, free_requests) {
-            Ok(p) => p,
-            Err(e) => panic!("invalid FaasPriceSheet: {e}"),
+        let negative = per_gb_s.amount() < 0.0 || per_million_requests.amount() < 0.0;
+        assert!(
+            !negative,
+            "invalid FaasPriceSheet: FaaS prices must be >= $0"
+        );
+        assert!(
+            free_gb_s.is_finite() && free_gb_s >= 0.0,
+            "invalid FaasPriceSheet: free-tier quantities must be finite and >= 0"
+        );
+        FaasPriceSheet {
+            per_gb_s,
+            per_million_requests,
+            free_gb_s,
+            free_requests,
         }
     }
 
@@ -225,21 +189,35 @@ impl InvocationBilling {
 mod tests {
     use super::*;
 
-    #[test]
-    fn try_new_rejects_negative_prices() {
-        let err = FaasPriceSheet::try_new(Usd::new(-0.01), Usd::new(0.2), 0.0, 0).unwrap_err();
-        assert_eq!(err.to_string(), "FaaS prices must be >= $0");
-        let err = FaasPriceSheet::try_new(Usd::new(0.01), Usd::new(-0.2), 0.0, 0).unwrap_err();
-        assert_eq!(err.to_string(), "FaaS prices must be >= $0");
+    /// The message `f` panics with.
+    fn panic_message(f: impl FnOnce() + std::panic::UnwindSafe) -> String {
+        let payload = std::panic::catch_unwind(f).expect_err("expected a panic");
+        payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_owned())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .expect("a string panic payload")
     }
 
     #[test]
-    fn try_new_rejects_bad_free_tier() {
+    fn new_rejects_negative_prices() {
+        for (gb_s, million) in [(-0.01, 0.2), (0.01, -0.2)] {
+            let msg = panic_message(|| {
+                let _ = FaasPriceSheet::new(Usd::new(gb_s), Usd::new(million), 0.0, 0);
+            });
+            assert_eq!(msg, "invalid FaasPriceSheet: FaaS prices must be >= $0");
+        }
+    }
+
+    #[test]
+    fn new_rejects_bad_free_tier() {
         for bad in [-1.0, f64::NAN, f64::INFINITY] {
-            let err = FaasPriceSheet::try_new(Usd::new(0.01), Usd::new(0.2), bad, 0).unwrap_err();
+            let msg = panic_message(|| {
+                let _ = FaasPriceSheet::new(Usd::new(0.01), Usd::new(0.2), bad, 0);
+            });
             assert_eq!(
-                err.to_string(),
-                "free-tier quantities must be finite and >= 0"
+                msg,
+                "invalid FaasPriceSheet: free-tier quantities must be finite and >= 0"
             );
         }
     }

@@ -114,20 +114,18 @@ impl Container {
         false
     }
 
-    /// Marks the sandbox busy for an invocation: `Idle -> Warm`. Returns
-    /// the idle gap it waited (for adaptive keepalive learning).
+    /// Marks the sandbox busy for an invocation: `Idle -> Warm`.
     ///
     /// # Panics
     ///
     /// Panics unless the sandbox is `Idle`.
-    pub fn begin_invocation(&mut self, now: SimTime) -> SimDuration {
+    pub fn begin_invocation(&mut self) {
         assert_eq!(
             self.state,
             ContainerState::Idle,
             "invoke on a non-idle sandbox"
         );
         self.state = ContainerState::Warm;
-        now - self.idle_since
     }
 
     /// Completes the invocation: `Warm -> Idle`.
@@ -215,8 +213,8 @@ mod tests {
         assert!(c.poll_ready(t0 + secs(2)));
         assert_eq!(c.state(), ContainerState::Idle);
 
-        let gap = c.begin_invocation(t0 + secs(10));
-        assert_eq!(gap, secs(8)); // idle_since = ready_at = t0+2
+        assert_eq!(c.idle_since(), t0 + secs(2)); // ready_at
+        c.begin_invocation();
         c.finish_invocation(t0 + secs(11));
         assert_eq!(c.invocations(), 1);
         assert_eq!(c.idle_since(), t0 + secs(11));
@@ -232,7 +230,7 @@ mod tests {
         let mut c = Container::new(0);
         c.start(SimTime::ZERO, secs(1));
         c.poll_ready(SimTime::ZERO + secs(1));
-        c.begin_invocation(SimTime::ZERO + secs(1));
+        c.begin_invocation();
         c.reap();
     }
 
@@ -258,7 +256,7 @@ mod tests {
         let mut c = Container::new(0);
         c.start(SimTime::ZERO, secs(1));
         c.poll_ready(SimTime::ZERO + secs(1));
-        c.begin_invocation(SimTime::ZERO + secs(1));
+        c.begin_invocation();
         c.kill();
     }
 

@@ -18,7 +18,6 @@
 //! scale-from-zero story.
 
 use std::collections::VecDeque;
-use std::fmt;
 
 use elc_elearn::request::RequestKind;
 use elc_simcore::metrics::Histogram;
@@ -26,95 +25,46 @@ use elc_simcore::rng::SimRng;
 use elc_simcore::time::{SimDuration, SimTime};
 use elc_trace::{Field, Level};
 
-use crate::keepalive::{FixedWindow, KeepalivePolicy};
+use crate::keepalive::FixedWindow;
 use crate::profile::StartProfile;
 use crate::TRACE_TARGET;
-
-/// Construction errors for [`InvokerConfig`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InvokerError {
-    /// The per-function concurrency limit must admit at least one sandbox.
-    ZeroConcurrency,
-    /// The invocation buffer capacity must not be negative.
-    NegativeBuffer,
-}
-
-impl fmt::Display for InvokerError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            InvokerError::ZeroConcurrency => {
-                write!(f, "per-function concurrency limit must be >= 1")
-            }
-            InvokerError::NegativeBuffer => {
-                write!(f, "invocation buffer capacity must be >= 0")
-            }
-        }
-    }
-}
 
 /// Configuration of one function's invoker.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InvokerConfig {
-    keepalive: KeepalivePolicy,
+    keepalive: FixedWindow,
     concurrency_limit: u32,
     buffer_capacity: u64,
 }
 
 impl InvokerConfig {
-    /// Validating constructor.
+    /// A configuration admitting `concurrency_limit` live sandboxes and
+    /// `buffer_capacity` buffered invocations.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Rejects a zero concurrency limit and a negative buffer capacity.
-    pub fn try_new(
-        keepalive: KeepalivePolicy,
-        concurrency_limit: u32,
-        buffer_capacity: i64,
-    ) -> Result<Self, InvokerError> {
-        if concurrency_limit == 0 {
-            return Err(InvokerError::ZeroConcurrency);
-        }
-        if buffer_capacity < 0 {
-            return Err(InvokerError::NegativeBuffer);
-        }
-        Ok(InvokerConfig {
+    /// Panics on a zero concurrency limit and a negative buffer capacity.
+    #[must_use]
+    pub fn new(keepalive: FixedWindow, concurrency_limit: u32, buffer_capacity: i64) -> Self {
+        assert!(
+            concurrency_limit != 0,
+            "invalid InvokerConfig: per-function concurrency limit must be >= 1"
+        );
+        assert!(
+            buffer_capacity >= 0,
+            "invalid InvokerConfig: invocation buffer capacity must be >= 0"
+        );
+        InvokerConfig {
             keepalive,
             concurrency_limit,
             buffer_capacity: buffer_capacity as u64,
-        })
-    }
-
-    /// Panicking constructor; see [`InvokerConfig::try_new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on the conditions `try_new` rejects.
-    #[must_use]
-    pub fn new(keepalive: KeepalivePolicy, concurrency_limit: u32, buffer_capacity: i64) -> Self {
-        match Self::try_new(keepalive, concurrency_limit, buffer_capacity) {
-            Ok(c) => c,
-            Err(e) => panic!("invalid InvokerConfig: {e}"),
         }
     }
 
-    /// Convenience: a fixed-window keepalive configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a zero window or the conditions `try_new` rejects.
+    /// The keepalive window.
     #[must_use]
-    pub fn fixed_window(window: SimDuration, concurrency_limit: u32, buffer_capacity: i64) -> Self {
-        Self::new(
-            KeepalivePolicy::Fixed(FixedWindow::new(window)),
-            concurrency_limit,
-            buffer_capacity,
-        )
-    }
-
-    /// The keepalive policy.
-    #[must_use]
-    pub fn keepalive(&self) -> &KeepalivePolicy {
-        &self.keepalive
+    pub fn keepalive(&self) -> FixedWindow {
+        self.keepalive
     }
 
     /// Max live sandboxes for this function.
@@ -329,8 +279,7 @@ impl Invoker {
             if self.containers[i].state() != crate::ContainerState::Idle {
                 continue;
             }
-            let gap = self.containers[i].begin_invocation(now);
-            self.config.keepalive.observe_gap(gap);
+            self.containers[i].begin_invocation();
             let mut slots = slots_per;
             // Buffered invocations: latency = wait + warm path.
             while slots > 0 && self.buffered_count > 0 {
@@ -383,7 +332,7 @@ impl Invoker {
                 let share = 1.0 - cold.as_secs_f64() / tick_len.as_secs_f64();
                 let mut slots = (slots_per as f64 * share) as u64;
                 if slots > 0 && (self.buffered_count > 0 || fresh > 0) {
-                    c.begin_invocation(ready);
+                    c.begin_invocation();
                     let cold_latency = cold.as_secs_f64() + warm_latency;
                     while slots > 0 && self.buffered_count > 0 {
                         let head = self.buffer.front_mut().expect("buffered_count > 0");
@@ -460,7 +409,7 @@ mod tests {
     const TICK: SimDuration = SimDuration::from_secs(60);
 
     fn config(buffer: i64) -> InvokerConfig {
-        InvokerConfig::fixed_window(SimDuration::from_mins(5), 1_000, buffer)
+        InvokerConfig::new(FixedWindow::new(SimDuration::from_mins(5)), 1_000, buffer)
     }
 
     fn spec() -> StartProfile {
@@ -477,20 +426,15 @@ mod tests {
     }
 
     #[test]
-    fn try_new_rejects_zero_concurrency() {
-        let keepalive = KeepalivePolicy::Fixed(FixedWindow::new(SimDuration::from_mins(5)));
-        let err = InvokerConfig::try_new(keepalive, 0, 10).unwrap_err();
-        assert_eq!(
-            err.to_string(),
-            "per-function concurrency limit must be >= 1"
-        );
+    #[should_panic(expected = "invalid InvokerConfig: per-function concurrency limit must be >= 1")]
+    fn new_rejects_zero_concurrency() {
+        let _ = InvokerConfig::new(FixedWindow::new(SimDuration::from_mins(5)), 0, 10);
     }
 
     #[test]
-    fn try_new_rejects_negative_buffer() {
-        let keepalive = KeepalivePolicy::Fixed(FixedWindow::new(SimDuration::from_mins(5)));
-        let err = InvokerConfig::try_new(keepalive, 4, -1).unwrap_err();
-        assert_eq!(err.to_string(), "invocation buffer capacity must be >= 0");
+    #[should_panic(expected = "invalid InvokerConfig: invocation buffer capacity must be >= 0")]
+    fn new_rejects_negative_buffer() {
+        let _ = InvokerConfig::new(FixedWindow::new(SimDuration::from_mins(5)), 4, -1);
     }
 
     #[test]
@@ -607,36 +551,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_keepalive_reaps_on_a_learned_clock() {
-        use crate::keepalive::AdaptiveKeepalive;
-        // An adaptive policy that has learned ~30 s reuse gaps sits at
-        // its 1-minute floor; the classic window is five minutes.
-        let fixed_cfg = InvokerConfig::fixed_window(SimDuration::from_mins(5), 10, 100);
-        let mut learned =
-            AdaptiveKeepalive::new(0.95, SimDuration::from_mins(1), SimDuration::from_mins(20));
-        for _ in 0..100 {
-            learned.observe_gap(SimDuration::from_secs(30));
-        }
-        let adaptive_cfg = InvokerConfig::new(KeepalivePolicy::Adaptive(learned), 10, 100);
-        let s = spec();
-        for (cfg, expect_reaped) in [(fixed_cfg, 0), (adaptive_cfg, 1)] {
-            let mut inv = Invoker::new(RequestKind::ForumRead, cfg);
-            let (mut warm, mut cold) = (Histogram::new(), Histogram::new());
-            let mut r = rng();
-            inv.tick(SimTime::ZERO, TICK, 10, 1, &s, &mut r, &mut warm, &mut cold);
-            assert_eq!(inv.live(), 1);
-            // Two quiet minutes: inside the fixed window, beyond the
-            // learned one — only the adaptive reaper fires.
-            let later = SimTime::ZERO + SimDuration::from_mins(2);
-            let out = inv.tick(later, TICK, 0, 0, &s, &mut r, &mut warm, &mut cold);
-            assert_eq!(
-                out.reaped, expect_reaped,
-                "reap timing must follow the policy"
-            );
-        }
-    }
-
-    #[test]
     fn kill_takes_down_live_sandboxes() {
         let mut inv = Invoker::new(RequestKind::VideoChunk, config(100));
         let (mut warm, mut cold) = (Histogram::new(), Histogram::new());
@@ -662,8 +576,7 @@ mod tests {
 
     #[test]
     fn concurrency_limit_caps_grants() {
-        let keepalive = KeepalivePolicy::Fixed(FixedWindow::new(SimDuration::from_mins(30)));
-        let cfg = InvokerConfig::new(keepalive, 3, 10_000);
+        let cfg = InvokerConfig::new(FixedWindow::new(SimDuration::from_mins(30)), 3, 10_000);
         let mut inv = Invoker::new(RequestKind::Upload, cfg);
         let (mut warm, mut cold) = (Histogram::new(), Histogram::new());
         let out = inv.tick(

@@ -1,44 +1,9 @@
 //! Keepalive: how long an idle sandbox survives before the reaper.
 //!
-//! Two policies. [`FixedWindow`] is the classic provider default — every
-//! idle sandbox lives exactly N minutes past its last invocation.
-//! [`AdaptiveKeepalive`] is a histogram policy in the spirit of hybrid
-//! keepalive from the serverless literature: it records the idle gaps that
-//! actually preceded reuse and keeps sandboxes just long enough to cover a
-//! chosen percentile of them, clamped to a `[min, max]` band. Bursty
-//! workloads earn long windows; dead functions are reclaimed at the floor.
+//! [`FixedWindow`] is the classic provider default — every idle sandbox
+//! lives exactly N minutes past its last invocation.
 
-use std::fmt;
-
-use elc_simcore::metrics::Histogram;
 use elc_simcore::time::SimDuration;
-
-/// Construction errors for keepalive policies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KeepaliveError {
-    /// A fixed window must be a positive duration.
-    NonPositiveWindow,
-    /// The adaptive target percentile must be in `(0, 1]`.
-    InvalidPercentile,
-    /// Adaptive bounds must satisfy `0 < min <= max`.
-    InvalidBounds,
-}
-
-impl fmt::Display for KeepaliveError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            KeepaliveError::NonPositiveWindow => {
-                write!(f, "keepalive window must be a positive duration")
-            }
-            KeepaliveError::InvalidPercentile => {
-                write!(f, "keepalive percentile must be in (0, 1]")
-            }
-            KeepaliveError::InvalidBounds => {
-                write!(f, "keepalive bounds must satisfy 0 < min <= max")
-            }
-        }
-    }
-}
 
 /// Fixed-window keepalive: idle sandboxes are reaped after `window`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,29 +12,18 @@ pub struct FixedWindow {
 }
 
 impl FixedWindow {
-    /// Validating constructor.
-    ///
-    /// # Errors
-    ///
-    /// Rejects a zero window.
-    pub fn try_new(window: SimDuration) -> Result<Self, KeepaliveError> {
-        if window.as_nanos() == 0 {
-            return Err(KeepaliveError::NonPositiveWindow);
-        }
-        Ok(FixedWindow { window })
-    }
-
-    /// Panicking constructor; see [`FixedWindow::try_new`].
+    /// A window of `window`.
     ///
     /// # Panics
     ///
     /// Panics on a zero window.
     #[must_use]
     pub fn new(window: SimDuration) -> Self {
-        match Self::try_new(window) {
-            Ok(w) => w,
-            Err(e) => panic!("invalid FixedWindow: {e}"),
-        }
+        assert!(
+            window.as_nanos() != 0,
+            "invalid FixedWindow: keepalive window must be a positive duration"
+        );
+        FixedWindow { window }
     }
 
     /// The configured window.
@@ -79,176 +33,13 @@ impl FixedWindow {
     }
 }
 
-/// Histogram-driven keepalive: the window tracks a percentile of the
-/// observed idle gaps between invocations, clamped to `[min, max]`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AdaptiveKeepalive {
-    gaps: Histogram,
-    percentile: f64,
-    min_window: SimDuration,
-    max_window: SimDuration,
-}
-
-impl AdaptiveKeepalive {
-    /// Validating constructor.
-    ///
-    /// # Errors
-    ///
-    /// Rejects a percentile outside `(0, 1]` and bounds that are zero or
-    /// inverted.
-    pub fn try_new(
-        percentile: f64,
-        min_window: SimDuration,
-        max_window: SimDuration,
-    ) -> Result<Self, KeepaliveError> {
-        if !(percentile.is_finite() && percentile > 0.0 && percentile <= 1.0) {
-            return Err(KeepaliveError::InvalidPercentile);
-        }
-        if min_window.as_nanos() == 0 || min_window > max_window {
-            return Err(KeepaliveError::InvalidBounds);
-        }
-        Ok(AdaptiveKeepalive {
-            gaps: Histogram::new(),
-            percentile,
-            min_window,
-            max_window,
-        })
-    }
-
-    /// Panicking constructor; see [`AdaptiveKeepalive::try_new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on the conditions `try_new` rejects.
-    #[must_use]
-    pub fn new(percentile: f64, min_window: SimDuration, max_window: SimDuration) -> Self {
-        match Self::try_new(percentile, min_window, max_window) {
-            Ok(k) => k,
-            Err(e) => panic!("invalid AdaptiveKeepalive: {e}"),
-        }
-    }
-
-    /// Records one observed idle gap that ended in a reuse.
-    pub fn observe_gap(&mut self, gap: SimDuration) {
-        self.gaps.record_duration(gap);
-    }
-
-    /// Gaps observed so far.
-    #[must_use]
-    pub fn observed(&self) -> u64 {
-        self.gaps.count()
-    }
-
-    /// Current window: the target percentile of observed gaps, clamped to
-    /// the configured band. With no observations yet it starts
-    /// conservative, at the band's maximum.
-    #[must_use]
-    pub fn window(&self) -> SimDuration {
-        if self.gaps.count() == 0 {
-            return self.max_window;
-        }
-        let target = SimDuration::from_secs_f64(self.gaps.quantile(self.percentile));
-        target.clamp(self.min_window, self.max_window)
-    }
-}
-
-/// The keepalive policy an [`Invoker`](crate::Invoker) runs.
-#[derive(Debug, Clone, PartialEq)]
-pub enum KeepalivePolicy {
-    /// Fixed idle window.
-    Fixed(FixedWindow),
-    /// Histogram-adaptive idle window.
-    Adaptive(AdaptiveKeepalive),
-}
-
-impl KeepalivePolicy {
-    /// The idle window currently in force.
-    #[must_use]
-    pub fn window(&self) -> SimDuration {
-        match self {
-            KeepalivePolicy::Fixed(w) => w.window(),
-            KeepalivePolicy::Adaptive(a) => a.window(),
-        }
-    }
-
-    /// Feeds an observed reuse gap; a no-op for the fixed policy.
-    pub fn observe_gap(&mut self, gap: SimDuration) {
-        if let KeepalivePolicy::Adaptive(a) = self {
-            a.observe_gap(gap);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn mins(m: u64) -> SimDuration {
-        SimDuration::from_mins(m)
-    }
-
     #[test]
-    fn try_new_rejects_zero_window() {
-        let err = FixedWindow::try_new(SimDuration::from_secs(0)).unwrap_err();
-        assert_eq!(
-            err.to_string(),
-            "keepalive window must be a positive duration"
-        );
-    }
-
-    #[test]
-    fn try_new_rejects_bad_percentile() {
-        for bad in [0.0, -0.5, 1.5, f64::NAN] {
-            let err = AdaptiveKeepalive::try_new(bad, mins(1), mins(10)).unwrap_err();
-            assert_eq!(err.to_string(), "keepalive percentile must be in (0, 1]");
-        }
-    }
-
-    #[test]
-    fn try_new_rejects_bad_bounds() {
-        let zero = SimDuration::from_secs(0);
-        for (lo, hi) in [(zero, mins(10)), (mins(10), mins(1))] {
-            let err = AdaptiveKeepalive::try_new(0.95, lo, hi).unwrap_err();
-            assert_eq!(
-                err.to_string(),
-                "keepalive bounds must satisfy 0 < min <= max"
-            );
-        }
-    }
-
-    #[test]
-    fn fixed_window_is_constant() {
-        let mut p = KeepalivePolicy::Fixed(FixedWindow::new(mins(5)));
-        assert_eq!(p.window(), mins(5));
-        p.observe_gap(mins(60));
-        assert_eq!(p.window(), mins(5));
-    }
-
-    #[test]
-    fn adaptive_starts_at_max_then_tracks_gaps() {
-        let mut a = AdaptiveKeepalive::new(0.99, mins(1), mins(30));
-        assert_eq!(a.window(), mins(30));
-        for _ in 0..100 {
-            a.observe_gap(SimDuration::from_secs(90));
-        }
-        let w = a.window().as_secs_f64();
-        assert!(
-            (80.0..120.0).contains(&w),
-            "window {w}s should track ~90s gaps"
-        );
-    }
-
-    #[test]
-    fn adaptive_clamps_to_band() {
-        let mut a = AdaptiveKeepalive::new(0.99, mins(2), mins(30));
-        for _ in 0..50 {
-            a.observe_gap(SimDuration::from_secs(1));
-        }
-        assert_eq!(a.window(), mins(2));
-        let mut b = AdaptiveKeepalive::new(0.99, mins(1), mins(5));
-        for _ in 0..50 {
-            b.observe_gap(SimDuration::from_hours(2));
-        }
-        assert_eq!(b.window(), mins(5));
+    #[should_panic(expected = "invalid FixedWindow: keepalive window must be a positive duration")]
+    fn new_rejects_zero_window() {
+        let _ = FixedWindow::new(SimDuration::from_secs(0));
     }
 }

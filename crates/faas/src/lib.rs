@@ -14,10 +14,8 @@
 //!   cold → initializing → warm → idle → reaped ([`ContainerState`]).
 //! * [`StartProfile`] / [`ColdStartProfile`] — per-[`RequestKind`]
 //!   cold/warm start times and memory sizing.
-//! * [`KeepalivePolicy`] — when idle sandboxes are reclaimed: a
-//!   [`FixedWindow`] (provider default) or an [`AdaptiveKeepalive`] that
-//!   tracks the observed idle-gap histogram, in the spirit of hybrid
-//!   histogram keepalive policies from the serverless literature.
+//! * [`FixedWindow`] — when idle sandboxes are reclaimed: the provider
+//!   default, a fixed idle window.
 //! * [`Invoker`] — per-function admission: warm containers serve first, a
 //!   bounded buffer absorbs overflow, the rest is shed
 //!   ([`elc_elearn::request::RequestOutcome`] semantics).
@@ -39,14 +37,14 @@
 //! # Examples
 //!
 //! ```
-//! use elc_faas::{ColdStartProfile, FaasScaler, Invoker, InvokerConfig};
+//! use elc_faas::{ColdStartProfile, FaasScaler, FixedWindow, Invoker, InvokerConfig};
 //! use elc_simcore::metrics::Histogram;
 //! use elc_simcore::rng::SimRng;
 //! use elc_simcore::time::{SimDuration, SimTime};
 //! use elc_elearn::request::RequestKind;
 //!
 //! let profile = ColdStartProfile::standard();
-//! let config = InvokerConfig::fixed_window(SimDuration::from_mins(5), 1_000, 2_000);
+//! let config = InvokerConfig::new(FixedWindow::new(SimDuration::from_mins(5)), 1_000, 2_000);
 //! let mut invoker = Invoker::new(RequestKind::QuizSubmit, config);
 //! let scaler = FaasScaler::new(0.7, 400);
 //! let mut rng = SimRng::seed(42).derive("faas");
@@ -72,12 +70,12 @@ pub mod keepalive;
 pub mod profile;
 pub mod scaler;
 
-pub use billing::{FaasPriceSheet, InvocationBilling, PriceError};
+pub use billing::{FaasPriceSheet, InvocationBilling};
 pub use container::{Container, ContainerState};
-pub use invoker::{Invoker, InvokerConfig, InvokerError, TickOutcome};
-pub use keepalive::{AdaptiveKeepalive, FixedWindow, KeepaliveError, KeepalivePolicy};
-pub use profile::{ColdStartProfile, ProfileError, StartProfile};
-pub use scaler::{FaasScaler, ScalerError};
+pub use invoker::{Invoker, InvokerConfig, TickOutcome};
+pub use keepalive::FixedWindow;
+pub use profile::{ColdStartProfile, StartProfile};
+pub use scaler::FaasScaler;
 
 /// Trace target for every event this crate records.
 pub const TRACE_TARGET: &str = "faas";

@@ -7,43 +7,9 @@
 //! sizing; [`ColdStartProfile`] is the per-platform table over all nine
 //! kinds.
 
-use std::fmt;
-
 use elc_elearn::request::RequestKind;
 use elc_simcore::rng::SimRng;
 use elc_simcore::time::SimDuration;
-
-/// Construction errors for [`StartProfile`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProfileError {
-    /// Cold-start mean must be positive.
-    NonPositiveColdStart,
-    /// Warm-start overhead must be positive.
-    NonPositiveWarmStart,
-    /// Service time must be positive.
-    NonPositiveServiceTime,
-    /// Memory must be positive and finite.
-    InvalidMemory,
-}
-
-impl fmt::Display for ProfileError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ProfileError::NonPositiveColdStart => {
-                write!(f, "cold-start mean must be a positive duration")
-            }
-            ProfileError::NonPositiveWarmStart => {
-                write!(f, "warm-start overhead must be a positive duration")
-            }
-            ProfileError::NonPositiveServiceTime => {
-                write!(f, "service time must be a positive duration")
-            }
-            ProfileError::InvalidMemory => {
-                write!(f, "function memory must be positive and finite GB")
-            }
-        }
-    }
-}
 
 /// Start-time and sizing profile of one deployed function.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,43 +21,12 @@ pub struct StartProfile {
 }
 
 impl StartProfile {
-    /// Validating constructor.
-    ///
-    /// # Errors
-    ///
-    /// Rejects non-positive durations and non-positive or non-finite
-    /// memory.
-    pub fn try_new(
-        cold_start_mean: SimDuration,
-        warm_start: SimDuration,
-        service_time: SimDuration,
-        memory_gb: f64,
-    ) -> Result<Self, ProfileError> {
-        if cold_start_mean.as_nanos() == 0 {
-            return Err(ProfileError::NonPositiveColdStart);
-        }
-        if warm_start.as_nanos() == 0 {
-            return Err(ProfileError::NonPositiveWarmStart);
-        }
-        if service_time.as_nanos() == 0 {
-            return Err(ProfileError::NonPositiveServiceTime);
-        }
-        if !(memory_gb.is_finite() && memory_gb > 0.0) {
-            return Err(ProfileError::InvalidMemory);
-        }
-        Ok(StartProfile {
-            cold_start_mean,
-            warm_start,
-            service_time,
-            memory_gb,
-        })
-    }
-
-    /// Panicking constructor; see [`StartProfile::try_new`].
+    /// A profile with the given start times, service time and memory.
     ///
     /// # Panics
     ///
-    /// Panics on the conditions `try_new` rejects.
+    /// Panics on non-positive durations and non-positive or non-finite
+    /// memory.
     #[must_use]
     pub fn new(
         cold_start_mean: SimDuration,
@@ -99,9 +34,27 @@ impl StartProfile {
         service_time: SimDuration,
         memory_gb: f64,
     ) -> Self {
-        match Self::try_new(cold_start_mean, warm_start, service_time, memory_gb) {
-            Ok(p) => p,
-            Err(e) => panic!("invalid StartProfile: {e}"),
+        assert!(
+            cold_start_mean.as_nanos() != 0,
+            "invalid StartProfile: cold-start mean must be a positive duration"
+        );
+        assert!(
+            warm_start.as_nanos() != 0,
+            "invalid StartProfile: warm-start overhead must be a positive duration"
+        );
+        assert!(
+            service_time.as_nanos() != 0,
+            "invalid StartProfile: service time must be a positive duration"
+        );
+        assert!(
+            memory_gb.is_finite() && memory_gb > 0.0,
+            "invalid StartProfile: function memory must be positive and finite GB"
+        );
+        StartProfile {
+            cold_start_mean,
+            warm_start,
+            service_time,
+            memory_gb,
         }
     }
 
@@ -211,6 +164,16 @@ impl ColdStartProfile {
 mod tests {
     use super::*;
 
+    /// The message `f` panics with.
+    fn panic_message(f: impl FnOnce() + std::panic::UnwindSafe) -> String {
+        let payload = std::panic::catch_unwind(f).expect_err("expected a panic");
+        payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_owned())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .expect("a string panic payload")
+    }
+
     fn base() -> StartProfile {
         StartProfile::new(
             SimDuration::from_secs_f64(1.0),
@@ -221,60 +184,54 @@ mod tests {
     }
 
     #[test]
-    fn try_new_rejects_zero_cold_start() {
-        let err = StartProfile::try_new(
+    #[should_panic(expected = "invalid StartProfile: cold-start mean must be a positive duration")]
+    fn new_rejects_zero_cold_start() {
+        let _ = StartProfile::new(
             SimDuration::from_secs(0),
             SimDuration::from_secs(1),
             SimDuration::from_secs(1),
             0.5,
-        )
-        .unwrap_err();
-        assert_eq!(
-            err.to_string(),
-            "cold-start mean must be a positive duration"
         );
     }
 
     #[test]
-    fn try_new_rejects_zero_warm_start() {
-        let err = StartProfile::try_new(
+    #[should_panic(
+        expected = "invalid StartProfile: warm-start overhead must be a positive duration"
+    )]
+    fn new_rejects_zero_warm_start() {
+        let _ = StartProfile::new(
             SimDuration::from_secs(1),
             SimDuration::from_secs(0),
             SimDuration::from_secs(1),
             0.5,
-        )
-        .unwrap_err();
-        assert_eq!(
-            err.to_string(),
-            "warm-start overhead must be a positive duration"
         );
     }
 
     #[test]
-    fn try_new_rejects_zero_service_time() {
-        let err = StartProfile::try_new(
+    #[should_panic(expected = "invalid StartProfile: service time must be a positive duration")]
+    fn new_rejects_zero_service_time() {
+        let _ = StartProfile::new(
             SimDuration::from_secs(1),
             SimDuration::from_secs(1),
             SimDuration::from_secs(0),
             0.5,
-        )
-        .unwrap_err();
-        assert_eq!(err.to_string(), "service time must be a positive duration");
+        );
     }
 
     #[test]
-    fn try_new_rejects_bad_memory() {
+    fn new_rejects_bad_memory() {
         for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            let err = StartProfile::try_new(
-                SimDuration::from_secs(1),
-                SimDuration::from_secs(1),
-                SimDuration::from_secs(1),
-                bad,
-            )
-            .unwrap_err();
+            let msg = panic_message(|| {
+                let _ = StartProfile::new(
+                    SimDuration::from_secs(1),
+                    SimDuration::from_secs(1),
+                    SimDuration::from_secs(1),
+                    bad,
+                );
+            });
             assert_eq!(
-                err.to_string(),
-                "function memory must be positive and finite GB"
+                msg,
+                "invalid StartProfile: function memory must be positive and finite GB"
             );
         }
     }

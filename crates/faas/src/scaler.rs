@@ -8,31 +8,7 @@
 //! fixed order, so at an exam-day peak the pool can run dry before the
 //! last functions are reached — exactly the starvation E17 measures.
 
-use std::fmt;
-
 use elc_simcore::time::SimDuration;
-
-/// Construction errors for [`FaasScaler`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScalerError {
-    /// Target utilisation must be in `(0, 1]`.
-    InvalidTargetUtil,
-    /// The burst concurrency cap must admit at least one sandbox.
-    ZeroBurstLimit,
-}
-
-impl fmt::Display for ScalerError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ScalerError::InvalidTargetUtil => {
-                write!(f, "scaler target utilisation must be in (0, 1]")
-            }
-            ScalerError::ZeroBurstLimit => {
-                write!(f, "burst concurrency limit must be >= 1")
-            }
-        }
-    }
-}
 
 /// Account-level scaling policy.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -42,34 +18,26 @@ pub struct FaasScaler {
 }
 
 impl FaasScaler {
-    /// Validating constructor.
-    ///
-    /// # Errors
-    ///
-    /// Rejects a target utilisation outside `(0, 1]` and a zero burst cap.
-    pub fn try_new(target_util: f64, burst_limit: u32) -> Result<Self, ScalerError> {
-        if !(target_util.is_finite() && target_util > 0.0 && target_util <= 1.0) {
-            return Err(ScalerError::InvalidTargetUtil);
-        }
-        if burst_limit == 0 {
-            return Err(ScalerError::ZeroBurstLimit);
-        }
-        Ok(FaasScaler {
-            target_util,
-            burst_limit,
-        })
-    }
-
-    /// Panicking constructor; see [`FaasScaler::try_new`].
+    /// A scaler padding demand to `target_util` under a shared pool of
+    /// `burst_limit` sandboxes.
     ///
     /// # Panics
     ///
-    /// Panics on the conditions `try_new` rejects.
+    /// Panics on a target utilisation outside `(0, 1]` and a zero burst
+    /// cap.
     #[must_use]
     pub fn new(target_util: f64, burst_limit: u32) -> Self {
-        match Self::try_new(target_util, burst_limit) {
-            Ok(s) => s,
-            Err(e) => panic!("invalid FaasScaler: {e}"),
+        assert!(
+            target_util.is_finite() && target_util > 0.0 && target_util <= 1.0,
+            "invalid FaasScaler: scaler target utilisation must be in (0, 1]"
+        );
+        assert!(
+            burst_limit != 0,
+            "invalid FaasScaler: burst concurrency limit must be >= 1"
+        );
+        FaasScaler {
+            target_util,
+            burst_limit,
         }
     }
 
@@ -108,21 +76,33 @@ impl FaasScaler {
 mod tests {
     use super::*;
 
+    /// The message `f` panics with.
+    fn panic_message(f: impl FnOnce() + std::panic::UnwindSafe) -> String {
+        let payload = std::panic::catch_unwind(f).expect_err("expected a panic");
+        payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_owned())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .expect("a string panic payload")
+    }
+
     #[test]
-    fn try_new_rejects_bad_util() {
+    fn new_rejects_bad_util() {
         for bad in [0.0, -0.2, 1.2, f64::NAN] {
-            let err = FaasScaler::try_new(bad, 100).unwrap_err();
+            let msg = panic_message(|| {
+                let _ = FaasScaler::new(bad, 100);
+            });
             assert_eq!(
-                err.to_string(),
-                "scaler target utilisation must be in (0, 1]"
+                msg,
+                "invalid FaasScaler: scaler target utilisation must be in (0, 1]"
             );
         }
     }
 
     #[test]
-    fn try_new_rejects_zero_burst() {
-        let err = FaasScaler::try_new(0.7, 0).unwrap_err();
-        assert_eq!(err.to_string(), "burst concurrency limit must be >= 1");
+    #[should_panic(expected = "invalid FaasScaler: burst concurrency limit must be >= 1")]
+    fn new_rejects_zero_burst() {
+        let _ = FaasScaler::new(0.7, 0);
     }
 
     #[test]

@@ -2,18 +2,17 @@
 //! invoke/reap interleavings.
 //!
 //! Each case derives its own [`SimRng`] stream from the case index, draws
-//! a random invoker configuration (fixed-window or adaptive keepalive)
-//! and a random demand/grant/chaos walk, and checks the bookkeeping that
-//! the fluid model leans on:
+//! a random invoker configuration and a random demand/grant/chaos walk,
+//! and checks the bookkeeping that the fluid model leans on:
 //!
 //! * warm hits never exceed what the live warm sandboxes could serve,
 //! * sandboxes are conserved (`started == live + reaped`),
 //! * the per-function concurrency cap and buffer capacity hold,
 //! * per-tick flow balances (`demand + drained == served + buffered +
 //!   shed`),
-//! * and — via the `Container::reap` state assertion — the adaptive
-//!   keepalive never reaps a sandbox mid-invocation: any violation
-//!   panics the walk.
+//! * and — via the `Container::reap` state assertion — a keepalive
+//!   window shorter than a tick never reaps a sandbox mid-invocation:
+//!   any violation panics the walk.
 //!
 //! A third walk checks the invoker's one-record-per-tick warm path
 //! against [`PerSandbox`], a reference that records each serving
@@ -23,8 +22,8 @@ use std::collections::VecDeque;
 
 use elc_elearn::request::RequestKind;
 use elc_faas::{
-    AdaptiveKeepalive, ColdStartProfile, Container, ContainerState, FixedWindow, Invoker,
-    InvokerConfig, KeepalivePolicy, StartProfile, TickOutcome,
+    ColdStartProfile, Container, ContainerState, FixedWindow, Invoker, InvokerConfig, StartProfile,
+    TickOutcome,
 };
 use elc_simcore::metrics::Histogram;
 use elc_simcore::rng::SimRng;
@@ -34,16 +33,15 @@ const TICK: SimDuration = SimDuration::from_secs(60);
 const CASES: u64 = 150;
 const TICKS_PER_CASE: u64 = 120;
 
+/// A random invoker configuration: half the keepalive windows are
+/// shorter than a tick, half a tick or longer.
 fn random_config(rng: &mut SimRng) -> InvokerConfig {
-    let keepalive = if rng.chance(0.5) {
-        KeepalivePolicy::Fixed(FixedWindow::new(SimDuration::from_secs(
-            rng.range_u64(60, 900),
-        )))
+    let window = if rng.chance(0.5) {
+        rng.range_u64(1, 59)
     } else {
-        let min = SimDuration::from_secs(rng.range_u64(30, 120));
-        let max = min + SimDuration::from_secs(rng.range_u64(60, 1800));
-        KeepalivePolicy::Adaptive(AdaptiveKeepalive::new(rng.range_f64(0.5, 1.0), min, max))
+        rng.range_u64(60, 900)
     };
+    let keepalive = FixedWindow::new(SimDuration::from_secs(window));
     let concurrency = rng.range_u64(1, 40) as u32;
     let buffer = rng.range_u64(0, 500) as i64;
     InvokerConfig::new(keepalive, concurrency, buffer)
@@ -132,19 +130,15 @@ fn random_interleavings_preserve_container_invariants() {
 }
 
 #[test]
-fn adaptive_keepalive_walks_never_reap_inflight_work() {
-    // A focused walk on the adaptive policy with tiny windows — the
-    // regime where an over-eager reaper would fire mid-invocation if the
-    // tick ordering were wrong. Survival (no panic from the Container
-    // state assertions) is the property.
-    let root = SimRng::seed(0xADA7).derive("adaptive");
+fn short_keepalive_walks_never_reap_inflight_work() {
+    // A focused walk with windows shorter than a tick — the regime where
+    // an over-eager reaper would fire mid-invocation if the tick ordering
+    // were wrong. Survival (no panic from the Container state assertions)
+    // is the property.
+    let root = SimRng::seed(0xADA7).derive("short-keepalive");
     for case in 0..CASES {
         let mut rng = root.derive_u64(case);
-        let keepalive = KeepalivePolicy::Adaptive(AdaptiveKeepalive::new(
-            0.9,
-            SimDuration::from_secs(30),
-            SimDuration::from_secs(90),
-        ));
+        let keepalive = FixedWindow::new(SimDuration::from_secs(rng.range_u64(1, 59)));
         let config = InvokerConfig::new(keepalive, 20, 200);
         let spec = *ColdStartProfile::standard().get(RequestKind::QuizSubmit);
         let mut invoker = Invoker::new(RequestKind::QuizSubmit, config);
@@ -169,7 +163,7 @@ fn adaptive_keepalive_walks_never_reap_inflight_work() {
 /// the reference for [`Invoker::tick`], which records a tick's warm serves
 /// at once. Same containers, same buffer, same RNG draws; no tracing.
 struct PerSandbox {
-    keepalive: KeepalivePolicy,
+    keepalive: FixedWindow,
     concurrency_limit: u32,
     buffer_capacity: u64,
     containers: Vec<Container>,
@@ -181,7 +175,7 @@ struct PerSandbox {
 impl PerSandbox {
     fn new(config: &InvokerConfig) -> Self {
         PerSandbox {
-            keepalive: config.keepalive().clone(),
+            keepalive: config.keepalive(),
             concurrency_limit: config.concurrency_limit(),
             buffer_capacity: config.buffer_capacity(),
             containers: Vec::new(),
@@ -271,8 +265,7 @@ impl PerSandbox {
             if self.containers[i].state() != ContainerState::Idle {
                 continue;
             }
-            let gap = self.containers[i].begin_invocation(now);
-            self.keepalive.observe_gap(gap);
+            self.containers[i].begin_invocation();
             let mut slots = slots_per;
             self.drain(now, &mut slots, warm_latency, cold, &mut out);
             let n = fresh.min(slots);
@@ -297,7 +290,7 @@ impl PerSandbox {
                 let share = 1.0 - cold_start.as_secs_f64() / TICK.as_secs_f64();
                 let mut slots = (slots_per as f64 * share) as u64;
                 if slots > 0 && (self.buffered > 0 || fresh > 0) {
-                    c.begin_invocation(ready);
+                    c.begin_invocation();
                     let cold_latency = cold_start.as_secs_f64() + warm_latency;
                     self.drain(now, &mut slots, cold_latency, cold, &mut out);
                     let n = fresh.min(slots);
@@ -334,12 +327,13 @@ fn assert_same_quantiles(got: &Histogram, want: &Histogram, what: &str) {
 #[test]
 fn one_warm_record_per_tick_equals_one_per_sandbox() {
     let root = SimRng::seed(0x5A4D).derive("per-sandbox");
-    let (mut adaptive, mut buffered, mut killed, mut late_starts) = (0, 0, 0, 0);
+    let (mut reaped, mut buffered, mut killed, mut late_starts) = (0, 0, 0, 0);
+    let mut short_windows = 0;
     for case in 0..CASES {
         let mut rng = root.derive_u64(case);
         let kind = *rng.pick(&RequestKind::ALL).expect("non-empty");
         let config = random_config(&mut rng);
-        adaptive += u32::from(matches!(config.keepalive(), KeepalivePolicy::Adaptive(_)));
+        short_windows += u64::from(config.keepalive().window() < TICK);
         // Cold starts from sub-second to past the tick, so both the
         // intra-tick share and the next-tick promotion run.
         let spec = StartProfile::new(
@@ -390,6 +384,7 @@ fn one_warm_record_per_tick_equals_one_per_sandbox() {
             assert_eq!(invoker.buffered(), reference.buffered, "{at}: buffer");
             assert_same_quantiles(&warm, &ref_warm, &format!("{at}: warm"));
             assert_same_quantiles(&cold, &ref_cold, &format!("{at}: cold"));
+            reaped += u32::from(out.reaped > 0);
             buffered += u32::from(invoker.buffered() > 0);
             late_starts += u32::from(out.cold_starts > 0 && invoker.idle() < invoker.live());
 
@@ -402,6 +397,11 @@ fn one_warm_record_per_tick_equals_one_per_sandbox() {
             now += TICK;
         }
     }
-    // The walks reach every path the reference mirrors.
-    assert!(adaptive > 0 && buffered > 0 && killed > 0 && late_starts > 0);
+    // The walks reach every path the reference mirrors, with keepalive
+    // windows on both sides of a tick.
+    assert!(reaped > 0 && buffered > 0 && killed > 0 && late_starts > 0);
+    assert!(
+        0 < short_windows && short_windows < CASES,
+        "{short_windows}"
+    );
 }

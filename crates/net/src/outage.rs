@@ -24,70 +24,19 @@ pub struct OutageModel {
     mttr: SimDuration,
 }
 
-/// Why an [`OutageModel`] configuration was rejected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OutageModelError {
-    /// The mean time between failures was zero.
-    ZeroMtbf,
-    /// The mean time to repair was zero.
-    ZeroMttr,
-}
-
-impl std::fmt::Display for OutageModelError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            OutageModelError::ZeroMtbf => write!(f, "mtbf must be positive"),
-            OutageModelError::ZeroMttr => write!(f, "mttr must be positive"),
-        }
-    }
-}
-
-impl std::error::Error for OutageModelError {}
-
 impl OutageModel {
     /// Creates a model with mean time between failures `mtbf` and mean time
     /// to repair `mttr`.
     ///
-    /// # Errors
-    ///
-    /// Rejects a zero `mtbf` or `mttr` — the exponential sampler needs
-    /// positive means.
-    pub fn try_new(mtbf: SimDuration, mttr: SimDuration) -> Result<Self, OutageModelError> {
-        if mtbf.is_zero() {
-            return Err(OutageModelError::ZeroMtbf);
-        }
-        if mttr.is_zero() {
-            return Err(OutageModelError::ZeroMttr);
-        }
-        Ok(OutageModel { mtbf, mttr })
-    }
-
-    /// Panicking counterpart of [`OutageModel::try_new`].
-    ///
     /// # Panics
     ///
-    /// Panics if either duration is zero.
+    /// Panics on a zero `mtbf` or `mttr` — the exponential sampler needs
+    /// positive means.
     #[must_use]
     pub fn new(mtbf: SimDuration, mttr: SimDuration) -> Self {
-        OutageModel::try_new(mtbf, mttr).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// A connection that never fails within any practical horizon.
-    #[must_use]
-    pub fn reliable() -> Self {
-        OutageModel::new(SimDuration::from_days(365 * 100), SimDuration::from_secs(1))
-    }
-
-    /// Mean time between failures.
-    #[must_use]
-    pub fn mtbf(&self) -> SimDuration {
-        self.mtbf
-    }
-
-    /// Mean time to repair.
-    #[must_use]
-    pub fn mttr(&self) -> SimDuration {
-        self.mttr
+        assert!(!mtbf.is_zero(), "mtbf must be positive");
+        assert!(!mttr.is_zero(), "mttr must be positive");
+        OutageModel { mtbf, mttr }
     }
 
     /// Long-run availability: `mtbf / (mtbf + mttr)`.
@@ -162,21 +111,21 @@ pub struct OutageSchedule {
 
 impl OutageSchedule {
     /// A schedule with no outages.
-    #[must_use]
-    pub fn none(horizon: SimTime) -> Self {
+    #[cfg(test)]
+    pub(crate) fn none(horizon: SimTime) -> Self {
         OutageSchedule {
             windows: Vec::new(),
             horizon,
         }
     }
 
-    /// Builds a schedule from explicit windows (for tests and scenarios).
+    /// Builds a schedule from explicit windows.
     ///
     /// # Panics
     ///
     /// Panics if windows are unsorted, overlapping, or inverted.
-    #[must_use]
-    pub fn from_windows(windows: Vec<(SimTime, SimTime)>, horizon: SimTime) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_windows(windows: Vec<(SimTime, SimTime)>, horizon: SimTime) -> Self {
         let mut prev_end = SimTime::ZERO;
         for &(s, e) in &windows {
             assert!(s < e, "outage window inverted: {s} >= {e}");
@@ -202,12 +151,6 @@ impl OutageSchedule {
     #[must_use]
     pub fn count(&self) -> usize {
         self.windows.len()
-    }
-
-    /// True if the connection is up at instant `t`.
-    #[must_use]
-    pub fn is_up(&self, t: SimTime) -> bool {
-        self.window_covering(t).is_none()
     }
 
     /// The outage window covering `t`, if any.
@@ -266,38 +209,26 @@ mod tests {
         SimTime::from_secs(s)
     }
 
-    #[test]
-    fn try_new_rejects_zero_durations() {
-        let h = SimDuration::from_hours(1);
-        assert_eq!(
-            OutageModel::try_new(SimDuration::ZERO, h),
-            Err(OutageModelError::ZeroMtbf)
-        );
-        assert_eq!(
-            OutageModel::try_new(h, SimDuration::ZERO),
-            Err(OutageModelError::ZeroMttr)
-        );
-        assert!(OutageModel::try_new(h, h).is_ok());
+    fn is_up(sched: &OutageSchedule, t: SimTime) -> bool {
+        sched.window_covering(t).is_none()
     }
 
     #[test]
     #[should_panic(expected = "mtbf must be positive")]
-    fn new_keeps_the_panicking_contract() {
+    fn new_rejects_zero_mtbf() {
         let _ = OutageModel::new(SimDuration::ZERO, SimDuration::from_hours(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "mttr must be positive")]
+    fn new_rejects_zero_mttr() {
+        let _ = OutageModel::new(SimDuration::from_hours(1), SimDuration::ZERO);
     }
 
     #[test]
     fn availability_formula() {
         let m = OutageModel::new(SimDuration::from_hours(99), SimDuration::from_hours(1));
         assert!((m.availability() - 0.99).abs() < 1e-12);
-    }
-
-    #[test]
-    fn reliable_model_rarely_fails() {
-        let m = OutageModel::reliable();
-        let mut rng = SimRng::seed(1);
-        let sched = m.schedule(&mut rng, SimTime::from_secs(86_400 * 30));
-        assert_eq!(sched.count(), 0);
     }
 
     #[test]
@@ -329,9 +260,9 @@ mod tests {
             vec![(secs(10), secs(20)), (secs(50), secs(60))],
             secs(100),
         );
-        assert!(sched.is_up(secs(5)));
-        assert!(!sched.is_up(secs(15)));
-        assert!(sched.is_up(secs(20))); // end is exclusive
+        assert!(is_up(&sched, secs(5)));
+        assert!(!is_up(&sched, secs(15)));
+        assert!(is_up(&sched, secs(20))); // end is exclusive
         assert_eq!(sched.window_covering(secs(15)), Some((secs(10), secs(20))));
         assert_eq!(sched.window_covering(secs(30)), None);
     }
@@ -346,21 +277,21 @@ mod tests {
 
         // A window's start instant is down (inclusive lower edge): the
         // failure has happened by the time anyone observes t = start.
-        assert!(sched.is_up(secs(10) - ns));
-        assert!(!sched.is_up(secs(10)));
-        assert!(!sched.is_up(secs(10) + ns));
+        assert!(is_up(&sched, secs(10) - ns));
+        assert!(!is_up(&sched, secs(10)));
+        assert!(!is_up(&sched, secs(10) + ns));
         assert_eq!(sched.window_covering(secs(10)), Some((secs(10), secs(20))));
 
         // A window's end instant is up (exclusive upper edge): repair
         // completes *at* t = end, so service is restored there.
-        assert!(!sched.is_up(secs(20) - ns));
-        assert!(sched.is_up(secs(20)));
+        assert!(!is_up(&sched, secs(20) - ns));
+        assert!(is_up(&sched, secs(20)));
         assert_eq!(sched.window_covering(secs(20)), None);
 
         // The same contract holds for a later window (binary search must
         // land on the right neighbour on both sides).
-        assert!(!sched.is_up(secs(50)));
-        assert!(sched.is_up(secs(60)));
+        assert!(!is_up(&sched, secs(50)));
+        assert!(is_up(&sched, secs(60)));
 
         // Boundary instants agree with the interval queries built on them.
         assert_eq!(
@@ -412,7 +343,7 @@ mod tests {
     #[test]
     fn empty_schedule_is_always_up() {
         let sched = OutageSchedule::none(secs(100));
-        assert!(sched.is_up(secs(42)));
+        assert!(is_up(&sched, secs(42)));
         assert_eq!(sched.measured_availability(), 1.0);
         assert_eq!(sched.next_outage_after(secs(0)), None);
     }

@@ -95,12 +95,6 @@ impl Topology {
         self.ids.next_id()
     }
 
-    /// Number of sites.
-    #[must_use]
-    pub fn site_count(&self) -> usize {
-        self.sites.len()
-    }
-
     /// The display name of a site.
     ///
     /// Returns `None` for ids from another topology.
@@ -289,7 +283,6 @@ mod tests {
     #[test]
     fn sites_have_names() {
         let (net, campus, dc, cloud) = three_site_net();
-        assert_eq!(net.site_count(), 3);
         assert_eq!(net.site_name(campus), Some("campus"));
         assert_eq!(net.site_name(dc), Some("private-dc"));
         assert_eq!(net.site_name(cloud), Some("public-cloud"));

@@ -172,111 +172,6 @@ fn plan_transfer_inner(
     }
 }
 
-/// Outcome of a transfer driven through a retry loop
-/// ([`plan_transfer_with_retries`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetriedTransfer {
-    /// The aggregated outcome across all attempts. `stalled` is the time
-    /// not spent actively transferring (outage waits plus backoff waits),
-    /// `interruptions` the number of failed attempts.
-    pub outcome: TransferOutcome,
-    /// Attempts consumed, the successful one included.
-    pub attempts: u32,
-}
-
-/// Plans a transfer through a client retry loop: each attempt runs until
-/// it completes, hits an outage (the connection drops and the attempt
-/// fails), or exceeds `attempt_timeout`; failed attempts wait out the next
-/// delay in `backoffs` and try again. At most `1 + backoffs.len()`
-/// attempts are made.
-///
-/// `policy` decides what an attempt inherits: `Resumable` carries the
-/// failed attempt's progress forward (ranged requests), `RestartFromZero`
-/// re-sends everything and books the lost progress as `wasted`.
-///
-/// Returns `None` when the attempts are exhausted or the horizon cuts the
-/// transfer short (treat as "gave up").
-///
-/// # Panics
-///
-/// Panics if the link has zero bandwidth or `attempt_timeout` is zero.
-#[must_use]
-pub fn plan_transfer_with_retries(
-    start: SimTime,
-    size: Bytes,
-    link: &Link,
-    outages: &OutageSchedule,
-    policy: ResumePolicy,
-    attempt_timeout: SimDuration,
-    backoffs: &[SimDuration],
-) -> Option<RetriedTransfer> {
-    assert!(
-        !attempt_timeout.is_zero(),
-        "attempt timeout must be positive"
-    );
-    let total_active = link.transfer_time(size);
-    let mut remaining = total_active;
-    let mut now = start;
-    let mut active_done = SimDuration::ZERO;
-    let mut wasted = Bytes::ZERO;
-
-    for attempt in 0..=backoffs.len() {
-        if now >= outages.horizon() {
-            return None;
-        }
-        let deadline = now.checked_add(attempt_timeout)?;
-        // An attempt started inside an outage fails on the spot — the
-        // connection never opens — and progresses nothing.
-        let failed_at = if outages.window_covering(now).is_some() {
-            Some(now)
-        } else {
-            let would_finish = now.checked_add(remaining)?;
-            match outages.next_outage_after(now) {
-                // The connection drops mid-attempt.
-                Some((o_start, _)) if o_start < would_finish && o_start < deadline => Some(o_start),
-                _ if would_finish <= deadline => {
-                    if would_finish > outages.horizon() {
-                        return None;
-                    }
-                    let elapsed = would_finish - start;
-                    return Some(RetriedTransfer {
-                        outcome: TransferOutcome {
-                            completed_at: would_finish,
-                            elapsed,
-                            stalled: elapsed - (active_done + remaining),
-                            // Every earlier attempt failed exactly once.
-                            interruptions: attempt as u32,
-                            wasted,
-                        },
-                        attempts: attempt as u32 + 1,
-                    });
-                }
-                // Too slow: the client gives up on this attempt.
-                _ => Some(deadline),
-            }
-        };
-        let failed_at = failed_at.expect("non-completing attempt has a failure time");
-        let progressed = failed_at - now;
-        // Time actively transferring is active even when the bytes end up
-        // wasted — only outage and backoff waits count as stalled.
-        active_done += progressed;
-        match policy {
-            ResumePolicy::Resumable => {
-                remaining = remaining.saturating_sub(progressed);
-            }
-            ResumePolicy::RestartFromZero => {
-                wasted += size.mul_f64(progressed.ratio(total_active).min(1.0));
-                remaining = total_active;
-            }
-        }
-        match backoffs.get(attempt) {
-            Some(&backoff) => now = failed_at.checked_add(backoff)?,
-            None => return None,
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -464,127 +359,6 @@ mod tests {
         // 50 MiB at 100 Mbps ≈ 4.2s + 50ms RTT
         assert!(out.elapsed > SimDuration::from_secs(4));
         assert!(out.elapsed < SimDuration::from_secs(5));
-    }
-
-    #[test]
-    fn retries_complete_clean_transfer_first_attempt() {
-        let link = flat_link();
-        let r = plan_transfer_with_retries(
-            secs(0),
-            Bytes::from_mib(10),
-            &link,
-            &OutageSchedule::none(secs(1_000)),
-            ResumePolicy::Resumable,
-            SimDuration::from_secs(60),
-            &[SimDuration::from_secs(1); 3],
-        )
-        .unwrap();
-        assert_eq!(r.attempts, 1);
-        assert_eq!(r.outcome.completed_at, secs(10));
-        assert_eq!(r.outcome.stalled, SimDuration::ZERO);
-        assert_eq!(r.outcome.interruptions, 0);
-    }
-
-    #[test]
-    fn resumable_retry_carries_progress_across_the_drop() {
-        let link = flat_link();
-        // 10 MiB = 10s active; the connection drops at t=4 for 2s.
-        let outages = OutageSchedule::from_windows(vec![(secs(4), secs(6))], secs(1_000));
-        let r = plan_transfer_with_retries(
-            secs(0),
-            Bytes::from_mib(10),
-            &link,
-            &outages,
-            ResumePolicy::Resumable,
-            SimDuration::from_secs(60),
-            &[SimDuration::from_secs(3)],
-        )
-        .unwrap();
-        // Attempt 1 fails at t=4 with 4 MiB done; backoff 3s lands at
-        // t=7, after the outage; 6 MiB left finish at t=13.
-        assert_eq!(r.attempts, 2);
-        assert_eq!(r.outcome.completed_at, secs(13));
-        assert_eq!(r.outcome.interruptions, 1);
-        assert_eq!(r.outcome.wasted, Bytes::ZERO);
-        assert_eq!(r.outcome.stalled, SimDuration::from_secs(3));
-    }
-
-    #[test]
-    fn restart_retry_wastes_the_dropped_attempt() {
-        let link = flat_link();
-        let outages = OutageSchedule::from_windows(vec![(secs(4), secs(6))], secs(1_000));
-        let r = plan_transfer_with_retries(
-            secs(0),
-            Bytes::from_mib(10),
-            &link,
-            &outages,
-            ResumePolicy::RestartFromZero,
-            SimDuration::from_secs(60),
-            &[SimDuration::from_secs(3)],
-        )
-        .unwrap();
-        // Attempt 2 starts at t=7 and re-sends all 10 MiB.
-        assert_eq!(r.attempts, 2);
-        assert_eq!(r.outcome.completed_at, secs(17));
-        assert_eq!(r.outcome.wasted, Bytes::from_mib(4));
-        assert_eq!(r.outcome.stalled, SimDuration::from_secs(3));
-    }
-
-    #[test]
-    fn attempt_timeout_cuts_a_slow_attempt() {
-        let link = flat_link();
-        // 10s of active transfer against a 4s attempt timeout: attempts
-        // 1 and 2 time out (8s done resumable), attempt 3 finishes.
-        let r = plan_transfer_with_retries(
-            secs(0),
-            Bytes::from_mib(10),
-            &link,
-            &OutageSchedule::none(secs(1_000)),
-            ResumePolicy::Resumable,
-            SimDuration::from_secs(4),
-            &[SimDuration::from_secs(1), SimDuration::from_secs(1)],
-        )
-        .unwrap();
-        assert_eq!(r.attempts, 3);
-        assert_eq!(r.outcome.interruptions, 2);
-        // 4 + 1 + 4 + 1 + 2 remaining.
-        assert_eq!(r.outcome.completed_at, secs(12));
-        assert_eq!(r.outcome.stalled, SimDuration::from_secs(2));
-    }
-
-    #[test]
-    fn exhausted_attempts_give_up() {
-        let link = flat_link();
-        let r = plan_transfer_with_retries(
-            secs(0),
-            Bytes::from_mib(10),
-            &link,
-            &OutageSchedule::none(secs(1_000)),
-            ResumePolicy::RestartFromZero,
-            SimDuration::from_secs(4),
-            &[SimDuration::from_secs(1)],
-        );
-        assert!(r.is_none(), "no attempt can move 10 MiB in 4 s from zero");
-    }
-
-    #[test]
-    fn attempt_started_inside_outage_burns_an_attempt() {
-        let link = flat_link();
-        let outages = OutageSchedule::from_windows(vec![(secs(0), secs(5))], secs(1_000));
-        let r = plan_transfer_with_retries(
-            secs(0),
-            Bytes::from_mib(2),
-            &link,
-            &outages,
-            ResumePolicy::Resumable,
-            SimDuration::from_secs(60),
-            &[SimDuration::from_secs(8)],
-        )
-        .unwrap();
-        // Attempt 1 fails instantly at t=0; attempt 2 at t=8 succeeds.
-        assert_eq!(r.attempts, 2);
-        assert_eq!(r.outcome.completed_at, secs(10));
-        assert_eq!(r.outcome.stalled, SimDuration::from_secs(8));
     }
 
     #[test]

@@ -193,12 +193,6 @@ impl Bandwidth {
         self.0
     }
 
-    /// The rate in megabits per second.
-    #[must_use]
-    pub fn as_mbps(self) -> f64 {
-        self.0 / 1e6
-    }
-
     /// True if the link carries no traffic.
     #[must_use]
     pub fn is_zero(self) -> bool {
@@ -302,6 +296,6 @@ mod tests {
         let b = Bytes::from(42u64);
         assert_eq!(b.as_u64(), 42);
         assert!(Bytes::from_mib(1).as_mib_f64() - 1.0 < 1e-12);
-        assert!((Bandwidth::from_mbps(5.0).as_mbps() - 5.0).abs() < 1e-12);
+        assert!((Bandwidth::from_mbps(5.0).bits_per_sec() - 5e6).abs() < 1e-6);
     }
 }

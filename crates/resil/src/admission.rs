@@ -15,25 +15,6 @@ use elc_trace::{Field, Level};
 
 use crate::TRACE_TARGET;
 
-/// Why an [`AdmissionController`] configuration was rejected.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum AdmissionError {
-    /// A threshold was negative or NaN for the named kind.
-    BadThreshold(RequestKind, f64),
-}
-
-impl std::fmt::Display for AdmissionError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            AdmissionError::BadThreshold(kind, rho) => {
-                write!(f, "shed threshold for {kind} must be >= 0, got {rho}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for AdmissionError {}
-
 /// Utilization-ordered load shedding. See the module docs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdmissionController {
@@ -42,39 +23,6 @@ pub struct AdmissionController {
 }
 
 impl AdmissionController {
-    /// Creates a controller from explicit `(kind, ρ-threshold)` overrides;
-    /// kinds missing from `pairs` keep the
-    /// [`AdmissionController::standard`] thresholds. A threshold of
-    /// `f64::INFINITY` means "never shed".
-    ///
-    /// # Errors
-    ///
-    /// Rejects negative or NaN thresholds.
-    pub fn try_new(pairs: &[(RequestKind, f64)]) -> Result<Self, AdmissionError> {
-        let mut ctl = AdmissionController::standard();
-        for &(kind, rho) in pairs {
-            if rho.is_nan() || rho < 0.0 {
-                return Err(AdmissionError::BadThreshold(kind, rho));
-            }
-            for slot in &mut ctl.thresholds {
-                if slot.0 == kind {
-                    slot.1 = rho;
-                }
-            }
-        }
-        Ok(ctl)
-    }
-
-    /// Panicking counterpart of [`AdmissionController::try_new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `try_new` would reject the configuration.
-    #[must_use]
-    pub fn new(pairs: &[(RequestKind, f64)]) -> Self {
-        AdmissionController::try_new(pairs).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// The standard shed ladder, cheapest traffic first.
     #[must_use]
     pub fn standard() -> Self {
@@ -131,7 +79,7 @@ impl AdmissionController {
         if count == 0 {
             return;
         }
-        self.shed += count;
+        self.shed = self.shed.saturating_add(count);
         if elc_trace::enabled(TRACE_TARGET, Level::Info) {
             elc_trace::instant(
                 now.as_nanos(),
@@ -187,17 +135,6 @@ mod tests {
         assert_eq!(order.first(), Some(&RequestKind::VideoChunk));
         assert_eq!(order.get(1), Some(&RequestKind::ForumRead));
         assert_eq!(order.last(), Some(&RequestKind::QuizSubmit));
-    }
-
-    #[test]
-    fn overrides_apply_and_bad_thresholds_reject() {
-        let c = AdmissionController::new(&[(RequestKind::VideoChunk, 0.5)]);
-        assert!(!c.admits(RequestKind::VideoChunk, 0.6));
-        assert!(matches!(
-            AdmissionController::try_new(&[(RequestKind::Login, -0.1)]),
-            Err(AdmissionError::BadThreshold(RequestKind::Login, _))
-        ));
-        assert!(AdmissionController::try_new(&[(RequestKind::Login, f64::NAN)]).is_err());
     }
 
     #[test]

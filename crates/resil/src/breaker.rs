@@ -4,12 +4,8 @@
 //! lose time, work, or even unsaved data") and the site's recovery
 //! headroom. The breaker watches consecutive failures per target; past a
 //! threshold it *opens* and callers fail fast, after a sim-time cooldown
-//! it goes *half-open* and admits probes, and
-//! [`probe_successes`](CircuitBreaker::with_probe_successes) consecutive
-//! probe successes (default 1) close it again — a higher requirement
-//! keeps one lucky probe against a still-sick target from slamming the
-//! full load back on. Every closed/half-open → open transition is a
-//! **trip**,
+//! it goes *half-open* and admits a probe, and a probe success closes it
+//! again. Every closed/half-open → open transition is a **trip**,
 //! counted per target and traced as `breaker.trip` — the signal
 //! [`HybridFailover`](crate::failover::HybridFailover) reroutes on.
 
@@ -39,40 +35,14 @@ impl std::fmt::Display for BreakerState {
     }
 }
 
-/// Why a [`CircuitBreaker`] configuration was rejected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerError {
-    /// The failure threshold was zero.
-    ZeroThreshold,
-    /// The cooldown was zero (the breaker would flap every probe).
-    ZeroCooldown,
-    /// The half-open probe-success requirement was zero (the breaker
-    /// could never close again).
-    ZeroProbeSuccesses,
-}
-
-impl std::fmt::Display for BreakerError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BreakerError::ZeroThreshold => write!(f, "failure threshold must be >= 1"),
-            BreakerError::ZeroCooldown => write!(f, "cooldown must be positive"),
-            BreakerError::ZeroProbeSuccesses => write!(f, "probe successes must be >= 1"),
-        }
-    }
-}
-
-impl std::error::Error for BreakerError {}
-
 /// A per-target circuit breaker. See the module docs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CircuitBreaker {
     target: String,
     failure_threshold: u32,
     cooldown: SimDuration,
-    probe_successes: u32,
     state: BreakerState,
     consecutive_failures: u32,
-    half_open_streak: u32,
     opened_at: SimTime,
     trips: u32,
 }
@@ -82,58 +52,22 @@ impl CircuitBreaker {
     /// accounting): `failure_threshold` consecutive failures trip it,
     /// `cooldown` sim time later it admits a probe.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Rejects a zero threshold or a zero cooldown.
-    pub fn try_new(
-        target: impl Into<String>,
-        failure_threshold: u32,
-        cooldown: SimDuration,
-    ) -> Result<Self, BreakerError> {
-        if failure_threshold == 0 {
-            return Err(BreakerError::ZeroThreshold);
-        }
-        if cooldown.is_zero() {
-            return Err(BreakerError::ZeroCooldown);
-        }
-        Ok(CircuitBreaker {
+    /// Panics on a zero threshold or a zero cooldown.
+    #[must_use]
+    pub fn new(target: impl Into<String>, failure_threshold: u32, cooldown: SimDuration) -> Self {
+        assert!(failure_threshold != 0, "failure threshold must be >= 1");
+        assert!(!cooldown.is_zero(), "cooldown must be positive");
+        CircuitBreaker {
             target: target.into(),
             failure_threshold,
             cooldown,
-            probe_successes: 1,
             state: BreakerState::Closed,
             consecutive_failures: 0,
-            half_open_streak: 0,
             opened_at: SimTime::ZERO,
             trips: 0,
-        })
-    }
-
-    /// Requires `probe_successes` *consecutive* half-open probe successes
-    /// before the breaker closes again (the default, 1, is the classic
-    /// single-probe breaker). Any probe failure re-trips and resets the
-    /// streak.
-    ///
-    /// # Errors
-    ///
-    /// Rejects zero — the breaker could never close.
-    pub fn with_probe_successes(mut self, probe_successes: u32) -> Result<Self, BreakerError> {
-        if probe_successes == 0 {
-            return Err(BreakerError::ZeroProbeSuccesses);
         }
-        self.probe_successes = probe_successes;
-        Ok(self)
-    }
-
-    /// Panicking counterpart of [`CircuitBreaker::try_new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `try_new` would reject the configuration.
-    #[must_use]
-    pub fn new(target: impl Into<String>, failure_threshold: u32, cooldown: SimDuration) -> Self {
-        CircuitBreaker::try_new(target, failure_threshold, cooldown)
-            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// The guarded target's label.
@@ -147,7 +81,6 @@ impl CircuitBreaker {
         if self.state == BreakerState::Open && now.saturating_since(self.opened_at) >= self.cooldown
         {
             self.state = BreakerState::HalfOpen;
-            self.half_open_streak = 0;
         }
         self.state
     }
@@ -158,17 +91,12 @@ impl CircuitBreaker {
     }
 
     /// Records a successful call: clears the failure streak, and closes a
-    /// half-open breaker once its consecutive-probe-success requirement
-    /// is met.
+    /// half-open breaker.
     pub fn on_success(&mut self, now: SimTime) {
         let _ = now;
         self.consecutive_failures = 0;
         if self.state == BreakerState::HalfOpen {
-            self.half_open_streak += 1;
-            if self.half_open_streak >= self.probe_successes {
-                self.state = BreakerState::Closed;
-                self.half_open_streak = 0;
-            }
+            self.state = BreakerState::Closed;
         }
     }
 
@@ -192,7 +120,6 @@ impl CircuitBreaker {
         self.state = BreakerState::Open;
         self.opened_at = now;
         self.consecutive_failures = 0;
-        self.half_open_streak = 0;
         self.trips += 1;
         if elc_trace::enabled(TRACE_TARGET, Level::Warn) {
             elc_trace::instant(
@@ -228,15 +155,15 @@ mod tests {
     }
 
     #[test]
-    fn try_new_rejects_bad_knobs() {
-        assert_eq!(
-            CircuitBreaker::try_new("x", 0, SimDuration::from_secs(1)),
-            Err(BreakerError::ZeroThreshold)
-        );
-        assert_eq!(
-            CircuitBreaker::try_new("x", 1, SimDuration::ZERO),
-            Err(BreakerError::ZeroCooldown)
-        );
+    #[should_panic(expected = "failure threshold must be >= 1")]
+    fn new_rejects_zero_threshold() {
+        let _ = CircuitBreaker::new("x", 0, SimDuration::from_secs(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "cooldown must be positive")]
+    fn new_rejects_zero_cooldown() {
+        let _ = CircuitBreaker::new("x", 1, SimDuration::ZERO);
     }
 
     #[test]
@@ -282,73 +209,6 @@ mod tests {
         assert_eq!(b.trips(), 2);
         // The new cooldown starts from the re-trip.
         assert!(b.allow(secs(600)));
-    }
-
-    #[test]
-    fn with_probe_successes_rejects_zero() {
-        assert_eq!(
-            breaker(1).with_probe_successes(0),
-            Err(BreakerError::ZeroProbeSuccesses)
-        );
-    }
-
-    #[test]
-    fn multi_probe_breaker_needs_the_full_streak_to_close() {
-        let mut b = breaker(1).with_probe_successes(3).unwrap();
-        b.on_failure(secs(0));
-        assert_eq!(b.state_at(secs(300)), BreakerState::HalfOpen);
-        b.on_success(secs(301));
-        b.on_success(secs(302));
-        assert_eq!(
-            b.state_at(secs(303)),
-            BreakerState::HalfOpen,
-            "two of three probes must not close it"
-        );
-        b.on_success(secs(303));
-        assert_eq!(b.state_at(secs(304)), BreakerState::Closed);
-        assert_eq!(b.trips(), 1);
-    }
-
-    #[test]
-    fn trip_during_half_open_resets_the_probe_streak() {
-        let mut b = breaker(1).with_probe_successes(2).unwrap();
-        b.on_failure(secs(0));
-        assert_eq!(b.state_at(secs(300)), BreakerState::HalfOpen);
-        b.on_success(secs(301));
-        // One probe in, the target relapses: re-trip, streak must reset.
-        b.on_failure(secs(302));
-        assert_eq!(b.state_at(secs(303)), BreakerState::Open);
-        assert_eq!(b.trips(), 2);
-        // Next half-open window: a single success may not ride the stale
-        // streak to closed.
-        assert_eq!(b.state_at(secs(602)), BreakerState::HalfOpen);
-        b.on_success(secs(603));
-        assert_eq!(
-            b.state_at(secs(604)),
-            BreakerState::HalfOpen,
-            "the pre-trip probe success must not carry over"
-        );
-        b.on_success(secs(604));
-        assert_eq!(b.state_at(secs(605)), BreakerState::Closed);
-    }
-
-    #[test]
-    fn default_probe_requirement_matches_the_single_probe_breaker() {
-        // A breaker built through `with_probe_successes(1)` behaves
-        // byte-for-byte like the plain constructor.
-        let mut a = breaker(1);
-        let mut b = breaker(1).with_probe_successes(1).unwrap();
-        for (t, fail) in [(0, true), (300, false), (400, true), (700, false)] {
-            if fail {
-                a.on_failure(secs(t));
-                b.on_failure(secs(t));
-            } else {
-                a.on_success(secs(t));
-                b.on_success(secs(t));
-            }
-            assert_eq!(a.state_at(secs(t)), b.state_at(secs(t)));
-        }
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -133,12 +133,6 @@ impl ChaosSpec {
         self.campaigns.is_empty()
     }
 
-    /// A spec from explicit campaigns.
-    #[must_use]
-    pub fn from_campaigns(campaigns: Vec<Campaign>) -> Self {
-        ChaosSpec { campaigns }
-    }
-
     /// The campaigns in spec order.
     #[must_use]
     pub fn campaigns(&self) -> &[Campaign] {

@@ -3,8 +3,8 @@
 //! §IV.C's reliability argument for the hybrid model: when the private
 //! site goes down, traffic *re-routes* into public burst capacity instead
 //! of being lost. [`HybridFailover`] wires a
-//! [`CircuitBreaker`](crate::breaker::CircuitBreaker) over the primary
-//! site to a [`FailoverPlan`](elc_deploy::hybrid::FailoverPlan): each
+//! [`CircuitBreaker`] over the primary
+//! site to a [`FailoverPlan`]: each
 //! tick the model probes the primary's health, and the route follows the
 //! breaker — `Primary` while it is closed, `Backup` while it is open or
 //! probing. Every route change is traced as `failover.switch` and

@@ -14,8 +14,6 @@
 //! * [`retry::RetryPolicy`] — exponential backoff with decorrelated
 //!   jitter, a bounded attempt budget, and per-[`RequestKind`] idempotency
 //!   gating (`QuizSubmit`/`Upload` are never blindly replayed),
-//! * [`retry::RetryBudget`] — a token bucket capping the *global* retry
-//!   volume so retries cannot amplify an outage into a storm,
 //! * [`timeout::TimeoutPolicy`] — per-kind client deadlines,
 //! * [`breaker::CircuitBreaker`] — closed/open/half-open with sim-time
 //!   cooldowns and a per-target trip counter,

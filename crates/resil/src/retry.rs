@@ -6,10 +6,10 @@
 //! again, but carefully: synchronized retries amplify an outage into a
 //! storm, and replaying a non-idempotent write (a quiz submission, an
 //! assignment upload) risks duplicating the one thing that must not be
-//! corrupted. [`RetryPolicy`] encodes all three concerns: *when* to retry
-//! (attempt budget + idempotency gate), *how long* to wait (decorrelated
-//! jitter, the AWS-style `min(cap, uniform(base, 3·prev))` scheme), and
-//! [`RetryBudget`] caps the global retry volume.
+//! corrupted. [`RetryPolicy`] encodes both concerns: *when* to retry
+//! (attempt budget + idempotency gate) and *how long* to wait
+//! (decorrelated jitter, the AWS-style `min(cap, uniform(base, 3·prev))`
+//! scheme).
 
 use elc_elearn::request::RequestKind;
 use elc_simcore::rng::SimRng;
@@ -18,91 +18,38 @@ use elc_trace::{Field, Level};
 
 use crate::TRACE_TARGET;
 
-/// Why a [`RetryPolicy`] configuration was rejected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RetryError {
-    /// The base backoff was zero.
-    ZeroBase,
-    /// The cap was below the base backoff.
-    CapBelowBase,
-    /// The attempt budget was zero (not even a first attempt).
-    NoAttempts,
-}
-
-impl std::fmt::Display for RetryError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RetryError::ZeroBase => write!(f, "base backoff must be positive"),
-            RetryError::CapBelowBase => write!(f, "backoff cap must be >= base"),
-            RetryError::NoAttempts => write!(f, "attempt budget must be >= 1"),
-        }
-    }
-}
-
-impl std::error::Error for RetryError {}
-
 /// When and how a failed request is retried. See the module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     base: SimDuration,
     cap: SimDuration,
     max_attempts: u32,
-    retry_writes: bool,
 }
 
 impl RetryPolicy {
     /// Creates a policy: first backoff `base`, backoffs capped at `cap`,
     /// at most `max_attempts` total attempts (first try included).
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Rejects a zero base, a cap below the base, or a zero attempt
+    /// Panics on a zero base, a cap below the base, or a zero attempt
     /// budget.
-    pub fn try_new(
-        base: SimDuration,
-        cap: SimDuration,
-        max_attempts: u32,
-    ) -> Result<Self, RetryError> {
-        if base.is_zero() {
-            return Err(RetryError::ZeroBase);
-        }
-        if cap < base {
-            return Err(RetryError::CapBelowBase);
-        }
-        if max_attempts == 0 {
-            return Err(RetryError::NoAttempts);
-        }
-        Ok(RetryPolicy {
+    #[must_use]
+    pub fn new(base: SimDuration, cap: SimDuration, max_attempts: u32) -> Self {
+        assert!(!base.is_zero(), "base backoff must be positive");
+        assert!(cap >= base, "backoff cap must be >= base");
+        assert!(max_attempts != 0, "attempt budget must be >= 1");
+        RetryPolicy {
             base,
             cap,
             max_attempts,
-            retry_writes: false,
-        })
-    }
-
-    /// Panicking counterpart of [`RetryPolicy::try_new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `try_new` would reject the configuration.
-    #[must_use]
-    pub fn new(base: SimDuration, cap: SimDuration, max_attempts: u32) -> Self {
-        RetryPolicy::try_new(base, cap, max_attempts).unwrap_or_else(|e| panic!("{e}"))
+        }
     }
 
     /// The standard client policy: 500 ms base, 30 s cap, 4 attempts.
     #[must_use]
     pub fn standard() -> Self {
         RetryPolicy::new(SimDuration::from_millis(500), SimDuration::from_secs(30), 4)
-    }
-
-    /// Opts writes into retrying too (for callers with server-side
-    /// deduplication). Off by default: a blind replay of `QuizSubmit` or
-    /// `Upload` risks duplicating the write.
-    #[must_use]
-    pub fn retry_writes(mut self, yes: bool) -> Self {
-        self.retry_writes = yes;
-        self
     }
 
     /// First backoff.
@@ -123,10 +70,12 @@ impl RetryPolicy {
         self.max_attempts
     }
 
-    /// True if `kind` may be replayed at all (the idempotency gate).
+    /// True if `kind` may be replayed at all (the idempotency gate): a
+    /// blind replay of a write (`QuizSubmit`, `Upload`) risks duplicating
+    /// it.
     #[must_use]
     pub fn allows(&self, kind: RequestKind) -> bool {
-        self.retry_writes || !kind.is_write()
+        !kind.is_write()
     }
 
     /// True if a request of `kind` that has already consumed `attempts`
@@ -167,86 +116,6 @@ impl RetryPolicy {
         }
         next
     }
-
-    /// The full backoff schedule for one request: `max_attempts - 1`
-    /// delays, each drawn with [`RetryPolicy::backoff`]. Derive the rng
-    /// per request (e.g. `rng.derive("retry")`) so the schedule is a pure
-    /// function of the seed lineage.
-    #[must_use]
-    pub fn backoff_schedule(&self, now: SimTime, rng: &mut SimRng) -> Vec<SimDuration> {
-        let mut prev = self.base;
-        (1..self.max_attempts)
-            .map(|attempt| {
-                prev = self.backoff(now, rng, prev, attempt);
-                prev
-            })
-            .collect()
-    }
-}
-
-/// A token bucket over retries: every retry spends a token, every success
-/// refills a fraction of one. When the bucket is empty the caller must
-/// fail fast instead of retrying — the standard defence against retry
-/// storms amplifying an outage.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryBudget {
-    tokens: f64,
-    max_tokens: f64,
-    refill_per_success: f64,
-}
-
-impl RetryBudget {
-    /// Creates a full bucket of `max_tokens`, refilling
-    /// `refill_per_success` tokens per recorded success.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `max_tokens > 0` and `refill_per_success >= 0`, both
-    /// finite.
-    #[must_use]
-    pub fn new(max_tokens: f64, refill_per_success: f64) -> Self {
-        assert!(
-            max_tokens.is_finite() && max_tokens > 0.0,
-            "budget needs positive max tokens, got {max_tokens}"
-        );
-        assert!(
-            refill_per_success.is_finite() && refill_per_success >= 0.0,
-            "refill must be >= 0, got {refill_per_success}"
-        );
-        RetryBudget {
-            tokens: max_tokens,
-            max_tokens,
-            refill_per_success,
-        }
-    }
-
-    /// The standard budget: 10% of traffic may be retries.
-    #[must_use]
-    pub fn standard() -> Self {
-        RetryBudget::new(100.0, 0.1)
-    }
-
-    /// Tokens currently available.
-    #[must_use]
-    pub fn tokens(&self) -> f64 {
-        self.tokens
-    }
-
-    /// Spends one token for a retry. Returns `false` (and spends nothing)
-    /// when the bucket is empty.
-    pub fn try_spend(&mut self) -> bool {
-        if self.tokens >= 1.0 {
-            self.tokens -= 1.0;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Records a success, refilling the bucket toward its ceiling.
-    pub fn on_success(&mut self) {
-        self.tokens = (self.tokens + self.refill_per_success).min(self.max_tokens);
-    }
 }
 
 #[cfg(test)]
@@ -258,23 +127,20 @@ mod tests {
     }
 
     #[test]
-    fn try_new_rejects_each_bad_knob() {
-        let s = SimDuration::from_secs(1);
-        assert_eq!(
-            RetryPolicy::try_new(SimDuration::ZERO, s, 3),
-            Err(RetryError::ZeroBase)
-        );
-        assert_eq!(
-            RetryPolicy::try_new(s, SimDuration::from_millis(10), 3),
-            Err(RetryError::CapBelowBase)
-        );
-        assert_eq!(RetryPolicy::try_new(s, s, 0), Err(RetryError::NoAttempts));
-        assert!(RetryPolicy::try_new(s, s, 1).is_ok());
+    #[should_panic(expected = "base backoff must be positive")]
+    fn new_rejects_zero_base() {
+        let _ = RetryPolicy::new(SimDuration::ZERO, SimDuration::from_secs(1), 3);
     }
 
     #[test]
-    #[should_panic(expected = "attempt budget")]
-    fn new_panics_like_try_new_rejects() {
+    #[should_panic(expected = "backoff cap must be >= base")]
+    fn new_rejects_cap_below_base() {
+        let _ = RetryPolicy::new(SimDuration::from_secs(1), SimDuration::from_millis(10), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "attempt budget must be >= 1")]
+    fn new_rejects_zero_attempts() {
         let s = SimDuration::from_secs(1);
         let _ = RetryPolicy::new(s, s, 0);
     }
@@ -287,7 +153,6 @@ mod tests {
         assert!(!p.allows(RequestKind::QuizSubmit));
         assert!(!p.allows(RequestKind::Upload));
         assert!(!p.allows(RequestKind::ForumPost));
-        assert!(p.retry_writes(true).allows(RequestKind::QuizSubmit));
     }
 
     #[test]
@@ -313,51 +178,19 @@ mod tests {
     }
 
     #[test]
-    fn backoff_schedule_has_budget_minus_one_entries() {
-        let p = policy();
-        let mut rng = SimRng::seed(2).derive("retry");
-        let sched = p.backoff_schedule(SimTime::ZERO, &mut rng);
-        assert_eq!(sched.len(), 3);
-    }
-
-    #[test]
     fn backoff_traced_as_retry_attempt() {
         use elc_trace::{TraceFilter, Tracer};
         let p = policy();
         let ((), tracer) =
             elc_trace::with_tracer(Tracer::new(TraceFilter::all(Level::Debug)), || {
                 let mut rng = SimRng::seed(3).derive("retry");
-                let _ = p.backoff_schedule(SimTime::from_secs(5), &mut rng);
+                let mut prev = p.base();
+                for attempt in 1..p.max_attempts() {
+                    prev = p.backoff(SimTime::from_secs(5), &mut rng, prev, attempt);
+                }
             });
         assert_eq!(tracer.len(), 3);
         let e = tracer.events().next().unwrap();
         assert_eq!(tracer.resolve(e.name), "retry.attempt");
-    }
-
-    #[test]
-    fn budget_spends_and_refills() {
-        let mut b = RetryBudget::new(2.0, 0.5);
-        assert!(b.try_spend());
-        assert!(b.try_spend());
-        assert!(!b.try_spend(), "empty bucket must refuse");
-        b.on_success();
-        assert!(!b.try_spend(), "half a token is not a whole one");
-        b.on_success();
-        assert!(b.try_spend());
-    }
-
-    #[test]
-    fn budget_never_exceeds_ceiling() {
-        let mut b = RetryBudget::new(3.0, 1.0);
-        for _ in 0..10 {
-            b.on_success();
-        }
-        assert_eq!(b.tokens(), 3.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive max tokens")]
-    fn budget_rejects_zero_ceiling() {
-        let _ = RetryBudget::new(0.0, 0.1);
     }
 }

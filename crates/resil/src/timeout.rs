@@ -3,31 +3,12 @@
 //! A timeout converts an open-ended wait into a bounded one, which is what
 //! makes retries and failover *possible*: a client that waits forever
 //! never reaches the retry loop. Deadlines are per
-//! [`RequestKind`](elc_elearn::request::RequestKind) because the
+//! [`RequestKind`] because the
 //! tolerable wait differs by an order of magnitude between an interactive
 //! quiz fetch and a bulk upload.
 
 use elc_elearn::request::RequestKind;
 use elc_simcore::time::SimDuration;
-
-/// Why a [`TimeoutPolicy`] configuration was rejected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TimeoutError {
-    /// A deadline was zero for the named kind.
-    ZeroDeadline(RequestKind),
-}
-
-impl std::fmt::Display for TimeoutError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TimeoutError::ZeroDeadline(kind) => {
-                write!(f, "deadline for {kind} must be positive")
-            }
-        }
-    }
-}
-
-impl std::error::Error for TimeoutError {}
 
 /// Per-kind deadlines. Interactive kinds get tight deadlines, bulk
 /// transfers loose ones.
@@ -37,37 +18,6 @@ pub struct TimeoutPolicy {
 }
 
 impl TimeoutPolicy {
-    /// Creates a policy from an explicit deadline per kind. Kinds missing
-    /// from `pairs` fall back to the [`TimeoutPolicy::standard`] value.
-    ///
-    /// # Errors
-    ///
-    /// Rejects any zero deadline.
-    pub fn try_new(pairs: &[(RequestKind, SimDuration)]) -> Result<Self, TimeoutError> {
-        let mut policy = TimeoutPolicy::standard();
-        for &(kind, deadline) in pairs {
-            if deadline.is_zero() {
-                return Err(TimeoutError::ZeroDeadline(kind));
-            }
-            for slot in &mut policy.deadlines {
-                if slot.0 == kind {
-                    slot.1 = deadline;
-                }
-            }
-        }
-        Ok(policy)
-    }
-
-    /// Panicking counterpart of [`TimeoutPolicy::try_new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `try_new` would reject the configuration.
-    #[must_use]
-    pub fn new(pairs: &[(RequestKind, SimDuration)]) -> Self {
-        TimeoutPolicy::try_new(pairs).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// The standard deadlines: 5 s for interactive page/quiz traffic,
     /// 10 s for login and video chunks, 30 s for forum writes, 120 s for
     /// bulk transfers.
@@ -127,24 +77,6 @@ mod tests {
         let p = TimeoutPolicy::standard();
         assert!(p.deadline(RequestKind::QuizFetch) < p.deadline(RequestKind::Upload));
         assert!(p.deadline(RequestKind::CoursePage) < p.deadline(RequestKind::Download));
-    }
-
-    #[test]
-    fn overrides_apply_and_others_keep_standard() {
-        let p = TimeoutPolicy::new(&[(RequestKind::Upload, SimDuration::from_secs(600))]);
-        assert_eq!(p.deadline(RequestKind::Upload), SimDuration::from_secs(600));
-        assert_eq!(
-            p.deadline(RequestKind::QuizFetch),
-            TimeoutPolicy::standard().deadline(RequestKind::QuizFetch)
-        );
-    }
-
-    #[test]
-    fn zero_deadline_is_rejected() {
-        assert_eq!(
-            TimeoutPolicy::try_new(&[(RequestKind::Login, SimDuration::ZERO)]),
-            Err(TimeoutError::ZeroDeadline(RequestKind::Login))
-        );
     }
 
     #[test]

@@ -11,7 +11,6 @@ use std::error::Error;
 use std::fmt;
 
 use crate::rng::SimRng;
-use crate::time::SimDuration;
 
 /// Error returned when distribution parameters are invalid.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,36 +51,6 @@ impl Error for DistError {}
 pub trait Distribution<T> {
     /// Draws one value.
     fn sample(&self, rng: &mut SimRng) -> T;
-}
-
-/// Uniform distribution on `[lo, hi)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Uniform {
-    lo: f64,
-    hi: f64,
-}
-
-impl Uniform {
-    /// Creates a uniform distribution on `[lo, hi)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the bounds are not finite or `lo > hi`.
-    pub fn new(lo: f64, hi: f64) -> Result<Self, DistError> {
-        if !lo.is_finite() || !hi.is_finite() {
-            return Err(DistError::new("uniform bounds must be finite"));
-        }
-        if lo > hi {
-            return Err(DistError::new(format!("uniform lo {lo} > hi {hi}")));
-        }
-        Ok(Uniform { lo, hi })
-    }
-}
-
-impl Distribution<f64> for Uniform {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        rng.range_f64(self.lo, self.hi)
-    }
 }
 
 /// Exponential distribution with rate `lambda` (mean `1/lambda`).
@@ -154,106 +123,6 @@ impl Distribution<f64> for Normal {
     }
 }
 
-/// Log-normal distribution: `exp(Normal(mu, sigma))`.
-///
-/// Heavy-tailed sizes (content uploads, page weights) use this shape.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LogNormal {
-    normal: Normal,
-}
-
-impl LogNormal {
-    /// Creates a log-normal distribution with the given log-space parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the underlying normal parameters are invalid.
-    pub fn new(mu: f64, sigma: f64) -> Result<Self, DistError> {
-        Ok(LogNormal {
-            normal: Normal::new(mu, sigma)?,
-        })
-    }
-
-    /// Creates a log-normal with a target *linear-space* mean and a
-    /// multiplicative spread `sigma` (log-space standard deviation).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error unless `mean > 0` and `sigma >= 0`.
-    pub fn with_mean(mean: f64, sigma: f64) -> Result<Self, DistError> {
-        if !(mean.is_finite() && mean > 0.0) {
-            return Err(DistError::new(format!(
-                "log-normal mean must be > 0, got {mean}"
-            )));
-        }
-        let mu = mean.ln() - sigma * sigma / 2.0;
-        LogNormal::new(mu, sigma)
-    }
-}
-
-impl Distribution<f64> for LogNormal {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        self.normal.sample(rng).exp()
-    }
-}
-
-/// Pareto distribution with scale `x_min` and shape `alpha`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Pareto {
-    x_min: f64,
-    alpha: f64,
-}
-
-impl Pareto {
-    /// Creates a Pareto distribution.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error unless both parameters are finite and positive.
-    pub fn new(x_min: f64, alpha: f64) -> Result<Self, DistError> {
-        if !(x_min.is_finite() && x_min > 0.0) {
-            return Err(DistError::new("pareto x_min must be > 0"));
-        }
-        if !(alpha.is_finite() && alpha > 0.0) {
-            return Err(DistError::new("pareto alpha must be > 0"));
-        }
-        Ok(Pareto { x_min, alpha })
-    }
-}
-
-impl Distribution<f64> for Pareto {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        let u = 1.0 - rng.next_f64(); // (0, 1]
-        self.x_min / u.powf(1.0 / self.alpha)
-    }
-}
-
-/// Bernoulli distribution: `true` with probability `p`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Bernoulli {
-    p: f64,
-}
-
-impl Bernoulli {
-    /// Creates a Bernoulli distribution.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error unless `p` is within `[0, 1]`.
-    pub fn new(p: f64) -> Result<Self, DistError> {
-        if !(0.0..=1.0).contains(&p) {
-            return Err(DistError::new(format!("bernoulli p out of [0,1]: {p}")));
-        }
-        Ok(Bernoulli { p })
-    }
-}
-
-impl Distribution<bool> for Bernoulli {
-    fn sample(&self, rng: &mut SimRng) -> bool {
-        rng.chance(self.p)
-    }
-}
-
 /// Poisson distribution with mean `lambda`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Poisson {
@@ -299,67 +168,6 @@ impl Distribution<u64> for Poisson {
             let n = Normal::new(self.lambda, self.lambda.sqrt())
                 .expect("lambda validated at construction");
             n.sample(rng).round().max(0.0) as u64
-        }
-    }
-}
-
-/// Zipf distribution over ranks `1..=n` with exponent `s`.
-///
-/// Models popularity skew: a few courses/assets receive most accesses.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Zipf {
-    cdf: Vec<f64>,
-}
-
-impl Zipf {
-    /// Creates a Zipf distribution over `n` ranks with exponent `s`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error unless `n >= 1` and `s` is finite and non-negative.
-    pub fn new(n: usize, s: f64) -> Result<Self, DistError> {
-        if n == 0 {
-            return Err(DistError::new("zipf needs at least one rank"));
-        }
-        if !(s.is_finite() && s >= 0.0) {
-            return Err(DistError::new(format!("zipf exponent must be >= 0: {s}")));
-        }
-        let mut cdf = Vec::with_capacity(n);
-        let mut acc = 0.0;
-        for k in 1..=n {
-            acc += 1.0 / (k as f64).powf(s);
-            cdf.push(acc);
-        }
-        let total = acc;
-        for c in &mut cdf {
-            *c /= total;
-        }
-        Ok(Zipf { cdf })
-    }
-
-    /// Number of ranks.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// True if there is exactly one rank (degenerate).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        // A Zipf always has >= 1 rank; kept for API symmetry with len().
-        false
-    }
-}
-
-impl Distribution<usize> for Zipf {
-    /// Samples a 0-based rank (0 is the most popular).
-    fn sample(&self, rng: &mut SimRng) -> usize {
-        let u = rng.next_f64();
-        match self
-            .cdf
-            .binary_search_by(|c| c.partial_cmp(&u).expect("cdf has no NaN"))
-        {
-            Ok(i) | Err(i) => i.min(self.cdf.len() - 1),
         }
     }
 }
@@ -441,44 +249,12 @@ impl<T: Clone> Distribution<T> for Weighted<T> {
     }
 }
 
-/// Extension helpers for sampling durations from scalar distributions.
-pub trait DurationSample {
-    /// Draws a duration by interpreting the sampled scalar as seconds,
-    /// clamping negatives to zero.
-    fn sample_secs(&self, rng: &mut SimRng) -> SimDuration;
-}
-
-impl<D: Distribution<f64>> DurationSample for D {
-    fn sample_secs(&self, rng: &mut SimRng) -> SimDuration {
-        SimDuration::from_secs_f64(self.sample(rng).max(0.0))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn mean_of(d: &impl Distribution<f64>, rng: &mut SimRng, n: usize) -> f64 {
         (0..n).map(|_| d.sample(rng)).sum::<f64>() / n as f64
-    }
-
-    #[test]
-    fn uniform_bounds_and_mean() {
-        let mut rng = SimRng::seed(1);
-        let d = Uniform::new(2.0, 6.0).unwrap();
-        for _ in 0..1_000 {
-            let x = d.sample(&mut rng);
-            assert!((2.0..6.0).contains(&x));
-        }
-        let m = mean_of(&d, &mut rng, 50_000);
-        assert!((m - 4.0).abs() < 0.05, "mean {m}");
-    }
-
-    #[test]
-    fn uniform_rejects_bad_bounds() {
-        assert!(Uniform::new(5.0, 1.0).is_err());
-        assert!(Uniform::new(f64::NAN, 1.0).is_err());
-        assert!(Uniform::new(0.0, f64::INFINITY).is_err());
     }
 
     #[test]
@@ -518,55 +294,6 @@ mod tests {
     }
 
     #[test]
-    fn lognormal_with_mean_hits_target() {
-        let mut rng = SimRng::seed(5);
-        let d = LogNormal::with_mean(100.0, 0.5).unwrap();
-        let m = mean_of(&d, &mut rng, 200_000);
-        assert!((m - 100.0).abs() / 100.0 < 0.03, "mean {m}");
-    }
-
-    #[test]
-    fn lognormal_is_positive() {
-        let mut rng = SimRng::seed(6);
-        let d = LogNormal::new(0.0, 2.0).unwrap();
-        for _ in 0..1_000 {
-            assert!(d.sample(&mut rng) > 0.0);
-        }
-    }
-
-    #[test]
-    fn pareto_respects_scale() {
-        let mut rng = SimRng::seed(7);
-        let d = Pareto::new(3.0, 2.5).unwrap();
-        for _ in 0..1_000 {
-            assert!(d.sample(&mut rng) >= 3.0);
-        }
-    }
-
-    #[test]
-    fn pareto_mean_for_alpha_gt_one() {
-        // mean = alpha * x_min / (alpha - 1) = 2.5 * 3 / 1.5 = 5
-        let mut rng = SimRng::seed(8);
-        let d = Pareto::new(3.0, 2.5).unwrap();
-        let m = mean_of(&d, &mut rng, 300_000);
-        assert!((m - 5.0).abs() < 0.1, "mean {m}");
-    }
-
-    #[test]
-    fn bernoulli_frequency() {
-        let mut rng = SimRng::seed(9);
-        let d = Bernoulli::new(0.7).unwrap();
-        let hits = (0..100_000).filter(|_| d.sample(&mut rng)).count();
-        assert!((hits as f64 / 100_000.0 - 0.7).abs() < 0.01);
-    }
-
-    #[test]
-    fn bernoulli_rejects_bad_p() {
-        assert!(Bernoulli::new(-0.1).is_err());
-        assert!(Bernoulli::new(1.1).is_err());
-    }
-
-    #[test]
     fn poisson_small_lambda_mean() {
         let mut rng = SimRng::seed(10);
         let d = Poisson::new(3.5).unwrap();
@@ -589,36 +316,6 @@ mod tests {
         let mut rng = SimRng::seed(12);
         let d = Poisson::new(0.0).unwrap();
         assert_eq!(d.sample(&mut rng), 0);
-    }
-
-    #[test]
-    fn zipf_rank_zero_most_popular() {
-        let mut rng = SimRng::seed(13);
-        let d = Zipf::new(100, 1.0).unwrap();
-        let mut counts = vec![0usize; 100];
-        for _ in 0..100_000 {
-            counts[d.sample(&mut rng)] += 1;
-        }
-        assert!(counts[0] > counts[10]);
-        assert!(counts[10] > counts[99]);
-    }
-
-    #[test]
-    fn zipf_uniform_when_s_zero() {
-        let mut rng = SimRng::seed(14);
-        let d = Zipf::new(4, 0.0).unwrap();
-        let mut counts = vec![0usize; 4];
-        for _ in 0..40_000 {
-            counts[d.sample(&mut rng)] += 1;
-        }
-        for &c in &counts {
-            assert!((c as f64 - 10_000.0).abs() < 500.0, "count {c}");
-        }
-    }
-
-    #[test]
-    fn zipf_rejects_zero_ranks() {
-        assert!(Zipf::new(0, 1.0).is_err());
     }
 
     #[test]
@@ -669,13 +366,6 @@ mod tests {
         assert!(Weighted::<&str>::new([]).is_err());
         assert!(Weighted::new([("a", 0.0)]).is_err());
         assert!(Weighted::new([("a", -1.0)]).is_err());
-    }
-
-    #[test]
-    fn duration_sampling_clamps_negative() {
-        let mut rng = SimRng::seed(17);
-        let d = Normal::new(-5.0, 0.1).unwrap();
-        assert_eq!(d.sample_secs(&mut rng), SimDuration::ZERO);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! [`EventFn`] removes it. Each value carries a fixed-size payload buffer
 //! ([`INLINE_EVENT_BYTES`] bytes, 8-byte aligned); a closure whose size and
 //! alignment fit is moved **into the buffer** and dispatched through a
-//! monomorphized vtable (an [`EventVTable`]: `call` consumes the payload,
+//! monomorphized vtable (an `EventVTable`: `call` consumes the payload,
 //! `drop_fn` destroys an unfired one, `copy` clones a repeatable one).
 //! Oversized or over-aligned closures spill to a `Box<F>`, which is itself
 //! stored in the buffer (a pointer always fits) and handled by the same

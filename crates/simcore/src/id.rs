@@ -94,7 +94,6 @@ macro_rules! define_id {
 /// let mut gen: IdGen<NodeId> = IdGen::new();
 /// assert_eq!(gen.next_id(), NodeId::new(0));
 /// assert_eq!(gen.next_id(), NodeId::new(1));
-/// assert_eq!(gen.issued(), 2);
 /// ```
 #[derive(Debug, Clone)]
 pub struct IdGen<T> {
@@ -117,12 +116,6 @@ impl<T: From<u64>> IdGen<T> {
         let id = T::from(self.next);
         self.next += 1;
         id
-    }
-
-    /// How many ids have been issued so far.
-    #[must_use]
-    pub fn issued(&self) -> u64 {
-        self.next
     }
 }
 
@@ -178,8 +171,7 @@ mod tests {
     #[test]
     fn default_generator_starts_at_zero() {
         let mut gen: IdGen<TestId> = IdGen::default();
-        assert_eq!(gen.issued(), 0);
-        let _ = gen.next_id();
-        assert_eq!(gen.issued(), 1);
+        assert_eq!(gen.next_id(), TestId::new(0));
+        assert_eq!(gen.next_id(), TestId::new(1));
     }
 }

@@ -11,10 +11,12 @@
 //! * the c-server FIFO queueing station E18's engine runs, checked against
 //!   the M/D/1 and Erlang-B closed forms ([`queueing`]),
 //! * the simulation executive ([`sim::Simulation`]),
-//! * a splittable, platform-independent PRNG ([`rng::SimRng`]) and a set of
-//!   validated probability distributions ([`dist`]),
-//! * measurement primitives ([`metrics`], [`series`]) and typed entity ids
-//!   ([`id`]),
+//! * a splittable, platform-independent PRNG ([`rng::SimRng`]) and the
+//!   validated distributions the experiments draw from ([`dist`]:
+//!   exponential, normal, Poisson, weighted choice),
+//! * measurement primitives ([`metrics`]' summaries and histograms, and
+//!   [`series`]' time-weighted signal, which E12's fleet integral reads)
+//!   and typed entity ids ([`id`]),
 //! * a conservative time-window executor that partitions one scenario
 //!   across site shards without changing its output ([`shard`]).
 //!
@@ -28,19 +30,18 @@
 //!
 //! ```
 //! use elc_simcore::dist::{Distribution, Exp};
-//! use elc_simcore::metrics::Counter;
 //! use elc_simcore::sim::Simulation;
 //! use elc_simcore::time::{SimDuration, SimTime};
 //!
 //! # fn main() -> Result<(), elc_simcore::dist::DistError> {
 //! struct World {
-//!     arrivals: Counter,
+//!     arrivals: u64,
 //!     inter: Exp,
 //!     rng: elc_simcore::SimRng,
 //! }
 //!
 //! fn arrive(sim: &mut Simulation<World>) {
-//!     sim.state_mut().arrivals.incr();
+//!     sim.state_mut().arrivals += 1;
 //!     let gap = {
 //!         let w = sim.state_mut();
 //!         let inter = w.inter;
@@ -52,13 +53,13 @@
 //! }
 //!
 //! let mut sim = Simulation::new(42, World {
-//!     arrivals: Counter::new(),
+//!     arrivals: 0,
 //!     inter: Exp::new(1.0)?,
 //!     rng: elc_simcore::SimRng::seed(42).derive("arrivals"),
 //! });
 //! sim.schedule_in(SimDuration::ZERO, arrive);
 //! sim.run();
-//! assert!(sim.state().arrivals.value() > 0);
+//! assert!(sim.state().arrivals > 0);
 //! # Ok(())
 //! # }
 //! ```

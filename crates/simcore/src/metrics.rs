@@ -1,58 +1,11 @@
 //! Run-time measurement primitives.
 //!
-//! Models record what happens ([`Counter`], [`Summary`], [`Histogram`]) and
+//! Models record what happens ([`Summary`], [`Histogram`]) and
 //! the analysis layer turns the recordings into tables. All primitives are
 //! plain values — no globals, no interior mutability — so a model's metric
 //! state is part of the simulation state and replays deterministically.
 
 use std::fmt;
-
-use crate::time::SimDuration;
-
-/// A monotonically increasing event count.
-///
-/// # Examples
-///
-/// ```
-/// use elc_simcore::metrics::Counter;
-///
-/// let mut served = Counter::new();
-/// served.incr();
-/// served.add(4);
-/// assert_eq!(served.value(), 5);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a counter at zero.
-    #[must_use]
-    pub const fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Adds one.
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Adds `n`.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// The current count.
-    #[must_use]
-    pub const fn value(self) -> u64 {
-        self.0
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
 
 /// Online summary statistics (Welford's algorithm): count, mean, variance,
 /// min, max — O(1) memory regardless of sample count.
@@ -108,11 +61,6 @@ impl Summary {
         self.m2 += delta * (x - self.mean);
         self.min = self.min.min(x);
         self.max = self.max.max(x);
-    }
-
-    /// Records a duration, in seconds.
-    pub fn record_duration(&mut self, d: SimDuration) {
-        self.record(d.as_secs_f64());
     }
 
     /// Records `n` identical observations of `x` in O(1) — the batch form
@@ -337,11 +285,6 @@ impl Histogram {
         self.buckets[Self::index_of(x)] += 1;
     }
 
-    /// Records a duration, in seconds.
-    pub fn record_duration(&mut self, d: SimDuration) {
-        self.record(d.as_secs_f64());
-    }
-
     /// Records `n` identical observations of `x` in O(1) — the batch form
     /// used by fluid models where one tick stands for many requests.
     ///
@@ -517,12 +460,6 @@ impl Histogram {
     #[must_use]
     pub fn p95(&self) -> f64 {
         self.quantile(0.95)
-    }
-
-    /// Convenience: the 99th percentile.
-    #[must_use]
-    pub fn p99(&self) -> f64 {
-        self.quantile(0.99)
     }
 
     /// Merges another histogram into this one.
@@ -711,15 +648,6 @@ mod tests {
     }
 
     #[test]
-    fn counter_accumulates() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(9);
-        assert_eq!(c.value(), 10);
-        assert_eq!(c.to_string(), "10");
-    }
-
-    #[test]
     fn summary_empty() {
         let s = Summary::new();
         assert_eq!(s.count(), 0);
@@ -896,13 +824,6 @@ mod tests {
         assert_eq!(a.count(), 200);
         let p50 = a.quantile(0.5);
         assert!((p50 - 100.0).abs() / 100.0 < 0.08, "p50 {p50}");
-    }
-
-    #[test]
-    fn histogram_duration_recording() {
-        let mut h = Histogram::new();
-        h.record_duration(SimDuration::from_millis(250));
-        assert!((h.mean() - 0.25).abs() < 1e-9);
     }
 
     #[test]

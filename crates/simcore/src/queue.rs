@@ -507,9 +507,10 @@ impl<E> EventQueue<E> {
 
     /// True if the event behind `id` is still pending — not yet fired and
     /// not cancelled. A stale id (the slot was reused by a newer event)
-    /// reports `false`, same as [`EventQueue::cancel`] on it would.
-    #[must_use]
-    pub fn contains(&self, id: EventId) -> bool {
+    /// reports `false`, same as [`EventQueue::cancel`] on it would. The
+    /// queue's differential tests observe cancellation through it.
+    #[cfg(test)]
+    fn contains(&self, id: EventId) -> bool {
         matches!(
             self.slab.slots.get(id.slot as usize),
             Some(s) if s.generation == id.generation && s.payload.is_some()

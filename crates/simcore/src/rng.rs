@@ -154,14 +154,6 @@ impl SimRng {
             Some(&items[self.next_below(items.len() as u64) as usize])
         }
     }
-
-    /// Shuffles `items` in place (Fisher–Yates).
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.next_below(i as u64 + 1) as usize;
-            items.swap(i, j);
-        }
-    }
 }
 
 /// SplitMix64 finalizer: a bijective avalanche mix of the state.
@@ -305,17 +297,6 @@ mod tests {
         assert!(items.contains(rng.pick(&items).unwrap()));
         let empty: [i32; 0] = [];
         assert!(rng.pick(&empty).is_none());
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut rng = SimRng::seed(29);
-        let mut v: Vec<u32> = (0..50).collect();
-        rng.shuffle(&mut v);
-        assert_ne!(v, (0..50).collect::<Vec<_>>(), "shuffle left input sorted");
-        // Check in place (no sort-copy): re-sorting recovers the identity.
-        v.sort_unstable();
-        assert_eq!(v, (0..50).collect::<Vec<_>>());
     }
 
     #[test]

@@ -4,11 +4,8 @@
 //! depth, utilization) and integrates it over virtual time, which is the
 //! correct way to average such signals — sampling them at event times would
 //! over-weight busy periods.
-//!
-//! [`TimeSeries`] stores explicit `(time, value)` samples for plotting and
-//! table generation.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// A piecewise-constant signal integrated over virtual time.
 ///
@@ -20,17 +17,16 @@ use crate::time::{SimDuration, SimTime};
 ///
 /// let mut vms = TimeWeighted::new(SimTime::ZERO, 2.0);
 /// vms.set(SimTime::from_secs(10), 4.0); // scale up at t=10
-/// let avg = vms.time_average(SimTime::from_secs(20));
-/// assert_eq!(avg, 3.0); // 2 for 10s, 4 for 10s
+/// let vm_seconds = vms.integral(SimTime::from_secs(20));
+/// assert_eq!(vm_seconds, 60.0); // 2 for 10s, 4 for 10s
+/// assert_eq!(vms.max(), 4.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimeWeighted {
     last_time: SimTime,
     last_value: f64,
-    start: SimTime,
     integral: f64,
     max: f64,
-    min: f64,
 }
 
 impl TimeWeighted {
@@ -40,10 +36,8 @@ impl TimeWeighted {
         TimeWeighted {
             last_time: start,
             last_value: initial,
-            start,
             integral: 0.0,
             max: initial,
-            min: initial,
         }
     }
 
@@ -64,31 +58,12 @@ impl TimeWeighted {
         self.last_time = t;
         self.last_value = value;
         self.max = self.max.max(value);
-        self.min = self.min.min(value);
-    }
-
-    /// Adds `delta` to the current value at time `t`.
-    pub fn add(&mut self, t: SimTime, delta: f64) {
-        let v = self.last_value + delta;
-        self.set(t, v);
-    }
-
-    /// The current value of the signal.
-    #[must_use]
-    pub fn current(&self) -> f64 {
-        self.last_value
     }
 
     /// The largest value the signal has taken.
     #[must_use]
     pub fn max(&self) -> f64 {
         self.max
-    }
-
-    /// The smallest value the signal has taken.
-    #[must_use]
-    pub fn min(&self) -> f64 {
-        self.min
     }
 
     /// Integral of the signal from the start through time `end`.
@@ -101,142 +76,6 @@ impl TimeWeighted {
         assert!(end >= self.last_time, "integral end precedes last update");
         self.integral + self.last_value * (end - self.last_time).as_secs_f64()
     }
-
-    /// Time-weighted average of the signal from the start through `end`.
-    ///
-    /// Returns the current value if no time has elapsed.
-    #[must_use]
-    pub fn time_average(&self, end: SimTime) -> f64 {
-        let span = (end - self.start).as_secs_f64();
-        if span == 0.0 {
-            self.last_value
-        } else {
-            self.integral(end) / span
-        }
-    }
-}
-
-/// An explicit series of `(time, value)` samples.
-///
-/// # Examples
-///
-/// ```
-/// use elc_simcore::series::TimeSeries;
-/// use elc_simcore::time::SimTime;
-///
-/// let mut s = TimeSeries::new("latency_ms");
-/// s.push(SimTime::from_secs(1), 12.0);
-/// s.push(SimTime::from_secs(2), 15.0);
-/// assert_eq!(s.len(), 2);
-/// assert_eq!(s.last(), Some((SimTime::from_secs(2), 15.0)));
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct TimeSeries {
-    name: String,
-    samples: Vec<(SimTime, f64)>,
-}
-
-impl TimeSeries {
-    /// Creates an empty series with a display name.
-    #[must_use]
-    pub fn new(name: impl Into<String>) -> Self {
-        TimeSeries {
-            name: name.into(),
-            samples: Vec::new(),
-        }
-    }
-
-    /// The series name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Appends a sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` precedes the previous sample.
-    pub fn push(&mut self, t: SimTime, value: f64) {
-        if let Some(&(last, _)) = self.samples.last() {
-            assert!(t >= last, "series samples must be time-ordered");
-        }
-        self.samples.push((t, value));
-    }
-
-    /// Number of samples.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// True if the series has no samples.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// The most recent sample.
-    #[must_use]
-    pub fn last(&self) -> Option<(SimTime, f64)> {
-        self.samples.last().copied()
-    }
-
-    /// Iterates over `(time, value)` samples.
-    pub fn iter(&self) -> impl Iterator<Item = (SimTime, f64)> + '_ {
-        self.samples.iter().copied()
-    }
-
-    /// Buckets samples into fixed windows and returns per-window means —
-    /// useful for rendering long runs as short tables.
-    ///
-    /// Windows with no samples are skipped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero.
-    #[must_use]
-    pub fn downsample(&self, window: SimDuration) -> Vec<(SimTime, f64)> {
-        assert!(!window.is_zero(), "window must be positive");
-        let mut out: Vec<(SimTime, f64)> = Vec::new();
-        let mut bucket_start: Option<SimTime> = None;
-        let mut sum = 0.0;
-        let mut n = 0u64;
-        for &(t, v) in &self.samples {
-            let w = SimTime::from_nanos(t.as_nanos() / window.as_nanos() * window.as_nanos());
-            match bucket_start {
-                Some(b) if b == w => {
-                    sum += v;
-                    n += 1;
-                }
-                Some(b) => {
-                    out.push((b, sum / n as f64));
-                    bucket_start = Some(w);
-                    sum = v;
-                    n = 1;
-                    let _ = b;
-                }
-                None => {
-                    bucket_start = Some(w);
-                    sum = v;
-                    n = 1;
-                }
-            }
-        }
-        if let Some(b) = bucket_start {
-            out.push((b, sum / n as f64));
-        }
-        out
-    }
-
-    /// Largest sample value, `None` when empty.
-    #[must_use]
-    pub fn max_value(&self) -> Option<f64> {
-        self.samples
-            .iter()
-            .map(|&(_, v)| v)
-            .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.max(v))))
-    }
 }
 
 #[cfg(test)]
@@ -244,36 +83,26 @@ mod tests {
     use super::*;
 
     #[test]
-    fn time_weighted_average() {
+    fn time_weighted_integral() {
         let mut s = TimeWeighted::new(SimTime::ZERO, 1.0);
         s.set(SimTime::from_secs(5), 3.0);
         s.set(SimTime::from_secs(10), 0.0);
-        // 1*5 + 3*5 + 0*10 over 20s = 20/20 = 1.0
-        assert_eq!(s.time_average(SimTime::from_secs(20)), 1.0);
+        // 1*5 + 3*5 + 0*10 over 20s.
+        assert_eq!(s.integral(SimTime::from_secs(20)), 20.0);
     }
 
     #[test]
-    fn time_weighted_tracks_extremes() {
+    fn time_weighted_tracks_the_maximum() {
         let mut s = TimeWeighted::new(SimTime::ZERO, 2.0);
         s.set(SimTime::from_secs(1), 7.0);
         s.set(SimTime::from_secs(2), -1.0);
         assert_eq!(s.max(), 7.0);
-        assert_eq!(s.min(), -1.0);
-        assert_eq!(s.current(), -1.0);
-    }
-
-    #[test]
-    fn time_weighted_add_is_relative() {
-        let mut s = TimeWeighted::new(SimTime::ZERO, 10.0);
-        s.add(SimTime::from_secs(1), 5.0);
-        s.add(SimTime::from_secs(2), -3.0);
-        assert_eq!(s.current(), 12.0);
     }
 
     #[test]
     fn time_weighted_zero_span() {
         let s = TimeWeighted::new(SimTime::from_secs(5), 4.0);
-        assert_eq!(s.time_average(SimTime::from_secs(5)), 4.0);
+        assert_eq!(s.integral(SimTime::from_secs(5)), 0.0);
     }
 
     #[test]
@@ -288,51 +117,5 @@ mod tests {
         let mut s = TimeWeighted::new(SimTime::ZERO, 2.0);
         s.set(SimTime::from_secs(10), 4.0);
         assert_eq!(s.integral(SimTime::from_secs(15)), 2.0 * 10.0 + 4.0 * 5.0);
-    }
-
-    #[test]
-    fn series_push_and_iterate() {
-        let mut s = TimeSeries::new("x");
-        assert!(s.is_empty());
-        s.push(SimTime::from_secs(1), 10.0);
-        s.push(SimTime::from_secs(2), 20.0);
-        let v: Vec<_> = s.iter().collect();
-        assert_eq!(v.len(), 2);
-        assert_eq!(s.name(), "x");
-        assert_eq!(s.max_value(), Some(20.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "time-ordered")]
-    fn series_rejects_out_of_order() {
-        let mut s = TimeSeries::new("x");
-        s.push(SimTime::from_secs(2), 1.0);
-        s.push(SimTime::from_secs(1), 2.0);
-    }
-
-    #[test]
-    fn series_downsample_means() {
-        let mut s = TimeSeries::new("x");
-        for i in 0..10 {
-            s.push(SimTime::from_secs(i), i as f64);
-        }
-        let ds = s.downsample(SimDuration::from_secs(5));
-        assert_eq!(ds.len(), 2);
-        assert_eq!(ds[0], (SimTime::ZERO, 2.0)); // mean of 0..=4
-        assert_eq!(ds[1], (SimTime::from_secs(5), 7.0)); // mean of 5..=9
-    }
-
-    #[test]
-    fn series_downsample_empty() {
-        let s = TimeSeries::new("x");
-        assert!(s.downsample(SimDuration::from_secs(1)).is_empty());
-    }
-
-    #[test]
-    fn series_last() {
-        let mut s = TimeSeries::new("x");
-        assert_eq!(s.last(), None);
-        s.push(SimTime::from_secs(3), 9.0);
-        assert_eq!(s.last(), Some((SimTime::from_secs(3), 9.0)));
     }
 }

@@ -87,11 +87,6 @@ impl<M> Outbox<M> {
         *counter += 1;
         self.staged.push((dest, Delivery { at, src, seq, msg }));
     }
-
-    /// Number of messages staged in the current window.
-    pub fn staged_len(&self) -> usize {
-        self.staged.len()
-    }
 }
 
 /// One shard's slice of the model, driven window-by-window.

@@ -57,36 +57,6 @@ pub struct RunStats {
     pub spilled_scheduled: u64,
 }
 
-/// Handle on a scheduled deadline event, from
-/// [`Simulation::schedule_deadline`]. Disarm it when the guarded work
-/// finishes in time; otherwise the handler fires and the handle goes
-/// stale.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Deadline {
-    id: EventId,
-}
-
-impl Deadline {
-    /// The underlying event id.
-    #[must_use]
-    pub fn id(&self) -> EventId {
-        self.id
-    }
-
-    /// True if the deadline has neither fired nor been disarmed.
-    #[must_use]
-    pub fn is_armed<S>(&self, sim: &Simulation<S>) -> bool {
-        sim.is_pending(self.id)
-    }
-
-    /// Disarms the deadline: the handler will not fire. Returns `true` if
-    /// it was still armed, `false` if it already fired (the guarded work
-    /// was too late) or was disarmed before.
-    pub fn disarm<S>(self, sim: &mut Simulation<S>) -> bool {
-        sim.cancel(self.id)
-    }
-}
-
 /// A discrete-event simulation over model state `S`.
 ///
 /// # Examples
@@ -156,17 +126,8 @@ impl<S> Simulation<S> {
     }
 
     /// The root random stream.
-    ///
-    /// Prefer [`Simulation::derive_rng`] for per-entity streams so draws stay
-    /// independent as models grow.
     pub fn rng(&mut self) -> &mut SimRng {
         &mut self.rng
-    }
-
-    /// Derives an independent random stream for a named subsystem.
-    #[must_use]
-    pub fn derive_rng(&self, label: &str) -> SimRng {
-        self.rng.derive(label)
     }
 
     /// Number of events executed so far.
@@ -302,28 +263,6 @@ impl<S> Simulation<S> {
         }
         let f = handler;
         self.schedule_in(start, move |sim| tick(sim, f, interval))
-    }
-
-    /// Schedules `handler` as a *deadline*: it fires after `after` unless
-    /// the returned [`Deadline`] is disarmed first. Sugar over
-    /// [`Simulation::schedule_in`]/[`Simulation::cancel`] for the
-    /// timeout-then-maybe-cancel shape resilience policies use — the
-    /// deadline lives in the same arena as every other event, so nothing
-    /// new touches the pop spine.
-    pub fn schedule_deadline(
-        &mut self,
-        after: SimDuration,
-        handler: impl FnOnce(&mut Simulation<S>) + Send + 'static,
-    ) -> Deadline {
-        Deadline {
-            id: self.schedule_in(after, handler),
-        }
-    }
-
-    /// True if the event behind `id` has neither fired nor been cancelled.
-    #[must_use]
-    pub fn is_pending(&self, id: EventId) -> bool {
-        self.queue.contains(id)
     }
 
     /// Cancels a pending event. Returns `true` if it had not yet fired.
@@ -705,41 +644,17 @@ mod tests {
     }
 
     #[test]
-    fn is_pending_tracks_fire_and_cancel() {
+    fn cancel_misses_fired_cancelled_and_stale_ids() {
         let mut sim = Simulation::new(1, 0u32);
         let id = sim.schedule_in(SimDuration::from_secs(1), |s| *s.state_mut() += 1);
-        assert!(sim.is_pending(id));
         sim.run();
-        assert!(!sim.is_pending(id), "fired events are no longer pending");
+        assert!(!sim.cancel(id), "a fired event cannot be cancelled");
+        assert_eq!(*sim.state(), 1);
         let id2 = sim.schedule_in(SimDuration::from_secs(1), |_| {});
+        assert!(!sim.cancel(id), "a stale id misses the slot's new occupant");
+        assert_eq!(sim.pending(), 1);
         assert!(sim.cancel(id2));
-        assert!(!sim.is_pending(id2));
-        assert!(!sim.is_pending(id), "stale id stays stale after slot reuse");
-    }
-
-    #[test]
-    fn deadline_fires_unless_disarmed() {
-        let mut sim = Simulation::new(1, 0u32);
-        // This deadline is disarmed in time: no penalty.
-        let d = sim.schedule_deadline(SimDuration::from_secs(5), |s| *s.state_mut() += 100);
-        sim.schedule_in(SimDuration::from_secs(2), move |s| {
-            assert!(d.is_armed(s));
-            assert!(d.disarm(s));
-        });
-        // This one is not: the handler runs at t=8.
-        sim.schedule_deadline(SimDuration::from_secs(8), |s| *s.state_mut() += 1);
-        sim.run();
-        assert_eq!(*sim.state(), 1);
-        assert_eq!(sim.now(), SimTime::from_secs(8));
-    }
-
-    #[test]
-    fn disarming_a_fired_deadline_reports_false() {
-        let mut sim = Simulation::new(1, 0u32);
-        let d = sim.schedule_deadline(SimDuration::from_secs(1), |s| *s.state_mut() += 1);
-        sim.run();
-        assert!(!d.disarm(&mut sim));
-        assert_eq!(*sim.state(), 1);
+        assert!(!sim.cancel(id2), "a second cancel misses");
     }
 
     #[test]
@@ -787,14 +702,6 @@ mod tests {
         }
         assert_eq!(run_once(99), run_once(99));
         assert_ne!(run_once(99), run_once(100));
-    }
-
-    #[test]
-    fn derive_rng_does_not_disturb_root() {
-        let mut a = Simulation::new(5, ());
-        let mut b = Simulation::new(5, ());
-        let _side = a.derive_rng("side-channel");
-        assert_eq!(a.rng().next_u64(), b.rng().next_u64());
     }
 
     #[test]

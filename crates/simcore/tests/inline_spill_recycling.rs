@@ -16,8 +16,7 @@
 //! fires; `schedule_batch` returns no ids, so nothing cancels them. Single
 //! events at or after the latest one wait in the push run, where a
 //! cancelled entry stays as a tombstone until the run's front passes it:
-//! `Simulation::cancel` and `Deadline::disarm` reach that path. The last
-//! two tests cover them.
+//! `Simulation::cancel` reaches that path. The last two tests cover them.
 
 use std::sync::Arc;
 use std::sync::Mutex;
@@ -314,20 +313,20 @@ fn batch_scheduled_captures_are_released_exactly_once() {
 }
 
 #[test]
-fn disarmed_push_run_deadlines_release_captures_once_and_recycle_slots() {
+fn cancelled_push_run_events_release_captures_once_and_recycle_slots() {
     // Single events at non-decreasing times all join the queue's push run,
-    // so the two deadlines wait behind a live front and ahead of a live
-    // tail: disarming them leaves tombstones in the middle of the run.
+    // so the two guarded events wait behind a live front and ahead of a
+    // live tail: cancelling them leaves tombstones in the middle of the run.
     let token = Arc::new(());
     let mut sim = Simulation::new(13, 0u32);
     let front = sim.schedule_in(SimDuration::from_secs(1), |s: &mut Simulation<u32>| {
         *s.state_mut() += 1;
     });
     let keep = Arc::clone(&token);
-    let inline = sim.schedule_deadline(SimDuration::from_secs(2), move |_s| drop(keep));
+    let inline = sim.schedule_in(SimDuration::from_secs(2), move |_s| drop(keep));
     let keep = Arc::clone(&token);
     let pad = [0u8; SPILL_PAD];
-    let spilled = sim.schedule_deadline(SimDuration::from_secs(3), move |_s| {
+    let spilled = sim.schedule_in(SimDuration::from_secs(3), move |_s| {
         std::hint::black_box(&pad);
         drop(keep);
     });
@@ -338,30 +337,29 @@ fn disarmed_push_run_deadlines_release_captures_once_and_recycle_slots() {
     assert_eq!(Arc::strong_count(&token), 3);
     assert_eq!(sim.pending(), 4);
 
-    // Each disarm releases its capture at once, exactly once.
-    assert!(spilled.disarm(&mut sim));
+    // Each cancel releases its capture at once, exactly once.
+    assert!(sim.cancel(spilled));
     assert_eq!(
         Arc::strong_count(&token),
         2,
-        "disarm kept the spilled capture"
+        "cancel kept the spilled capture"
     );
-    assert!(!spilled.disarm(&mut sim), "a second disarm must miss");
+    assert!(!sim.cancel(spilled), "a second cancel must miss");
     assert_eq!(
         Arc::strong_count(&token),
         2,
-        "a second disarm dropped again"
+        "a second cancel dropped again"
     );
-    assert!(sim.cancel(inline.id()));
+    assert!(sim.cancel(inline));
     assert_eq!(
         Arc::strong_count(&token),
         1,
         "cancel kept the inline capture"
     );
-    assert!(!inline.is_armed(&sim) && !spilled.is_armed(&sim));
     assert_eq!(sim.pending(), 2, "tombstones counted as pending");
 
     // Until the front passes them, the tombstones keep their slots.
-    let tombstones = [slot_of(inline.id()), slot_of(spilled.id())];
+    let tombstones = [slot_of(inline), slot_of(spilled)];
     let early = sim.schedule_in(SimDuration::from_secs(5), |_s| {});
     assert!(
         !tombstones.contains(&slot_of(early)),
@@ -373,30 +371,28 @@ fn disarmed_push_run_deadlines_release_captures_once_and_recycle_slots() {
     // three events reuse those slots.
     let stats = sim.run_until(SimTime::from_secs(1));
     assert_eq!((stats.executed, stats.pending), (1, 1));
-    assert!(!sim.is_pending(front));
+    assert!(!sim.cancel(front), "a fired event cannot be cancelled");
     let keep = Arc::clone(&token);
-    let a = sim.schedule_deadline(SimDuration::from_secs(7), move |_s| drop(keep));
+    let a = sim.schedule_in(SimDuration::from_secs(7), move |_s| drop(keep));
     let keep = Arc::clone(&token);
     let pad = [0u8; SPILL_PAD];
-    let b = sim.schedule_deadline(SimDuration::from_secs(8), move |_s| {
+    let b = sim.schedule_in(SimDuration::from_secs(8), move |_s| {
         std::hint::black_box(&pad);
         drop(keep);
     });
     let c = sim.schedule_in(SimDuration::from_secs(9), |s: &mut Simulation<u32>| {
         *s.state_mut() += 1;
     });
-    let mut reused = [slot_of(a.id()), slot_of(b.id()), slot_of(c)];
+    let mut reused = [slot_of(a), slot_of(b), slot_of(c)];
     reused.sort_unstable();
     let mut freed = [tombstones[0], tombstones[1], slot_of(front)];
     freed.sort_unstable();
     assert_eq!(reused, freed, "the freed slots were not reused");
     assert_eq!(sim.pending(), 4);
 
-    // The stale deadlines neither report armed nor disarm the new
-    // occupants of their slots.
-    assert!(!inline.is_armed(&sim) && !spilled.is_armed(&sim));
-    assert!(!inline.disarm(&mut sim) && !spilled.disarm(&mut sim));
-    assert!(a.is_armed(&sim) && b.is_armed(&sim));
+    // The stale ids cancel none of the new occupants of their slots.
+    assert!(!sim.cancel(inline) && !sim.cancel(spilled));
+    assert_eq!(sim.pending(), 4, "a stale id cancelled a live event");
     assert_eq!(Arc::strong_count(&token), 3);
 
     let stats = sim.run();

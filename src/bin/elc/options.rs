@@ -11,7 +11,7 @@ use std::str::FromStr;
 use std::sync::Arc;
 
 use elc_resil::chaos::ChaosSpec;
-use elearn_cloud::core::experiments::{e18, find, Experiment};
+use elearn_cloud::core::experiments::{e12, e18, find, Experiment};
 use elearn_cloud::core::scenario::{Scenario, DEFAULT_SEED, PRESETS, REPORT_PRESETS};
 use elearn_cloud::core::Requirements;
 use elearn_cloud::fluid::Fidelity;
@@ -207,7 +207,9 @@ impl RunOptions {
     ///
     /// A usage error when the replay trace does not fit the scenario or
     /// `--record-trace` would capture more than one run; a failure when
-    /// E18 at event fidelity would exceed [`EVENT_BUDGET`].
+    /// E12's initial fleets outgrow its host pool, when one of E18's
+    /// region stations cannot run, or when E18 at event fidelity would
+    /// exceed [`EVENT_BUDGET`].
     pub fn scenario(&self, name: &str) -> Result<Scenario, Error> {
         let mut scenario = Scenario::preset(name, self.seed).expect("parse resolved the preset");
         if let Some(chaos) = &self.chaos {
@@ -232,6 +234,18 @@ impl RunOptions {
                  --shards 1 (and --replications 1 with `run`)"
                     .to_string(),
             ));
+        }
+        // `report`, `tables` and `advise` run the whole suite; `experiment`
+        // and `run` name one experiment, and T1 runs every other one.
+        let runs = |id: &str| {
+            self.experiment
+                .is_none_or(|e| e.id() == id || e.id() == "t1")
+        };
+        if runs("e12") {
+            e12::check_fleets(&scenario).map_err(Error::Failed)?;
+        }
+        if self.experiment.is_some_and(|e| e.id() == "e18") {
+            e18::check_stations(&scenario).map_err(Error::Failed)?;
         }
         if self.experiment.is_some_and(|e| e.id() == "e18")
             && scenario.fidelity() == Fidelity::Event
@@ -541,9 +555,15 @@ mod tests {
             s.scenario("small-college").unwrap().fidelity(),
             Fidelity::Fluid
         );
-        let national = parse("report", &["national-5m"]).unwrap();
+        let national = parse("experiment", &["e18", "national-5m"]).unwrap();
         let s = national.scenario("national-5m").unwrap();
         assert_eq!((s.shards(), s.fidelity()), (4, Fidelity::Auto));
+        // The report runs E12, whose host pool 5M students outgrow.
+        let report = parse("report", &["national-5m"]).unwrap();
+        assert!(matches!(
+            report.scenario("national-5m"),
+            Err(Error::Failed(m)) if m.contains("640-VM host pool")
+        ));
     }
 
     #[test]
@@ -584,8 +604,15 @@ mod tests {
             "{err:?}"
         );
         // Other experiments never sample per request at 5M students.
+        let e16 = parse("experiment", &["e16", "national-5m", "--fidelity", "event"]);
+        assert!(e16.unwrap().scenario("national-5m").is_ok());
+        // E12 is refused there for its host pool, not the event budget.
         let e12 = parse("experiment", &["e12", "national-5m", "--fidelity", "event"]);
-        assert!(e12.unwrap().scenario("national-5m").is_ok());
+        let err = e12.unwrap().scenario("national-5m").unwrap_err();
+        assert!(
+            matches!(&err, Error::Failed(m) if m.contains("640-VM host pool")),
+            "{err:?}"
+        );
         let university = parse("experiment", &["e18", "university"]).unwrap();
         assert!(university.scenario("university").is_ok());
     }

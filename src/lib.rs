@@ -8,11 +8,12 @@
 //! * [`simcore`] — deterministic discrete-event simulation kernel,
 //! * [`net`] — links, topology, outages, transfers,
 //! * [`cloud`] — datacenters, VMs, autoscaling, storage, failures, billing,
-//! * [`elearn`] — the LMS model and its workload,
+//! * [`elearn`] — the LMS as the traffic it serves: request kinds, the
+//!   workload generator and the [`WorkloadSource`](elc_elearn::source::WorkloadSource) trait,
 //! * [`wltrace`] — workload trace record, replay and morphing behind the
 //!   [`WorkloadSource`](elc_elearn::source::WorkloadSource) API,
 //! * [`faas`] — the serverless platform model: container lifecycle,
-//!   keepalive policies, invocation buffering and GB-s billing,
+//!   fixed-window keepalive, invocation buffering and GB-s billing,
 //! * [`fluid`] — the fluid/mean-field fast path: per-class flow
 //!   integration, fidelity switching and backlog materialization for
 //!   million-student scale,

@@ -426,3 +426,204 @@ fn tables_prints_the_goldens_and_writes_the_csvs() {
     assert_eq!(csvs, 20, "E1–E19 but E18, T1 and T1F");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Records `elc experiment e12 small-college --seed 42` as a CSV trace in
+/// `dir` and returns its text.
+fn recorded_small_college(dir: &Path) -> String {
+    let path = dir.join("recorded.csv");
+    let out = elc()
+        .args(["experiment", "e12", "small-college", "--seed", "42"])
+        .arg("--record-trace")
+        .arg(&path)
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    std::fs::read_to_string(&path).expect("trace recorded")
+}
+
+/// Runs `elc <command…> small-college --seed 42` replaying `trace`, with
+/// `extra` flags after the workload.
+fn replay(dir: &Path, trace: &str, command: &[&str], extra: &[&str]) -> Output {
+    let path = dir.join("replayed.csv");
+    std::fs::write(&path, trace).expect("trace written");
+    elc()
+        .args(command)
+        .args(["small-college", "--seed", "42", "--workload"])
+        .arg(format!("trace:{}", path.display()))
+        .args(extra)
+        .output()
+        .expect("binary runs")
+}
+
+#[test]
+fn an_e12_fleet_beyond_the_host_pool_is_refused() {
+    let dir = scratch_dir("e12-pool");
+    let trace = recorded_small_college(&dir);
+    for command in [
+        &["experiment", "e12"][..],
+        &["experiment", "t1"],
+        &["report"],
+    ] {
+        let out = replay(&dir, &trace, command, &["--morph", "scale=1000"]);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(1), "{command:?}: {err}");
+        assert!(
+            err.contains("needs an initial fleet of 2080") && err.contains("640-VM host pool"),
+            "{command:?}: {err}"
+        );
+    }
+    // The check reads each strategy's own replay stream: stream 3 is the
+    // fourth strategy's, ElasticHostFailure's, which sizes its initial
+    // fleet from the day's first rate.
+    let mutated = edit(&trace, rate_line(&trace, 3, 0), "1e300");
+    let out = replay(&dir, &mutated, &["experiment", "e12"], &[]);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(
+        err.contains("needs an initial fleet of 4294967295"),
+        "{err}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The line of `trace` holding stream `stream`'s rate sample at
+/// `offset_ns` past the recording's first instant (E12's exam day, from
+/// midnight).
+fn rate_line(trace: &str, stream: u32, offset_ns: u64) -> usize {
+    let first: u64 = trace
+        .lines()
+        .find_map(|l| l.strip_prefix("0,"))
+        .and_then(|l| l.split(',').next())
+        .and_then(|t| t.parse().ok())
+        .expect("a first sample");
+    let prefix = format!("{stream},{},0,~rate,", first + offset_ns);
+    trace
+        .lines()
+        .position(|l| l.starts_with(&prefix))
+        .expect("the stream samples that instant")
+}
+
+/// One edit of a recorded trace: a header value or one rate sample.
+fn edit(trace: &str, line: usize, value: &str) -> String {
+    let mut lines: Vec<String> = trace.lines().map(str::to_owned).collect();
+    let target = &mut lines[line];
+    *target = match target.split_once('=') {
+        Some((key, _)) if target.starts_with('#') => format!("{key}={value}"),
+        _ => {
+            let (fields, _) = target.rsplit_once(',').expect("a CSV row");
+            format!("{fields},{value}")
+        }
+    };
+    lines.join("\n") + "\n"
+}
+
+#[test]
+fn the_e18_check_reads_every_region_stream_and_passes_overloads() {
+    let dir = scratch_dir("e18-streams");
+    let trace = recorded_small_college(&dir);
+    let auto = ["--fidelity", "auto", "--shards", "4"];
+    // Four regions bind streams 0–3; stream 2's window opens (16:00) on
+    // a rate no tick can materialize.
+    let window = 16 * 3_600 * 1_000_000_000;
+    let mutated = edit(&trace, rate_line(&trace, 2, window), "1e300");
+    let out = replay(&dir, &mutated, &["experiment", "e18"], &auto);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("event-level tick materializes"), "{err}");
+    // A header peak half the recorded 208 req/s sizes the station for
+    // 180 req/s: the evening overloads it, it sheds, and the run
+    // completes.
+    let peak = trace
+        .lines()
+        .position(|l| l.starts_with("#peak_rate="))
+        .expect("header present");
+    let understated = edit(&trace, peak, "104");
+    for fidelity in ["event", "auto"] {
+        let flags = ["--fidelity", fidelity];
+        let out = replay(&dir, &understated, &["experiment", "e18"], &flags);
+        assert!(out.status.success(), "{fidelity}: {}", stderr(&out));
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn mutated_traces_are_run_or_refused_never_panicked_on() {
+    use elearn_cloud::simcore::SimRng;
+
+    let dir = scratch_dir("mutated");
+    let trace = recorded_small_college(&dir);
+    let header = |key: &str| {
+        trace
+            .lines()
+            .position(|l| l.starts_with(key))
+            .expect("header present")
+    };
+    let (students, peak) = (header("#students="), header("#peak_rate="));
+    let rates: Vec<usize> = (0..trace.lines().count())
+        .filter(|&i| trace.lines().nth(i).is_some_and(|l| l.contains(",~rate,")))
+        .collect();
+    let value_at = |line: usize| -> f64 {
+        let l = trace.lines().nth(line).expect("line exists");
+        l.rsplit([',', '='])
+            .next()
+            .and_then(|v| v.parse().ok())
+            .expect("a number")
+    };
+
+    // The reproductions: morphs past the pool and past a countable
+    // station, and single header or sample edits.
+    let mut cases: Vec<(String, Vec<&str>)> = vec![
+        (trace.clone(), vec!["--morph", "scale=1000"]),
+        (trace.clone(), vec!["--morph", "scale=1e300"]),
+        (trace.clone(), vec!["--morph", "stretch=1e-6"]),
+        (edit(&trace, students, "4294967295"), vec![]),
+        (edit(&trace, peak, "1e300"), vec![]),
+        (edit(&trace, rates[0], "1e300"), vec![]),
+    ];
+    // Seeded edits: the students or peak header, or one rate sample,
+    // scaled by 10^k.
+    let mut rng = SimRng::seed(0x7E57).derive("trace-mutations");
+    for _ in 0..10 {
+        let (line, max_k) = match rng.range_u64(0, 2) {
+            // A u32 header: 2000 × 10^6 still fits.
+            0 => (students, 6),
+            1 => (peak, 300),
+            _ => (
+                rates[rng.range_u64(0, rates.len() as u64 - 1) as usize],
+                300,
+            ),
+        };
+        let k = rng.range_u64(1, max_k) as i32;
+        let scaled = value_at(line) * 10f64.powi(k);
+        let value = if line == students {
+            format!("{}", scaled as u64)
+        } else {
+            format!("{scaled:e}")
+        };
+        cases.push((edit(&trace, line, &value), vec![]));
+    }
+
+    let runs: [&[&str]; 6] = [
+        &["experiment", "e12"],
+        &["experiment", "e16"],
+        &["experiment", "e17"],
+        &["experiment", "e19"],
+        &["experiment", "e18", "--fidelity", "fluid"],
+        &["experiment", "e18", "--fidelity", "auto"],
+    ];
+    for (case, (mutated, extra)) in cases.iter().enumerate() {
+        for run in runs {
+            let (command, flags) = run.split_at(2);
+            let mut all = flags.to_vec();
+            all.extend(extra);
+            let out = replay(&dir, mutated, command, &all);
+            assert!(
+                matches!(out.status.code(), Some(0..=2)),
+                "case {case} {run:?} {extra:?} exited {:?}: {}",
+                out.status.code(),
+                stderr(&out)
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
