@@ -325,12 +325,12 @@ impl Datacenter {
             .sum()
     }
 
-    /// VMs not yet stopped or failed (provisioning or running).
+    /// VMs not yet stopped or failed (booting or serving).
     #[must_use]
     pub fn active_vm_count(&self) -> usize {
         self.vms
             .values()
-            .filter(|vm| matches!(vm.state(), VmState::Provisioning { .. } | VmState::Running))
+            .filter(|vm| matches!(vm.state(), VmState::Provisioning { .. }))
             .count()
     }
 }

@@ -20,13 +20,11 @@ define_id!(
 /// Lifecycle state of a VM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VmState {
-    /// Requested; becomes `Running` at `ready_at`.
+    /// Requested; serves traffic from `ready_at` until it stops or fails.
     Provisioning {
         /// When the VM finishes booting.
         ready_at: SimTime,
     },
-    /// Serving traffic.
-    Running,
     /// Terminated (kept for accounting).
     Stopped {
         /// When it stopped.
@@ -103,7 +101,6 @@ impl Vm {
     pub fn is_serving(&self, t: SimTime) -> bool {
         match self.state {
             VmState::Provisioning { ready_at } => t >= ready_at,
-            VmState::Running => true,
             VmState::Stopped { .. } | VmState::Failed { .. } => false,
         }
     }
@@ -115,7 +112,7 @@ impl Vm {
     /// Panics if the VM already stopped or failed.
     pub fn stop(&mut self, t: SimTime) {
         match self.state {
-            VmState::Provisioning { .. } | VmState::Running => {
+            VmState::Provisioning { .. } => {
                 self.state = VmState::Stopped { at: t };
             }
             other => panic!("cannot stop {other:?} VM"),
@@ -124,7 +121,7 @@ impl Vm {
 
     /// Records a host failure at `t`. Idempotent for already-dead VMs.
     pub fn fail(&mut self, t: SimTime) {
-        if matches!(self.state, VmState::Provisioning { .. } | VmState::Running) {
+        if matches!(self.state, VmState::Provisioning { .. }) {
             self.state = VmState::Failed { at: t };
         }
     }

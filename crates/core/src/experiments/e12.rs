@@ -174,7 +174,7 @@ impl World {
 
 fn active_vms(dc: &Datacenter) -> Vec<elc_cloud::vm::VmId> {
     dc.vms()
-        .filter(|vm| matches!(vm.state(), VmState::Provisioning { .. } | VmState::Running))
+        .filter(|vm| matches!(vm.state(), VmState::Provisioning { .. }))
         .map(elc_cloud::vm::Vm::id)
         .collect()
 }

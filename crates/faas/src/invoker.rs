@@ -9,6 +9,16 @@
 //! paid a cold start or waited in the buffer). The split is exactly the
 //! cold/warm p95 decomposition experiment E17 reports.
 //!
+//! A sandbox is *initializing* while it pays its cold start and *idle*
+//! (ready to serve) once it has; between ticks no sandbox is mid-invocation.
+//! Its clock is when it becomes ready or, once idle, when it last went
+//! idle: the keepalive clock. The invoker holds its sandboxes as *runs*,
+//! neighbours in creation order that share their state and their clock,
+//! because such sandboxes act alike on every tick. A tick therefore costs
+//! one step per run, not per sandbox: a busy function's hundreds of
+//! sandboxes fall into a few runs, split by their last serve or their
+//! cold start.
+//!
 //! Tick order matters and is fixed: ready promotions, keepalive reaping,
 //! warm serving (buffer drains before fresh arrivals), granted cold
 //! starts (a sandbox whose cold start completes intra-tick serves a
@@ -105,12 +115,31 @@ struct Buffered {
     count: u64,
 }
 
+/// Sandboxes adjacent in creation order that share their state and clock.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Run {
+    /// Sandboxes in the run, at least one.
+    len: u32,
+    /// Still paying the cold start; otherwise idle.
+    initializing: bool,
+    /// When an initializing run becomes ready, or when an idle run last
+    /// went idle.
+    since: SimTime,
+}
+
 /// The per-function admission engine. See the module docs for tick order.
+///
+/// The runs are kept merged: no two neighbours are alike, so two invokers
+/// compare equal exactly when their fleets do.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Invoker {
     kind: RequestKind,
     config: InvokerConfig,
-    containers: Vec<crate::Container>,
+    /// The live sandboxes, in creation order.
+    runs: Vec<Run>,
+    /// Live sandbox ids in creation order, partitioned by `runs`.
+    ids: Vec<u64>,
+    live: u32,
     buffer: VecDeque<Buffered>,
     buffered_count: u64,
     next_id: u64,
@@ -125,7 +154,9 @@ impl Invoker {
         Invoker {
             kind,
             config,
-            containers: Vec::new(),
+            runs: Vec::new(),
+            ids: Vec::new(),
+            live: 0,
             buffer: VecDeque::new(),
             buffered_count: 0,
             next_id: 0,
@@ -140,19 +171,20 @@ impl Invoker {
         self.kind
     }
 
-    /// Live sandboxes (initializing, warm or idle).
+    /// Live sandboxes (initializing or idle).
     #[must_use]
     pub fn live(&self) -> u32 {
-        self.containers.iter().filter(|c| c.is_live()).count() as u32
+        self.live
     }
 
     /// Sandboxes currently idle and ready to serve.
     #[must_use]
     pub fn idle(&self) -> u32 {
-        self.containers
+        self.runs
             .iter()
-            .filter(|c| c.state() == crate::ContainerState::Idle)
-            .count() as u32
+            .filter(|r| !r.initializing)
+            .map(|r| r.len)
+            .sum()
     }
 
     /// Invocations currently parked in the buffer.
@@ -184,36 +216,41 @@ impl Invoker {
     }
 
     /// Kills `count` live sandboxes (chaos: host crashes under a cascade).
-    /// Initializing sandboxes die first, then idle ones; returns how many
-    /// actually died. Sandboxes mid-invocation are not interrupted — at
-    /// tick granularity they are between invocations by the time chaos is
-    /// applied.
+    /// Initializing sandboxes die first, then idle ones, each oldest
+    /// first; returns how many actually died. Sandboxes mid-invocation are
+    /// not interrupted — at tick granularity they are between invocations
+    /// by the time chaos is applied.
     pub fn kill(&mut self, count: u32) -> u32 {
-        let mut killed = 0u32;
-        for pass in [
-            crate::ContainerState::Initializing,
-            crate::ContainerState::Idle,
-        ] {
-            for c in &mut self.containers {
-                if killed >= count {
+        let mut left = count;
+        for initializing in [true, false] {
+            let mut at = 0;
+            for run in &mut self.runs {
+                if left == 0 {
                     break;
                 }
-                if c.state() == pass {
-                    c.kill();
-                    killed += 1;
-                    self.reaped_total += 1;
+                if run.initializing == initializing {
+                    let k = run.len.min(left);
+                    self.ids.drain(at..at + k as usize);
+                    run.len -= k;
+                    left -= k;
                 }
+                at += run.len as usize;
             }
         }
-        self.containers.retain(crate::Container::is_live);
+        let killed = count - left;
+        self.runs.retain(|r| r.len > 0);
+        self.merge_runs();
+        self.live -= killed;
+        self.reaped_total += u64::from(killed);
         killed
     }
 
     /// Advances one tick. `demand` invocations arrive uniformly across the
     /// tick, `grant` is the scaler's cold-start allowance, and latency is
     /// recorded into `warm_hist` / `cold_hist` in seconds (see the module
-    /// docs for the path split). The tick's warm serves share one latency
-    /// and are recorded together; the histograms' count, min/max and
+    /// docs for the path split). Invocations that share a latency are
+    /// recorded together — the tick's warm serves at once, a buffered
+    /// batch at once per path; the histograms' count, min/max and
     /// quantiles are those of one record per invocation, while their
     /// running mean and variance may differ in the last bits.
     #[allow(clippy::too_many_arguments)]
@@ -230,87 +267,40 @@ impl Invoker {
     ) -> TickOutcome {
         let mut out = TickOutcome::default();
 
-        // 1. Cold starts from earlier ticks that have finished initializing.
-        for c in &mut self.containers {
-            c.poll_ready(now);
-        }
+        // 1–2. Ready promotions, then keepalive reaping before serving: if
+        //      the idle gap outlived the window, the reaper beat this
+        //      tick's demand.
+        self.promote_and_reap(now, &mut out);
 
-        // 2. Keepalive reaping, before serving: if the idle gap outlived
-        //    the window, the reaper beat this tick's demand.
-        let window = self.config.keepalive.window();
-        for c in &mut self.containers {
-            if c.state() == crate::ContainerState::Idle
-                && c.idle_since() <= now
-                && now - c.idle_since() >= window
-            {
-                let idle_for = now - c.idle_since();
-                c.reap();
-                self.reaped_total += 1;
-                out.reaped += 1;
-                if elc_trace::enabled(TRACE_TARGET, Level::Debug) {
-                    elc_trace::instant(
-                        now.as_nanos(),
-                        TRACE_TARGET,
-                        "container.reap",
-                        Level::Debug,
-                        &[
-                            Field::str("kind", self.kind.to_string()),
-                            Field::u64("container", c.id()),
-                            Field::duration_ns("idle", idle_for.as_nanos()),
-                        ],
-                    );
-                }
-            }
-        }
-        self.containers.retain(crate::Container::is_live);
-
-        // 3. Warm serving: each idle sandbox runs back-to-back invocations
-        //    for the whole tick; buffered work drains before fresh. Every
-        //    fresh warm serve has the same latency, so they are recorded
-        //    once, after the loop.
+        // 3. Warm serving: each serving sandbox runs back-to-back
+        //    invocations for the whole tick; buffered work drains before
+        //    fresh, and every fresh warm serve has the same latency.
         let per_invocation = spec.warm_start() + spec.service_time();
         let slots_per = (tick_len.as_nanos() / per_invocation.as_nanos()).max(1);
         let warm_latency = per_invocation.as_secs_f64();
         let mut fresh = demand;
-        for i in 0..self.containers.len() {
-            if self.buffered_count == 0 && fresh == 0 {
-                break;
-            }
-            if self.containers[i].state() != crate::ContainerState::Idle {
-                continue;
-            }
-            self.containers[i].begin_invocation();
-            let mut slots = slots_per;
-            // Buffered invocations: latency = wait + warm path.
-            while slots > 0 && self.buffered_count > 0 {
-                let head = self.buffer.front_mut().expect("buffered_count > 0");
-                let n = head.count.min(slots);
-                cold_hist.record_n((now - head.since).as_secs_f64() + warm_latency, n);
-                out.served_cold += n;
-                self.buffered_count -= n;
-                head.count -= n;
-                slots -= n;
-                if head.count == 0 {
-                    self.buffer.pop_front();
-                }
-            }
-            let n = fresh.min(slots);
-            out.served_warm += n;
-            fresh -= n;
-            self.containers[i].finish_invocation(now);
-        }
+        let waiting = u128::from(self.buffered_count) + u128::from(fresh);
+        let taken = self.occupy_idle(now, waiting, slots_per);
+        let drained = self.drain(
+            now,
+            u64::try_from(taken).unwrap_or(u64::MAX),
+            warm_latency,
+            cold_hist,
+            &mut out,
+        );
+        // `taken` covers the buffer first, so what is left of it is fresh.
+        out.served_warm = (taken - u128::from(drained)) as u64;
+        fresh -= out.served_warm;
         warm_hist.record_n(warm_latency, out.served_warm);
 
         // 4. Granted cold starts. A sandbox whose cold start completes
         //    within the tick serves a prorated share of the leftovers on
         //    the cold path.
-        let headroom = self.config.concurrency_limit.saturating_sub(self.live());
-        let starts = grant.min(headroom);
+        let starts = grant.min(self.config.concurrency_limit.saturating_sub(self.live));
         for _ in 0..starts {
             let cold = spec.sample_cold_start(rng);
-            let mut c = crate::Container::new(self.next_id);
+            let id = self.next_id;
             self.next_id += 1;
-            c.start(now, cold);
             self.started_total += 1;
             out.cold_starts += 1;
             if elc_trace::enabled(TRACE_TARGET, Level::Debug) {
@@ -321,42 +311,31 @@ impl Invoker {
                     Level::Debug,
                     &[
                         Field::str("kind", self.kind.to_string()),
-                        Field::u64("container", c.id()),
+                        Field::u64("container", id),
                         Field::duration_ns("cold_start", cold.as_nanos()),
                     ],
                 );
             }
             if cold < tick_len {
-                let ready = now + cold;
-                c.poll_ready(ready);
                 let share = 1.0 - cold.as_secs_f64() / tick_len.as_secs_f64();
-                let mut slots = (slots_per as f64 * share) as u64;
-                if slots > 0 && (self.buffered_count > 0 || fresh > 0) {
-                    c.begin_invocation();
-                    let cold_latency = cold.as_secs_f64() + warm_latency;
-                    while slots > 0 && self.buffered_count > 0 {
-                        let head = self.buffer.front_mut().expect("buffered_count > 0");
-                        let n = head.count.min(slots);
-                        cold_hist.record_n((now - head.since).as_secs_f64() + cold_latency, n);
-                        out.served_cold += n;
-                        self.buffered_count -= n;
-                        head.count -= n;
-                        slots -= n;
-                        if head.count == 0 {
-                            self.buffer.pop_front();
-                        }
-                    }
-                    let n = fresh.min(slots);
-                    if n > 0 {
-                        cold_hist.record_n(cold_latency, n);
-                        out.served_cold += n;
-                        fresh -= n;
-                    }
-                    c.finish_invocation(ready);
-                }
+                let slots = (slots_per as f64 * share) as u64;
+                let cold_latency = cold.as_secs_f64() + warm_latency;
+                let drained = self.drain(now, slots, cold_latency, cold_hist, &mut out);
+                let n = fresh.min(slots - drained);
+                cold_hist.record_n(cold_latency, n);
+                out.served_cold += n;
+                fresh -= n;
             }
-            self.containers.push(c);
+            // Served or not, it is ready, and idle, from `now + cold` on.
+            self.runs.push(Run {
+                len: 1,
+                initializing: cold >= tick_len,
+                since: now + cold,
+            });
+            self.ids.push(id);
+            self.live += 1;
         }
+        self.merge_runs();
 
         // 5. Leftover fresh demand: buffer what fits, shed the rest.
         let space = self.config.buffer_capacity - self.buffered_count;
@@ -399,6 +378,128 @@ impl Invoker {
             }
         }
         out
+    }
+
+    /// Promotes the initializing runs that are ready by `now`, then reaps
+    /// the idle runs whose keepalive window has run out, tracing one
+    /// `container.reap` per sandbox in creation order.
+    fn promote_and_reap(&mut self, now: SimTime, out: &mut TickOutcome) {
+        let window = self.config.keepalive.window();
+        let (mut kept, mut at, mut ids_kept) = (0, 0, 0);
+        for i in 0..self.runs.len() {
+            let mut run = self.runs[i];
+            let n = run.len as usize;
+            if run.initializing && now >= run.since {
+                run.initializing = false;
+            }
+            if !run.initializing && run.since <= now && now - run.since >= window {
+                self.live -= run.len;
+                self.reaped_total += u64::from(run.len);
+                out.reaped += u64::from(run.len);
+                if elc_trace::enabled(TRACE_TARGET, Level::Debug) {
+                    let idle_for = now - run.since;
+                    for &id in &self.ids[at..at + n] {
+                        elc_trace::instant(
+                            now.as_nanos(),
+                            TRACE_TARGET,
+                            "container.reap",
+                            Level::Debug,
+                            &[
+                                Field::str("kind", self.kind.to_string()),
+                                Field::u64("container", id),
+                                Field::duration_ns("idle", idle_for.as_nanos()),
+                            ],
+                        );
+                    }
+                }
+            } else {
+                if ids_kept != at {
+                    self.ids.copy_within(at..at + n, ids_kept);
+                }
+                ids_kept += n;
+                self.runs[kept] = run;
+                kept += 1;
+            }
+            at += n;
+        }
+        self.runs.truncate(kept);
+        self.ids.truncate(ids_kept);
+    }
+
+    /// Puts the first idle sandboxes in creation order to work on
+    /// `waiting` invocations, `slots_per` each, and returns how many of
+    /// them they take. A sandbox serves when work is still waiting for
+    /// it, so the serving sandboxes are a prefix of the idle ones; their
+    /// clock restarts at `now`, and at most the last serving run splits.
+    fn occupy_idle(&mut self, now: SimTime, waiting: u128, slots_per: u64) -> u128 {
+        let slots_per = u128::from(slots_per);
+        let mut left = waiting;
+        let mut i = 0;
+        while left > 0 && i < self.runs.len() {
+            let run = &mut self.runs[i];
+            i += 1;
+            if run.initializing {
+                continue;
+            }
+            let capacity = u128::from(run.len) * slots_per;
+            if capacity - slots_per < left {
+                // Work waits for every sandbox in the run, the last one too.
+                run.since = now;
+                left = left.saturating_sub(capacity);
+            } else {
+                let serving = left.div_ceil(slots_per) as u32;
+                run.len -= serving;
+                self.runs.insert(
+                    i - 1,
+                    Run {
+                        len: serving,
+                        initializing: false,
+                        since: now,
+                    },
+                );
+                left = 0;
+            }
+        }
+        waiting - left
+    }
+
+    /// Serves buffered batches, oldest first, into up to `slots` slots and
+    /// returns how many it served. Each batch is recorded at once: it
+    /// waited since its arrival on top of `latency`.
+    fn drain(
+        &mut self,
+        now: SimTime,
+        mut slots: u64,
+        latency: f64,
+        cold_hist: &mut Histogram,
+        out: &mut TickOutcome,
+    ) -> u64 {
+        let mut drained = 0;
+        while slots > 0 && self.buffered_count > 0 {
+            let head = self.buffer.front_mut().expect("buffered_count > 0");
+            let n = head.count.min(slots);
+            cold_hist.record_n((now - head.since).as_secs_f64() + latency, n);
+            out.served_cold += n;
+            self.buffered_count -= n;
+            head.count -= n;
+            slots -= n;
+            drained += n;
+            if head.count == 0 {
+                self.buffer.pop_front();
+            }
+        }
+        drained
+    }
+
+    /// Merges alike neighbouring runs.
+    fn merge_runs(&mut self) {
+        self.runs.dedup_by(|later, earlier| {
+            let alike = later.initializing == earlier.initializing && later.since == earlier.since;
+            if alike {
+                earlier.len += later.len;
+            }
+            alike
+        });
     }
 }
 

@@ -10,15 +10,17 @@
 //!
 //! The model is a fluid, tick-driven abstraction of a FaaS control plane:
 //!
-//! * [`Container`] — one sandbox with the lifecycle
-//!   cold → initializing → warm → idle → reaped ([`ContainerState`]).
 //! * [`StartProfile`] / [`ColdStartProfile`] — per-[`RequestKind`]
 //!   cold/warm start times and memory sizing.
 //! * [`FixedWindow`] — when idle sandboxes are reclaimed: the provider
 //!   default, a fixed idle window.
-//! * [`Invoker`] — per-function admission: warm containers serve first, a
-//!   bounded buffer absorbs overflow, the rest is shed
-//!   ([`elc_elearn::request::RequestOutcome`] semantics).
+//! * [`Invoker`] — per-function admission over the function's sandboxes,
+//!   each initializing (paying a sampled cold start), then idle between
+//!   invocations until the keepalive reaper takes it: warm sandboxes serve
+//!   first, a bounded buffer absorbs overflow, the rest is shed
+//!   ([`elc_elearn::request::RequestOutcome`] semantics). Sandboxes that
+//!   share their state and clock are held as one run, so a tick costs one
+//!   step per run, not per sandbox.
 //! * [`FaasScaler`] — scale-from-zero with an account-level burst
 //!   concurrency cap shared across functions.
 //! * [`InvocationBilling`] — GB-second + per-request metering with a
@@ -64,14 +66,12 @@
 #![warn(missing_docs)]
 
 pub mod billing;
-pub mod container;
 pub mod invoker;
 pub mod keepalive;
 pub mod profile;
 pub mod scaler;
 
 pub use billing::{FaasPriceSheet, InvocationBilling};
-pub use container::{Container, ContainerState};
 pub use invoker::{Invoker, InvokerConfig, TickOutcome};
 pub use keepalive::FixedWindow;
 pub use profile::{ColdStartProfile, StartProfile};

@@ -4,14 +4,15 @@
 //! not started), spends a drawn cold-start interval *initializing*, is
 //! *warm* while it executes invocations, parks *idle* between them, and is
 //! *reaped* when its keepalive window expires. The struct is a pure state
-//! machine — the [`Invoker`](crate::Invoker) drives the transitions and
-//! owns every policy decision.
+//! machine — [`PerSandbox`](super::PerSandbox) drives the transitions and
+//! owns every policy decision — and its assertions are what the reference
+//! leans on: an illegal transition panics the walk.
 
 use elc_simcore::time::{SimDuration, SimTime};
 
 /// Lifecycle states of a function sandbox.
 ///
-/// Legal transitions (all driven by the invoker):
+/// Legal transitions (all driven by the reference invoker):
 ///
 /// ```text
 /// Cold --start--> Initializing --ready--> Idle <--finish/begin--> Warm
@@ -37,8 +38,6 @@ pub enum ContainerState {
 pub struct Container {
     id: u64,
     state: ContainerState,
-    /// When `start` was called; meaningful from `Initializing` on.
-    started_at: SimTime,
     /// When initialization completes and the sandbox can first serve.
     ready_at: SimTime,
     /// When the sandbox last went idle; the keepalive clock.
@@ -54,14 +53,13 @@ impl Container {
         Container {
             id,
             state: ContainerState::Cold,
-            started_at: SimTime::ZERO,
             ready_at: SimTime::ZERO,
             idle_since: SimTime::ZERO,
             invocations: 0,
         }
     }
 
-    /// Sandbox identifier (assigned by the invoker).
+    /// Sandbox identifier (assigned by the reference invoker).
     #[must_use]
     pub fn id(&self) -> u64 {
         self.id
@@ -98,7 +96,6 @@ impl Container {
             "start on a started sandbox"
         );
         self.state = ContainerState::Initializing;
-        self.started_at = now;
         self.ready_at = now + cold_start;
     }
 
@@ -150,7 +147,7 @@ impl Container {
     ///
     /// Panics unless the sandbox is `Idle` — reaping a sandbox mid-cold-start
     /// or mid-invocation is a platform bug, and the assertion is what the
-    /// keepalive proptests lean on.
+    /// short-keepalive walk leans on.
     pub fn reap(&mut self) {
         assert_eq!(
             self.state,
@@ -190,7 +187,6 @@ impl Container {
     }
 }
 
-#[cfg(test)]
 mod tests {
     use super::*;
 

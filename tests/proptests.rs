@@ -322,7 +322,7 @@ fn datacenter_allocation_invariants() {
             let listed: usize = dc.hosts().map(|h| h.vms().len()).sum();
             let active = dc
                 .vms()
-                .filter(|vm| matches!(vm.state(), VmState::Provisioning { .. } | VmState::Running))
+                .filter(|vm| matches!(vm.state(), VmState::Provisioning { .. }))
                 .count();
             assert_eq!(listed, active, "host lists disagree with VM states");
             assert_eq!(active, live.len(), "tracker disagrees with datacenter");
