@@ -133,27 +133,13 @@ impl MetricSet {
     pub fn to_named_vec(&self) -> Vec<(String, f64)> {
         self.named().map(|(n, v)| (n.to_owned(), v)).collect()
     }
-
-    /// Adds every metric of `other` into this set, summing values on
-    /// matching keys and appending keys this set has not seen. Keys are
-    /// already interned, so no name is hashed or re-interned — the slot
-    /// lookup is the same position-hinted scan the runner's aggregation
-    /// uses ([`slot_index`]): when both sets share a shape (shard merges,
-    /// replications of one experiment) every lookup hits the hint.
-    pub fn merge_from(&mut self, other: &MetricSet) {
-        for (hint, &(key, value)) in other.entries.iter().enumerate() {
-            let slot = slot_index(&mut self.entries, hint, key, || 0.0);
-            self.entries[slot].1 += value;
-        }
-    }
 }
 
 /// Find-or-insert into a `(MetricKey, T)` slot vector, returning the
 /// slot's index. `hint` is checked first — callers walking two
-/// same-shaped collections in lockstep (shard merge, replication
-/// aggregation) hit it every time, making the lookup O(1) without any
-/// hashing; otherwise a linear scan finds the first match, and a miss
-/// appends `init()`.
+/// same-shaped collections in lockstep (replication aggregation) hit it
+/// every time, making the lookup O(1) without any hashing; otherwise a
+/// linear scan finds the first match, and a miss appends `init()`.
 pub fn slot_index<T>(
     slots: &mut Vec<(MetricKey, T)>,
     hint: usize,
@@ -434,26 +420,6 @@ mod tests {
         assert_eq!(set.to_named_vec()[0].0, "unit-test-set-x");
         let round: MetricSet = set.clone().into_iter().collect();
         assert_eq!(round, set);
-    }
-
-    #[test]
-    fn merge_from_sums_matching_keys_and_appends_new_ones() {
-        let (a, b, c) = (
-            intern("unit-test-merge-a"),
-            intern("unit-test-merge-b"),
-            intern("unit-test-merge-c"),
-        );
-        let mut acc = MetricSet::new();
-        let mut shard: MetricSet = [(a, 1.0), (b, 10.0)].into_iter().collect();
-        acc.merge_from(&shard);
-        assert_eq!(acc.entries(), shard.entries(), "merge into empty copies");
-        shard = [(a, 2.0), (b, 20.0), (c, 5.0)].into_iter().collect();
-        acc.merge_from(&shard);
-        assert_eq!(acc.entries(), &[(a, 3.0), (b, 30.0), (c, 5.0)]);
-        // Mismatched order still lands on the right keys (hint misses).
-        let reordered: MetricSet = [(c, 1.0), (a, 1.0)].into_iter().collect();
-        acc.merge_from(&reordered);
-        assert_eq!(acc.entries(), &[(a, 4.0), (b, 30.0), (c, 6.0)]);
     }
 
     #[test]

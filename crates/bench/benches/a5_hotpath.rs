@@ -25,7 +25,6 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use elc_bench::crit::{Criterion, Measurement};
-use elc_cloud::mesh::MeshSpec;
 use elc_core::experiments::{e18, find};
 use elc_core::scenario::Scenario;
 use elc_fluid::Fidelity;
@@ -77,68 +76,6 @@ fn config() -> Criterion {
             .measurement_time(Duration::from_secs(2))
             .warm_up_time(Duration::from_millis(300))
             .repetitions(3)
-    }
-}
-
-/// The sharded mesh series: events/sec of the national-platform mesh at
-/// 1, 2 and 4 shards, plus the shard speedups.
-struct Sharded {
-    /// Best-of-reps events/sec at 1, 2 and 4 shards.
-    eps: [f64; 3],
-    /// Median of per-pair (1-shard time / 2-shard time) ratios.
-    speedup_2x: f64,
-    /// Median of per-pair (1-shard time / 4-shard time) ratios.
-    speedup_4x: f64,
-}
-
-/// Times one mesh run and returns wall seconds.
-fn mesh_secs(spec: &MeshSpec, shards: u32) -> f64 {
-    let start = Instant::now();
-    let report = spec.run(shards);
-    let secs = start.elapsed().as_secs_f64();
-    black_box(report.checksum);
-    secs
-}
-
-/// Measures the shard series **interleaved**: each repetition times the
-/// 1-, 2- and 4-shard runs back to back and contributes one speedup
-/// ratio per shard count. On a shared machine, throughput drifts a few
-/// percent over seconds; pairing the runs cancels that drift out of the
-/// ratios, and medians over pairs discard the tail the drift still
-/// reaches. Medians rather than best-of: a minimum keeps improving with
-/// more repetitions, which would make quick (CI) and full runs disagree
-/// systematically on the gated absolute throughput. Same pair count in
-/// both modes for the same reason — the series is the gate, so it does
-/// not get the quick-mode discount.
-fn sharded_series() -> Sharded {
-    let spec = MeshSpec::national_platform(2013);
-    let pairs = 9;
-    // One throwaway run warms the allocator and the page tables.
-    let _ = mesh_secs(&spec, 1);
-    let executed = spec.run(1).executed as f64;
-    let mut times = [Vec::new(), Vec::new(), Vec::new()];
-    let mut ratios = [Vec::new(), Vec::new()];
-    for _ in 0..pairs {
-        let mut t = [0.0f64; 3];
-        for (slot, shards) in [1u32, 2, 4].into_iter().enumerate() {
-            t[slot] = mesh_secs(&spec, shards);
-            times[slot].push(t[slot]);
-        }
-        ratios[0].push(t[0] / t[1]);
-        ratios[1].push(t[0] / t[2]);
-    }
-    let median = |xs: &mut Vec<f64>| {
-        xs.sort_by(f64::total_cmp);
-        xs[xs.len() / 2]
-    };
-    let mut eps = [0.0f64; 3];
-    for (slot, series) in times.iter_mut().enumerate() {
-        eps[slot] = executed / median(series);
-    }
-    Sharded {
-        eps,
-        speedup_2x: median(&mut ratios[0]),
-        speedup_4x: median(&mut ratios[1]),
     }
 }
 
@@ -294,7 +231,6 @@ fn main() {
     let churn_m = churn(&mut c);
     let e09_m = replicate(&mut c, "e09");
     let e06_m = replicate(&mut c, "e06");
-    let sharded = sharded_series();
     let fluid = fluid_series();
 
     let events_per_sec = ops_per_sec(chain_m, CHAIN_EVENTS as f64);
@@ -313,14 +249,6 @@ fn main() {
     println!("  replications/sec (e06):          {reps_e06:>14.1}");
     println!("  chain payloads inline/spilled:   {inline_events} / {spilled_events}");
     println!(
-        "  sharded mesh events/sec 1/2/4:   {:>10.0} / {:>10.0} / {:>10.0}",
-        sharded.eps[0], sharded.eps[1], sharded.eps[2]
-    );
-    println!(
-        "  shard speedup 2x / 4x:           {:>10.2} / {:>10.2}",
-        sharded.speedup_2x, sharded.speedup_4x
-    );
-    println!(
         "  fluid student-seconds/sec (5M):  {:>14.0}",
         fluid.student_seconds_per_sec
     );
@@ -337,7 +265,7 @@ fn main() {
     ];
     let mut json = String::from("{\n");
     json.push_str(&format!(
-        "  \"schema\": \"elc-hotpath-v4\",\n  \"bench\": \"a5_hotpath\",\n  \"mode\": \"{}\",\n",
+        "  \"schema\": \"elc-hotpath-v5\",\n  \"bench\": \"a5_hotpath\",\n  \"mode\": \"{}\",\n",
         if quick_mode() { "quick" } else { "full" }
     ));
     for (i, &(key, value)) in measured.iter().enumerate() {
@@ -347,23 +275,6 @@ fn main() {
         let speedup = if before > 0.0 { value / before } else { 0.0 };
         json.push_str(&format!("  \"{key}_speedup\": {speedup:.3},\n"));
     }
-    // The sharded series: the 2-shard throughput is the CI gate key; its
-    // baseline is the 1-shard run of the same mesh, so the recorded
-    // speedup is the shard split's own contribution.
-    json_field(&mut json, "sharded_events_per_sec", sharded.eps[1], false);
-    json_field(
-        &mut json,
-        "sharded_events_per_sec_baseline",
-        sharded.eps[0],
-        false,
-    );
-    json_field(&mut json, "sharded_events_per_sec_1", sharded.eps[0], false);
-    json_field(&mut json, "sharded_events_per_sec_2", sharded.eps[1], false);
-    json_field(&mut json, "sharded_events_per_sec_4", sharded.eps[2], false);
-    json.push_str(&format!(
-        "  \"sharded_speedup_2x\": {:.3},\n  \"sharded_speedup_4x\": {:.3},\n",
-        sharded.speedup_2x, sharded.speedup_4x
-    ));
     json_field(
         &mut json,
         "fluid_student_seconds_per_sec",

@@ -11,9 +11,7 @@
 //! * [`autoscale`] — target-tracking elasticity,
 //! * [`storage`] — replica placement and survival under site loss,
 //! * [`failure`] — disk and site hazard rates,
-//! * [`billing`] — usage meters, price sheets, invoices,
-//! * [`mesh`] — the multi-region LMS mesh driven shard-parallel by
-//!   `elc_simcore::shard`.
+//! * [`billing`] — usage meters, price sheets, invoices.
 //!
 //! # Examples
 //!
@@ -43,7 +41,6 @@ pub mod billing;
 pub mod datacenter;
 pub mod failure;
 pub mod host;
-pub mod mesh;
 pub mod placement;
 pub mod resources;
 pub mod storage;

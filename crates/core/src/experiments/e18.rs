@@ -376,6 +376,60 @@ mod tests {
         assert_eq!(a, serial);
     }
 
+    /// Runs `preset` at `fidelity` over 1, 2 and 4 regions and seeds
+    /// 1..=8, and checks that every region's station accounts for its
+    /// offered requests at the horizon: what was neither served nor shed
+    /// is still waiting or in service, so it is non-negative and fits the
+    /// servers plus the waiting room. The slack covers auto fidelity's mix
+    /// of integer event tallies and fluid volumes.
+    fn assert_regions_conserve(preset: fn(u64) -> Scenario, fidelity: Fidelity) {
+        for regions in [1, 2, 4] {
+            for seed in 1..=8 {
+                let scenario = preset(seed).with_fidelity(fidelity).with_shards(regions);
+                let cfg = region_station(&scenario, scenario.workload().as_ref(), fidelity)
+                    .expect("report presets run");
+                let room = (cfg.servers + cfg.queue_limit) as f64;
+                for row in run(&scenario).rows {
+                    let rep = &row.report;
+                    let ctx = format!(
+                        "{} {fidelity} seed {seed}, region {} of {regions}",
+                        scenario.name(),
+                        row.region
+                    );
+                    let slack = 1e-6 * rep.offered;
+                    let left = rep.offered - rep.served - rep.shed;
+                    assert!(
+                        left >= -slack,
+                        "{ctx}: served {} + shed {} exceeds offered {}",
+                        rep.served,
+                        rep.shed,
+                        rep.offered
+                    );
+                    assert!(
+                        left <= room + slack,
+                        "{ctx}: {left} requests unaccounted for, more than {room} servers + \
+                         waiting room"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_region_conserves_requests_at_the_horizon() {
+        for preset in [Scenario::small_college, Scenario::university] {
+            for fidelity in [Fidelity::Fluid, Fidelity::Auto] {
+                assert_regions_conserve(preset, fidelity);
+            }
+        }
+    }
+
+    #[test]
+    #[ignore = "24 event-level runs, ~2 min in debug: run in release with --include-ignored"]
+    fn every_region_conserves_requests_at_event_fidelity() {
+        assert_regions_conserve(Scenario::small_college, Fidelity::Event);
+    }
+
     #[test]
     fn section_shape() {
         let out = run(&Scenario::national_5m(3));

@@ -53,9 +53,8 @@ pub trait WorkloadSource: fmt::Debug + Send + Sync {
 
     /// Splits this source over `sites` campuses whose cohorts partition the
     /// total per [`split_cohort`](crate::workload::split_cohort); per-site
-    /// rates sum to the whole. Sites are the shard key of
-    /// `elc_simcore::shard`, so each returned source must be driven by its
-    /// own RNG lineage.
+    /// rates sum to the whole. Each returned source should be driven by
+    /// its own RNG lineage.
     fn split(&self, sites: u32) -> Vec<Box<dyn WorkloadSource>>;
 
     /// Clones into a boxed trait object (`Box<dyn WorkloadSource>` is

@@ -206,12 +206,11 @@ impl WorkloadModel {
         self.students
     }
 
-    /// Partitions this institution's cohort onto `sites` campuses for a
-    /// sharded run: one model per site, identical rate parameters, with
-    /// the enrolment split by [`split_cohort`]. Sites are the shard key
-    /// of `elc_simcore::shard`, so each site model must be simulated
-    /// with its own RNG lineage (`root.derive("shard").derive_u64(i)`)
-    /// to keep draws independent of the site-to-shard partition.
+    /// Partitions this institution's cohort onto `sites` campuses: one
+    /// model per site, identical rate parameters, with the enrolment split
+    /// by [`split_cohort`]. Each site model should be simulated with its
+    /// own RNG lineage, so a site's draws do not depend on which others
+    /// run beside it.
     ///
     /// # Panics
     ///
@@ -375,8 +374,7 @@ impl WorkloadSource for WorkloadModel {
 /// Splits `students` into `sites` near-equal shares (difference at most
 /// one, earlier sites take the remainder) that sum exactly to the input.
 /// The deterministic cohort-to-site assignment behind
-/// [`WorkloadModel::split`], matching the contiguous block partition of
-/// `elc_simcore::shard::assign_blocks`.
+/// [`WorkloadModel::split`].
 ///
 /// # Panics
 ///

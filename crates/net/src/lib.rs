@@ -5,7 +5,6 @@
 //! * [`units`] — `Bytes` / `Bandwidth` newtypes,
 //! * [`link`] — stochastic point-to-point links with profiles for campus
 //!   LAN, metro and rural Internet, and inter-datacenter paths,
-//! * [`topology`] — site graph with shortest-path routing,
 //! * [`outage`] — alternating up/down connectivity process (the paper's
 //!   "network risk"),
 //! * [`transfer`] — bulk transfers that pause or restart across outages.
@@ -48,12 +47,10 @@ pub(crate) const TRACE_TARGET: &str = "net";
 
 pub mod link;
 pub mod outage;
-pub mod topology;
 pub mod transfer;
 pub mod units;
 
 pub use link::{Link, LinkProfile};
 pub use outage::{OutageModel, OutageSchedule};
-pub use topology::{SiteId, Topology};
 pub use transfer::{plan_transfer, ResumePolicy, TransferOutcome};
 pub use units::{Bandwidth, Bytes};

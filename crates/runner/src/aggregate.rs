@@ -69,9 +69,9 @@ pub fn aggregate(results: &[TaskResult]) -> (Vec<MetricSummary>, Vec<MetricKey>)
         return (Vec::new(), Vec::new());
     };
     // Accumulate per-key sample vectors. An experiment emits on the order
-    // of a dozen metrics, so the position-hinted linear scan shared with
-    // `MetricSet::merge_from` outruns a HashMap here — every replication
-    // emits keys in the same order, so the hint almost always hits.
+    // of a dozen metrics, so the position-hinted linear scan of
+    // `slot_index` outruns a HashMap here — every replication emits keys
+    // in the same order, so the hint almost always hits.
     let mut acc: Vec<(MetricKey, Vec<f64>)> = Vec::new();
     for result in results {
         for (hint, &(key, value)) in result.metrics.entries().iter().enumerate() {

@@ -86,8 +86,8 @@ impl PayloadBuf {
     }
 }
 
-/// The boxed handler [`EventFn`] replaces. Handlers are `Send` so a whole
-/// `Simulation` can move onto a shard worker thread (see [`crate::shard`]).
+/// The boxed handler [`EventFn`] replaces. Handlers are `Send`, so a
+/// `Simulation` whose state is `Send` may move between threads.
 type Boxed<S> = Box<dyn FnOnce(&mut Simulation<S>) + Send>;
 
 /// The manual vtable shared by every event of one closure type: how to run
@@ -160,8 +160,7 @@ pub struct EventFn<S> {
     buf: PayloadBuf,
     vtable: &'static EventVTable,
     /// Every constructor requires a `Send` payload, so the type inherits
-    /// `Send` from the boxed form it replaces — which is what lets the
-    /// shard executor move whole simulations across worker threads.
+    /// `Send` from the boxed form it replaces.
     _marker: PhantomData<Boxed<S>>,
 }
 

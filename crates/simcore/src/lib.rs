@@ -17,8 +17,8 @@
 //! * measurement primitives ([`metrics`]' summaries and histograms, and
 //!   [`series`]' time-weighted signal, which E12's fleet integral reads)
 //!   and typed entity ids ([`id`]),
-//! * a conservative time-window executor that partitions one scenario
-//!   across site shards without changing its output ([`shard`]).
+//! * the fan-out of an experiment's independent arms over worker threads
+//!   ([`shard`]).
 //!
 //! Each simulation executive is single-threaded and allocation-light; a
 //! run is a pure function of `(configuration, seed)`, byte-identical at

@@ -536,11 +536,10 @@ impl<E> EventQueue<E> {
     /// before `horizon`; otherwise leaves the queue untouched and returns
     /// `None`.
     ///
-    /// The drain-until-horizon primitive of the sharded executor
-    /// ([`crate::shard`]): a conservative time window `[t, t+L)` executes
-    /// exactly the events below its end, so the check and the pop must be
-    /// one operation — peeking and popping separately would compare the
-    /// lane fronts twice.
+    /// The drain-until-horizon step of `Simulation::run_until`, which
+    /// executes exactly the events below its horizon, so the check and the
+    /// pop are one operation — peeking and popping separately would
+    /// compare the lane fronts twice.
     #[inline]
     pub fn pop_before(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
         let lane = self.first()?;

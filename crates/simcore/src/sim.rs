@@ -14,13 +14,11 @@
 //! zero allocations per event — pinned by `tests/zero_alloc.rs`.
 //!
 //! One executive is single-threaded by design: determinism is a hard
-//! requirement (see DESIGN.md §4) and a single shard's event loop stays an
-//! ordinary sequential pop-execute cycle. Parallelism lives one layer up:
-//! [`crate::shard`] partitions a scenario's sites over several executives
-//! and synchronizes them with a conservative time-window protocol, keeping
-//! output byte-identical at any shard count. The window hooks on this type
-//! ([`Simulation::next_event_time`], [`Simulation::step_before`],
-//! [`Simulation::advance_to`]) exist for that executor.
+//! requirement (see DESIGN.md §4), so the event loop is an ordinary
+//! sequential pop-execute cycle. Parallelism lives one layer up, between
+//! executives that share nothing: [`crate::shard::run_jobs`] runs an
+//! experiment's independent arms, each with its own simulation, on
+//! separate threads.
 
 use std::fmt;
 
@@ -354,22 +352,11 @@ impl<S> Simulation<S> {
         }
     }
 
-    /// The timestamp of the earliest pending event, if any.
-    ///
-    /// The sharded executor's window scheduler reads this to pick the next
-    /// global window start without popping anything.
-    #[must_use]
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        self.queue.peek_time()
-    }
-
     /// Executes the next pending event if it fires strictly before
     /// `horizon`. Returns `false` — leaving the event pending — otherwise.
-    ///
-    /// The per-window drain step of the sharded executor: a conservative
-    /// window `[t, t+L)` owns exactly the events below its end.
+    /// The step of [`Simulation::run_until`].
     #[inline]
-    pub fn step_before(&mut self, horizon: SimTime) -> bool {
+    fn step_before(&mut self, horizon: SimTime) -> bool {
         if elc_trace::enabled(TRACE_TARGET, Level::Debug) {
             return match self.queue.peek_time() {
                 Some(t) if t < horizon => self.step_traced(),
@@ -386,33 +373,6 @@ impl<S> Simulation<S> {
             }
             None => false,
         }
-    }
-
-    /// Advances the clock to `t` without executing anything.
-    ///
-    /// Used by the sharded executor to position the clock at a cross-shard
-    /// delivery's arrival instant before applying it, so handlers the
-    /// delivery schedules see the correct `now`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is in the past or beyond the next pending event —
-    /// jumping over a pending event would execute it at a later clock than
-    /// its timestamp.
-    pub fn advance_to(&mut self, t: SimTime) {
-        assert!(
-            t >= self.now,
-            "cannot advance the clock backwards: now={}, requested={}",
-            self.now,
-            t
-        );
-        if let Some(next) = self.queue.peek_time() {
-            assert!(
-                t <= next,
-                "cannot advance past a pending event at {next}: requested={t}"
-            );
-        }
-        self.now = t;
     }
 
     /// Runs until no events remain.
@@ -544,33 +504,6 @@ mod tests {
         );
         while sim.step_before(SimTime::from_secs(100)) {}
         assert_eq!(*sim.state(), 4);
-    }
-
-    #[test]
-    fn advance_to_moves_the_clock_between_events() {
-        let mut sim = Simulation::new(1, ());
-        sim.schedule_at(SimTime::from_secs(10), |_| {});
-        sim.advance_to(SimTime::from_secs(4));
-        assert_eq!(sim.now(), SimTime::from_secs(4));
-        // Idempotent at the same instant.
-        sim.advance_to(SimTime::from_secs(4));
-        assert_eq!(sim.next_event_time(), Some(SimTime::from_secs(10)));
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot advance past a pending event")]
-    fn advance_to_rejects_jumping_over_events() {
-        let mut sim = Simulation::new(1, ());
-        sim.schedule_at(SimTime::from_secs(2), |_| {});
-        sim.advance_to(SimTime::from_secs(3));
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot advance the clock backwards")]
-    fn advance_to_rejects_the_past() {
-        let mut sim = Simulation::new(1, ());
-        sim.run_until(SimTime::from_secs(9));
-        sim.advance_to(SimTime::from_secs(1));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //!
 //! * [`trace`] — deterministic sim-time structured event tracing,
 //! * [`simcore`] — deterministic discrete-event simulation kernel,
-//! * [`net`] — links, topology, outages, transfers,
+//! * [`net`] — links, outages, transfers,
 //! * [`cloud`] — datacenters, VMs, autoscaling, storage, failures, billing,
 //! * [`elearn`] — the LMS as the traffic it serves: request kinds, the
 //!   workload generator and the [`WorkloadSource`](elc_elearn::source::WorkloadSource) trait,

@@ -10,7 +10,6 @@ use elearn_cloud::elearn::calendar::AcademicCalendar;
 use elearn_cloud::elearn::workload::WorkloadModel;
 use elearn_cloud::net::link::{Link, LinkProfile};
 use elearn_cloud::net::outage::OutageModel;
-use elearn_cloud::net::topology::Topology;
 use elearn_cloud::net::transfer::{plan_transfer, ResumePolicy};
 use elearn_cloud::net::units::Bytes;
 use elearn_cloud::simcore::sim::Simulation;
@@ -21,15 +20,7 @@ use elearn_cloud::simcore::SimRng;
 fn campus_to_cloud_sync_across_outages() {
     // Nightly content sync from the private datacenter to the cloud backup
     // (the hybrid's reliability story) across a realistic outage schedule.
-    let mut net = Topology::new();
-    let campus = net.add_site("campus");
-    let cloud = net.add_site("cloud");
-    net.connect_both(
-        campus,
-        cloud,
-        Link::from_profile(LinkProfile::InterDatacenter),
-    );
-    let link = net.link(campus, cloud).expect("connected");
+    let link = &Link::from_profile(LinkProfile::InterDatacenter);
 
     let mut rng = SimRng::seed(9).derive("sync");
     let outages = OutageModel::new(SimDuration::from_hours(24), SimDuration::from_mins(10))
