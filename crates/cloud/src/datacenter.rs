@@ -7,6 +7,7 @@
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
+use std::ops::Bound::{Excluded, Unbounded};
 
 use elc_simcore::id::IdGen;
 use elc_simcore::time::{SimDuration, SimTime};
@@ -58,10 +59,64 @@ pub struct Datacenter {
     name: String,
     hosts: Vec<Host>,
     host_ids: IdGen<HostId>,
-    vms: BTreeMap<VmId, Vm>,
-    vm_ids: IdGen<VmId>,
+    /// Every VM ever created, stopped and failed ones included; a VM's id
+    /// is its index.
+    vms: Vec<Vm>,
+    /// The VMs not yet stopped or failed.
+    live: LiveIndex,
     policy: Box<dyn PlacementPolicy>,
     boot_delay: SimDuration,
+}
+
+/// The live VMs (booting or serving), keyed by `(ready_at, id)`, with the
+/// request rate each sustains and the rates' total. Every [`VmSize`] rate
+/// is a whole number, so the total stays exact however VMs come and go.
+#[derive(Debug, Default)]
+struct LiveIndex {
+    by_ready: BTreeMap<(SimTime, VmId), f64>,
+    total_rps: f64,
+}
+
+impl LiveIndex {
+    fn insert(&mut self, vm: &Vm) {
+        let key = live_key(vm).expect("only a live VM is indexed");
+        let rps = vm.size().requests_per_sec();
+        self.by_ready.insert(key, rps);
+        self.total_rps += rps;
+    }
+
+    fn remove(&mut self, key: (SimTime, VmId)) {
+        let rps = self
+            .by_ready
+            .remove(&key)
+            .expect("a live VM is in the index");
+        self.total_rps -= rps;
+    }
+
+    /// The summed rate of the VMs ready at `t`: the total less the VMs
+    /// that become ready after `t`.
+    fn serving_rps(&self, t: SimTime) -> f64 {
+        let booting: f64 = self
+            .by_ready
+            .range((Excluded((t, VmId::new(u64::MAX))), Unbounded))
+            .map(|(_, rps)| rps)
+            .sum();
+        if booting == self.total_rps {
+            // Nothing serves. A sum over no VMs is `Iterator::sum`'s -0.0,
+            // which keeps this bit-equal to summing the serving VMs.
+            -0.0
+        } else {
+            self.total_rps - booting
+        }
+    }
+}
+
+/// A VM's key in the [`LiveIndex`], or `None` once it stopped or failed.
+fn live_key(vm: &Vm) -> Option<(SimTime, VmId)> {
+    match vm.state() {
+        VmState::Provisioning { ready_at } => Some((ready_at, vm.id())),
+        VmState::Stopped { .. } | VmState::Failed { .. } => None,
+    }
 }
 
 impl Datacenter {
@@ -78,8 +133,8 @@ impl Datacenter {
             name: name.into(),
             hosts: Vec::new(),
             host_ids: IdGen::new(),
-            vms: BTreeMap::new(),
-            vm_ids: IdGen::new(),
+            vms: Vec::new(),
+            live: LiveIndex::default(),
             policy: Box::new(policy),
             boot_delay,
         }
@@ -116,11 +171,12 @@ impl Datacenter {
             .policy
             .choose(&self.hosts, &demand)
             .ok_or(CapacityError { requested: size })?;
-        let vm_id = self.vm_ids.next_id();
+        let vm_id = VmId::new(self.vms.len() as u64);
         let ready_at = now + self.boot_delay;
         self.hosts[host_id.index()].place(vm_id, demand);
-        self.vms
-            .insert(vm_id, Vm::new(vm_id, size, host_id, now, ready_at));
+        let vm = Vm::new(vm_id, size, host_id, now, ready_at);
+        self.live.insert(&vm);
+        self.vms.push(vm);
         if elc_trace::enabled(TRACE_TARGET, Level::Info) {
             let span = elc_trace::span_begin(
                 now.as_nanos(),
@@ -153,9 +209,12 @@ impl Datacenter {
     pub fn decommission(&mut self, vm_id: VmId, now: SimTime) {
         let vm = self
             .vms
-            .get_mut(&vm_id)
+            .get_mut(vm_id.index())
             .unwrap_or_else(|| panic!("unknown VM {vm_id}"));
+        let key = live_key(vm);
         vm.stop(now);
+        self.live
+            .remove(key.expect("stop() accepts only a live VM"));
         let host = vm.host();
         let demand = vm.size().resources();
         self.hosts[host.index()].release(vm_id, demand);
@@ -183,10 +242,10 @@ impl Datacenter {
     pub fn fail_host(&mut self, host_id: HostId, now: SimTime) -> Vec<VmId> {
         let victims = self.hosts[host_id.index()].fail();
         for &v in &victims {
-            self.vms
-                .get_mut(&v)
-                .expect("host referenced a tracked VM")
-                .fail(now);
+            let vm = &mut self.vms[v.index()];
+            self.live
+                .remove(live_key(vm).expect("a host lists only live VMs"));
+            vm.fail(now);
         }
         if elc_trace::enabled(TRACE_TARGET, Level::Warn) {
             elc_trace::instant(
@@ -239,7 +298,7 @@ impl Datacenter {
             .cloned()
             .collect();
         for &vm_id in &victims {
-            let size = self.vms[&vm_id].size();
+            let size = self.vms[vm_id.index()].size();
             let demand = size.resources();
             match self.policy.choose(&scratch, &demand) {
                 Some(target) => {
@@ -254,7 +313,7 @@ impl Datacenter {
         }
         // Commit: move each VM for real.
         for &vm_id in &victims {
-            let size = self.vms[&vm_id].size();
+            let size = self.vms[vm_id.index()].size();
             let demand = size.resources();
             self.hosts[host_id.index()].release(vm_id, demand);
             let others: Vec<Host> = self
@@ -269,8 +328,11 @@ impl Datacenter {
                 .expect("feasibility was just checked");
             self.hosts[target.index()].place(vm_id, demand);
             let ready_at = now + self.boot_delay;
-            let vm = self.vms.get_mut(&vm_id).expect("victim is tracked");
+            let vm = &mut self.vms[vm_id.index()];
+            self.live
+                .remove(live_key(vm).expect("a host lists only live VMs"));
             *vm = Vm::new(vm_id, size, target, vm.launched_at(), ready_at);
+            self.live.insert(vm);
         }
         if elc_trace::enabled(TRACE_TARGET, Level::Info) {
             elc_trace::instant(
@@ -290,13 +352,13 @@ impl Datacenter {
     /// Looks up a VM.
     #[must_use]
     pub fn vm(&self, id: VmId) -> Option<&Vm> {
-        self.vms.get(&id)
+        self.vms.get(id.index())
     }
 
     /// Iterates over all VMs ever created (including stopped/failed ones,
-    /// which billing still needs).
+    /// which billing still needs), in id order.
     pub fn vms(&self) -> impl Iterator<Item = &Vm> {
-        self.vms.values()
+        self.vms.iter()
     }
 
     /// Iterates over the hosts.
@@ -304,34 +366,26 @@ impl Datacenter {
         self.hosts.iter()
     }
 
-    /// VMs serving traffic at `t`.
-    #[must_use]
-    pub fn serving_vms(&self, t: SimTime) -> Vec<VmId> {
-        self.vms
-            .values()
-            .filter(|vm| vm.is_serving(t))
-            .map(Vm::id)
-            .collect()
+    /// The VMs not yet stopped or failed (booting or serving), in the
+    /// order they become ready: by ready time, then id. The last are the
+    /// newest, the natural victims of a scale-down.
+    pub fn live_vms(&self) -> impl DoubleEndedIterator<Item = VmId> + '_ {
+        self.live.by_ready.keys().map(|&(_, id)| id)
     }
 
     /// Aggregate request throughput the serving VMs sustain at `t`
-    /// (requests/second).
+    /// (requests/second), at any `t`, earlier instants included. Costs
+    /// O(log n) plus the VMs still booting at `t`, and equals the sum
+    /// over the serving VMs in id order to the bit.
     #[must_use]
     pub fn serving_capacity_rps(&self, t: SimTime) -> f64 {
-        self.vms
-            .values()
-            .filter(|vm| vm.is_serving(t))
-            .map(|vm| vm.size().requests_per_sec())
-            .sum()
+        self.live.serving_rps(t)
     }
 
     /// VMs not yet stopped or failed (booting or serving).
     #[must_use]
     pub fn active_vm_count(&self) -> usize {
-        self.vms
-            .values()
-            .filter(|vm| matches!(vm.state(), VmState::Provisioning { .. }))
-            .count()
+        self.live.by_ready.len()
     }
 }
 
@@ -364,7 +418,7 @@ mod tests {
         assert_eq!(ready, SimTime::from_secs(60));
         assert!(!d.vm(vm).unwrap().is_serving(SimTime::from_secs(30)));
         assert!(d.vm(vm).unwrap().is_serving(ready));
-        assert_eq!(d.serving_vms(ready), vec![vm]);
+        assert_eq!(d.live_vms().collect::<Vec<_>>(), vec![vm]);
         assert_eq!(d.active_vm_count(), 1);
     }
 
@@ -399,7 +453,73 @@ mod tests {
         let victims = d.fail_host(host, SimTime::from_secs(10));
         assert_eq!(victims.len(), 2);
         assert_eq!(d.active_vm_count(), 0);
-        assert!(d.serving_vms(SimTime::from_secs(100)).is_empty());
+        assert_eq!(d.serving_capacity_rps(SimTime::from_secs(100)), 0.0);
+    }
+
+    /// The sum over the serving VMs that the live index replaces.
+    fn scanned_rps(d: &Datacenter, t: SimTime) -> f64 {
+        d.vms()
+            .filter(|vm| vm.is_serving(t))
+            .map(|vm| vm.size().requests_per_sec())
+            .sum()
+    }
+
+    #[test]
+    fn a_vm_stopped_while_booting_never_serves() {
+        let mut d = dc();
+        let (a, _) = d.provision(VmSize::Small, SimTime::ZERO).unwrap();
+        let (b, _) = d.provision(VmSize::Large, SimTime::from_secs(30)).unwrap();
+        // `b` boots until 90 s; stop it at 45 s, before it ever serves.
+        d.decommission(b, SimTime::from_secs(45));
+        assert_eq!(d.active_vm_count(), 1);
+        assert_eq!(d.live_vms().collect::<Vec<_>>(), vec![a]);
+        for secs in [0, 45, 60, 89, 90, 1_000] {
+            let t = SimTime::from_secs(secs);
+            assert_eq!(
+                d.serving_capacity_rps(t).to_bits(),
+                scanned_rps(&d, t).to_bits(),
+                "at {t}"
+            );
+        }
+        assert_eq!(
+            d.serving_capacity_rps(SimTime::from_secs(90)),
+            VmSize::Small.requests_per_sec()
+        );
+        // Nothing serves before `a` is ready: the empty sum, sign and all.
+        assert!(d.serving_capacity_rps(SimTime::ZERO).is_sign_negative());
+    }
+
+    #[test]
+    fn a_host_failing_under_booting_vms_takes_only_its_own() {
+        let mut d = Datacenter::new("boot", FirstFit, SimDuration::from_secs(60));
+        let h0 = d.add_host(Resources::new(2, 8.0, 50.0));
+        d.add_host(Resources::new(8, 32.0, 200.0));
+        let (serving, _) = d.provision(VmSize::Medium, SimTime::ZERO).unwrap();
+        // Host 0 holds one Medium, so the two VMs booting from 100 s to
+        // 160 s land on host 1, which fails at 130 s.
+        let (x, _) = d
+            .provision(VmSize::Medium, SimTime::from_secs(100))
+            .unwrap();
+        let (y, _) = d.provision(VmSize::Small, SimTime::from_secs(100)).unwrap();
+        assert_eq!(d.vm(serving).unwrap().host(), h0);
+        let h1 = d.vm(x).unwrap().host();
+        assert_eq!(d.vm(y).unwrap().host(), h1);
+        let victims = d.fail_host(h1, SimTime::from_secs(130));
+        assert_eq!(victims.len(), 2);
+        assert_eq!(d.active_vm_count(), 1);
+        assert_eq!(d.live_vms().collect::<Vec<_>>(), vec![serving]);
+        for secs in [0, 59, 60, 130, 159, 160, 10_000] {
+            let t = SimTime::from_secs(secs);
+            assert_eq!(
+                d.serving_capacity_rps(t).to_bits(),
+                scanned_rps(&d, t).to_bits(),
+                "at {t}"
+            );
+        }
+        assert_eq!(
+            d.serving_capacity_rps(SimTime::from_secs(160)),
+            VmSize::Medium.requests_per_sec()
+        );
     }
 
     #[test]

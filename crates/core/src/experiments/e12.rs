@@ -33,7 +33,6 @@ use elc_cloud::autoscale::{AutoScaler, ScaleDecision};
 use elc_cloud::datacenter::Datacenter;
 use elc_cloud::placement::FirstFit;
 use elc_cloud::resources::{Resources, VmSize};
-use elc_cloud::vm::VmState;
 use elc_elearn::source::WorkloadSource;
 use elc_simcore::metrics::Histogram;
 use elc_simcore::rng::SimRng;
@@ -172,13 +171,6 @@ impl World {
     }
 }
 
-fn active_vms(dc: &Datacenter) -> Vec<elc_cloud::vm::VmId> {
-    dc.vms()
-        .filter(|vm| matches!(vm.state(), VmState::Provisioning { .. }))
-        .map(elc_cloud::vm::Vm::id)
-        .collect()
-}
-
 fn tick(sim: &mut Simulation<World>) {
     let now = sim.now();
     let w = sim.state_mut();
@@ -237,8 +229,9 @@ fn autoscale(sim: &mut Simulation<World>) {
             }
         }
         ScaleDecision::ScaleDown(n) => {
-            let victims = active_vms(&w.dc);
-            for &vm in victims.iter().rev().take(n as usize) {
+            // The newest live VMs go first.
+            let victims: Vec<_> = w.dc.live_vms().rev().take(n as usize).collect();
+            for vm in victims {
                 w.dc.decommission(vm, now);
             }
         }

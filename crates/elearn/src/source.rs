@@ -51,12 +51,6 @@ pub trait WorkloadSource: fmt::Debug + Send + Sync {
     /// stream stays aligned with the recording run.
     fn sample_arrivals(&self, rng: &mut SimRng, t: SimTime, slot: SimDuration) -> u64;
 
-    /// Splits this source over `sites` campuses whose cohorts partition the
-    /// total per [`split_cohort`](crate::workload::split_cohort); per-site
-    /// rates sum to the whole. Each returned source should be driven by
-    /// its own RNG lineage.
-    fn split(&self, sites: u32) -> Vec<Box<dyn WorkloadSource>>;
-
     /// Clones into a boxed trait object (`Box<dyn WorkloadSource>` is
     /// `Clone` through this).
     fn clone_source(&self) -> Box<dyn WorkloadSource>;
@@ -200,17 +194,5 @@ mod tests {
         s.sample_arrival_offsets(&mut a, t, slot, &mut out_a);
         m.sample_arrival_offsets(&mut b, t, slot, &mut out_b);
         assert_eq!(out_a, out_b);
-    }
-
-    #[test]
-    fn trait_split_partitions_the_cohort() {
-        let s = source();
-        let parts = s.split(3);
-        assert_eq!(parts.len(), 3);
-        assert_eq!(parts.iter().map(|p| p.students()).sum::<u32>(), 10_000);
-        let t = at(5, 2, 20);
-        let sum: f64 = parts.iter().map(|p| p.rate_at(t)).sum();
-        let whole = s.rate_at(t);
-        assert!((sum - whole).abs() < 1e-9 * whole);
     }
 }

@@ -206,27 +206,6 @@ impl WorkloadModel {
         self.students
     }
 
-    /// Partitions this institution's cohort onto `sites` campuses: one
-    /// model per site, identical rate parameters, with the enrolment split
-    /// by [`split_cohort`]. Each site model should be simulated with its
-    /// own RNG lineage, so a site's draws do not depend on which others
-    /// run beside it.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `sites` is zero or exceeds the student count (an
-    /// empty site would violate `WorkloadModel`'s students > 0).
-    #[must_use]
-    pub fn split(&self, sites: u32) -> Vec<WorkloadModel> {
-        split_cohort(self.students, sites)
-            .into_iter()
-            .map(|share| WorkloadModel {
-                students: share,
-                ..self.clone()
-            })
-            .collect()
-    }
-
     /// The calendar driving phase multipliers.
     #[must_use]
     pub fn calendar(&self) -> &AcademicCalendar {
@@ -359,38 +338,9 @@ impl WorkloadSource for WorkloadModel {
         WorkloadModel::mean_rate(self, from, to, step)
     }
 
-    fn split(&self, sites: u32) -> Vec<Box<dyn WorkloadSource>> {
-        WorkloadModel::split(self, sites)
-            .into_iter()
-            .map(|m| Box::new(m) as Box<dyn WorkloadSource>)
-            .collect()
-    }
-
     fn clone_source(&self) -> Box<dyn WorkloadSource> {
         Box::new(self.clone())
     }
-}
-
-/// Splits `students` into `sites` near-equal shares (difference at most
-/// one, earlier sites take the remainder) that sum exactly to the input.
-/// The deterministic cohort-to-site assignment behind
-/// [`WorkloadModel::split`].
-///
-/// # Panics
-///
-/// Panics when `sites` is zero or exceeds `students`.
-#[must_use]
-pub fn split_cohort(students: u32, sites: u32) -> Vec<u32> {
-    assert!(sites > 0, "need at least one site");
-    assert!(
-        sites <= students,
-        "cannot split {students} students over {sites} sites without an empty site"
-    );
-    let base = students / sites;
-    let extra = students % sites;
-    (0..sites)
-        .map(|site| base + u32::from(site < extra))
-        .collect()
 }
 
 #[cfg(test)]
@@ -406,39 +356,6 @@ mod tests {
 
     fn at(week: u64, day: u64, hour: u64) -> SimTime {
         SimTime::from_secs(week * 7 * 86_400 + day * 86_400 + hour * 3_600)
-    }
-
-    #[test]
-    fn split_cohort_is_exact_and_near_equal() {
-        assert_eq!(split_cohort(10, 3), vec![4, 3, 3]);
-        assert_eq!(split_cohort(9, 3), vec![3, 3, 3]);
-        assert_eq!(split_cohort(5, 1), vec![5]);
-        let shares = split_cohort(150_000, 4);
-        assert_eq!(shares.iter().sum::<u32>(), 150_000);
-        assert!(shares.iter().all(|&s| s == 37_500));
-    }
-
-    #[test]
-    fn split_models_preserve_rates_and_total_enrolment() {
-        let m = model();
-        let sites = m.split(3);
-        assert_eq!(
-            sites.iter().map(WorkloadModel::students).sum::<u32>(),
-            m.students()
-        );
-        let t = at(5, 2, 20);
-        let whole = m.rate_at(t);
-        let split_sum: f64 = sites.iter().map(|s| s.rate_at(t)).sum();
-        assert!(
-            (whole - split_sum).abs() < 1e-9 * whole,
-            "per-site rates must sum to the institution rate: {whole} vs {split_sum}"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "empty site")]
-    fn split_rejects_more_sites_than_students() {
-        let _ = split_cohort(2, 3);
     }
 
     #[test]

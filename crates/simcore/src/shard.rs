@@ -2,12 +2,13 @@
 //!
 //! `--shards N` spreads the arms of one experiment (E16's deployments,
 //! E17's day × model grid, E19's postures, E18's regions) over up to `N`
-//! contiguous groups, one thread per group ([`run_jobs`]). Each arm's RNG
-//! lineage is derived before the split and results come back in arm
-//! order, so the output does not depend on the shard count. Worker
-//! budgets compose: `elc-runner`'s pool divides the machine between its
-//! replication workers with [`with_worker_budget`], and a budget of 1 runs
-//! the arms serially.
+//! contiguous groups, one thread per group, and never more groups than
+//! the [`worker_budget`] ([`run_jobs`]). Each arm's RNG lineage is derived
+//! before the split and results come back in arm order, so the output
+//! does not depend on the shard count. Worker budgets compose:
+//! `elc-runner`'s pool divides the machine between its replication
+//! workers with [`with_worker_budget`], and a budget of 1 runs the arms
+//! serially.
 
 use std::cell::Cell;
 use std::thread;
@@ -42,23 +43,23 @@ pub fn with_worker_budget<R>(budget: usize, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Runs independent `jobs` partitioned over up to `shards` contiguous
-/// groups, one thread per group, and returns the results in job order.
-/// Jobs must not communicate — this is the fan-out used by experiments
-/// whose arms have independent RNG lineages.
+/// Runs independent `jobs` partitioned over up to `min(shards, jobs,
+/// worker_budget())` contiguous groups, one thread per group, and returns
+/// the results in job order. Jobs must not communicate — this is the
+/// fan-out used by experiments whose arms have independent RNG lineages.
 ///
-/// The jobs run in order on the calling thread instead when the
-/// [`worker_budget`] is 1, or when a tracer is installed on the calling
-/// thread: the tracer is thread-local, so a spawned worker would drop
-/// every event its jobs emit.
+/// The jobs run in order on the calling thread instead when that bound is
+/// 1 (in particular under a [`worker_budget`] of 1), or when a tracer is
+/// installed on the calling thread: the tracer is thread-local, so a
+/// spawned worker would drop every event its jobs emit.
 pub fn run_jobs<T, F>(shards: u32, jobs: Vec<F>) -> Vec<T>
 where
     T: Send,
     F: FnOnce() -> T + Send,
 {
     let total = jobs.len();
-    let groups = (shards as usize).clamp(1, total.max(1));
-    if groups <= 1 || worker_budget() <= 1 || elc_trace::installed() {
+    let groups = (shards as usize).min(total).min(worker_budget());
+    if groups <= 1 || elc_trace::installed() {
         return jobs.into_iter().map(|f| f()).collect();
     }
     let chunk = total.div_ceil(groups);
@@ -95,6 +96,33 @@ mod tests {
         assert_eq!(run_jobs(4, jobs), expected);
         let jobs: Vec<_> = (0..17).map(|i| move || i * i).collect();
         assert_eq!(run_jobs(1, jobs), expected);
+    }
+
+    #[test]
+    fn run_jobs_runs_no_more_jobs_at_once_than_the_budget() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::time::Duration;
+
+        let running = AtomicUsize::new(0);
+        let peak = AtomicUsize::new(0);
+        let jobs: Vec<_> = (0..16)
+            .map(|i| {
+                let (running, peak) = (&running, &peak);
+                move || {
+                    let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+                    peak.fetch_max(now, Ordering::SeqCst);
+                    // Holding each job open gives groups that outnumber the
+                    // budget time to overlap; the bound itself is structural.
+                    thread::sleep(Duration::from_millis(2));
+                    running.fetch_sub(1, Ordering::SeqCst);
+                    i
+                }
+            })
+            .collect();
+        let out = with_worker_budget(2, || run_jobs(8, jobs));
+        assert_eq!(out, (0..16).collect::<Vec<_>>());
+        let peak = peak.load(Ordering::SeqCst);
+        assert!(peak <= 2, "{peak} jobs ran at once under a budget of 2");
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! consuming the caller's RNG exactly as an unwrapped run would, so
 //! recording never perturbs the run being recorded — and logs the answers:
 //! rates as raw f64 bits, mixes interned, arrival slots as counts. Each
-//! wrapped source gets its own [`Stream`], in creation order; `split`
-//! wraps every per-site source so sharded runs record too.
+//! wrapped source gets its own [`Stream`], in creation order.
 //!
 //! Record with a single shard (`--shards 1`): parallel arms create their
 //! sources in a racy order, and the stream order in the file is the
@@ -71,27 +70,15 @@ impl TraceRecorder {
     /// Wraps `source` in a recording shim that opens the next stream.
     #[must_use]
     pub fn wrap(&self, source: Box<dyn WorkloadSource>) -> Box<dyn WorkloadSource> {
-        self.wrap_stream(source, true)
-    }
-
-    /// `note_header = false` for per-site sources produced by `split`,
-    /// whose cohorts legitimately differ from the institution header.
-    fn wrap_stream(
-        &self,
-        source: Box<dyn WorkloadSource>,
-        note_header: bool,
-    ) -> Box<dyn WorkloadSource> {
         let students = source.students();
         let peak_bits = source.peak_rate().to_bits();
         let stream = {
             let mut inner = self.inner.lock().expect("recorder lock");
-            if note_header {
-                match inner.header {
-                    None => inner.header = Some((students, peak_bits)),
-                    Some((s, p)) => {
-                        if (s, p) != (students, peak_bits) && inner.conflict.is_none() {
-                            inner.conflict = Some((s, students));
-                        }
+            match inner.header {
+                None => inner.header = Some((students, peak_bits)),
+                Some((s, p)) => {
+                    if (s, p) != (students, peak_bits) && inner.conflict.is_none() {
+                        inner.conflict = Some((s, students));
                     }
                 }
             }
@@ -115,12 +102,6 @@ impl TraceRecorder {
             stream,
             source,
         })
-    }
-
-    /// Number of streams opened so far.
-    #[must_use]
-    pub fn streams(&self) -> usize {
-        self.inner.lock().expect("recorder lock").streams.len()
     }
 
     /// Snapshots the recording into a validated trace. The recorder stays
@@ -258,14 +239,6 @@ impl WorkloadSource for RecordingSource {
     // their queries are recorded while consuming the RNG exactly like the
     // unwrapped generator.
 
-    fn split(&self, sites: u32) -> Vec<Box<dyn WorkloadSource>> {
-        self.source
-            .split(sites)
-            .into_iter()
-            .map(|site| self.recorder.wrap_stream(site, false))
-            .collect()
-    }
-
     fn clone_source(&self) -> Box<dyn WorkloadSource> {
         // A cloned consumer is a new demand stream.
         self.recorder.wrap(self.source.clone_source())
@@ -311,6 +284,9 @@ mod tests {
     #[test]
     fn finish_snapshots_sorted_streams() {
         let recorder = TraceRecorder::new();
+        // A source wrapped but never queried keeps its (empty) stream, so
+        // stream indices still mirror source-creation order on replay.
+        let _unqueried = recorder.wrap(Box::new(model(2_000)));
         let wrapped = recorder.wrap(Box::new(model(2_000)));
         let mut rng = SimRng::seed(1);
         let slot = SimDuration::from_secs(60);
@@ -321,34 +297,13 @@ mod tests {
         let _ = wrapped.mix_at(SimTime::from_secs(5 * 7 * 86_400));
         let trace = recorder.finish().unwrap();
         assert_eq!(trace.students, 2_000);
-        assert_eq!(trace.streams.len(), 1);
-        let s = &trace.streams[0];
+        assert_eq!(trace.streams.len(), 2);
+        assert!(trace.streams[0].first_t_ns().is_none());
+        let s = &trace.streams[1];
         assert!(s.slots.windows(2).all(|w| w[0].t_ns < w[1].t_ns));
         assert_eq!(s.mixes.len(), 1);
         assert_eq!(trace.mixes.len(), 1);
         assert_eq!(trace.validate(), Ok(()));
-    }
-
-    #[test]
-    fn split_sources_record_into_their_own_streams() {
-        let recorder = TraceRecorder::new();
-        let wrapped = recorder.wrap(Box::new(model(9_000)));
-        let sites = wrapped.split(3);
-        assert_eq!(recorder.streams(), 4, "root plus three sites");
-        let mut rng = SimRng::seed(2);
-        for site in &sites {
-            site.sample_arrivals(
-                &mut rng,
-                SimTime::from_secs(5 * 7 * 86_400 + 72_000),
-                SimDuration::from_secs(60),
-            );
-        }
-        let trace = recorder.finish().unwrap();
-        // The unqueried root stream stays (empty) so indices keep mirroring
-        // creation order; the three sites carry the demand.
-        assert_eq!(trace.streams.len(), 4);
-        assert!(trace.streams[0].first_t_ns().is_none());
-        assert!(trace.streams[1..].iter().all(|s| !s.slots.is_empty()));
     }
 
     #[test]

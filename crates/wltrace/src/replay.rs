@@ -14,9 +14,7 @@
 //! * `sample_arrival_offsets` (trait default) re-jitters replayed counts
 //!   into uniform offsets through the *caller's* `SimRng`, which is what
 //!   keeps shard/thread byte-identity: the count is data, the jitter is
-//!   the caller's seed lineage;
-//! * `split` apportions every slot count over sites by largest remainder
-//!   (deterministic, sum-exact) and scales rates by cohort share.
+//!   the caller's seed lineage.
 //!
 //! [`TraceHandout`] hands streams to consumers the way the recorder saw
 //! sources get created: each `source()` call yields an unbound replayer
@@ -30,7 +28,6 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use elc_elearn::request::RequestMix;
 use elc_elearn::source::WorkloadSource;
-use elc_elearn::workload::split_cohort;
 use elc_simcore::dist::{Distribution, Poisson};
 use elc_simcore::rng::SimRng;
 use elc_simcore::time::{SimDuration, SimTime};
@@ -247,67 +244,9 @@ impl WorkloadSource for TraceReplayer {
             .sample(rng)
     }
 
-    fn split(&self, sites: u32) -> Vec<Box<dyn WorkloadSource>> {
-        let shares = split_cohort(self.students, sites);
-        let total = u128::from(self.students);
-        let my_stream = self.stream_for(self.trace.start_ns().unwrap_or(0)).clone();
-        shares
-            .iter()
-            .enumerate()
-            .map(|(site, &share)| {
-                let frac = f64::from(share) / self.students as f64;
-                let mut stream = my_stream.clone();
-                for r in &mut stream.rates {
-                    r.rate_bits = (f64::from_bits(r.rate_bits) * frac).to_bits();
-                }
-                for slot in &mut stream.slots {
-                    slot.count = apportion(slot.count, &shares, total, site);
-                }
-                let trace = WorkloadTrace {
-                    students: share,
-                    peak_rate_bits: (self.peak_rate() * frac).to_bits(),
-                    mixes: self.trace.mixes.clone(),
-                    streams: vec![stream],
-                };
-                let site_replayer =
-                    TraceReplayer::stream(Arc::new(trace), 0).expect("site trace has one stream");
-                Box::new(site_replayer) as Box<dyn WorkloadSource>
-            })
-            .collect()
-    }
-
     fn clone_source(&self) -> Box<dyn WorkloadSource> {
         Box::new(self.clone())
     }
-}
-
-/// Site `site`'s share of `count` under a largest-remainder apportionment
-/// over `shares` (which sum to `total`): deterministic, and the site
-/// shares sum exactly to `count`.
-fn apportion(count: u64, shares: &[u32], total: u128, site: usize) -> u64 {
-    let count = u128::from(count);
-    let floor_of = |s: u32| (count * u128::from(s)) / total;
-    let rem_of = |s: u32| (count * u128::from(s)) % total;
-    let assigned: u128 = shares.iter().map(|&s| floor_of(s)).sum();
-    let mut extras = count - assigned;
-    // Hand the leftovers to the largest remainders, lowest site first on
-    // ties.
-    let mut order: Vec<usize> = (0..shares.len()).collect();
-    order.sort_by_key(|&i| (std::cmp::Reverse(rem_of(shares[i])), i));
-    let mut mine = floor_of(shares[site]);
-    for i in order {
-        if extras == 0 {
-            break;
-        }
-        if rem_of(shares[i]) == 0 {
-            break;
-        }
-        if i == site {
-            mine += 1;
-        }
-        extras -= 1;
-    }
-    u64::try_from(mine).expect("site count fits u64")
 }
 
 #[cfg(test)]
@@ -397,29 +336,6 @@ mod tests {
     }
 
     #[test]
-    fn split_preserves_totals_per_slot() {
-        let (_, trace) = recorded_trace(10_000, 11);
-        let replay = TraceReplayer::stream(trace.clone(), 0).unwrap();
-        let sites = replay.split(3);
-        assert_eq!(sites.iter().map(|s| s.students()).sum::<u32>(), 10_000);
-        let slot = SimDuration::from_secs(60);
-        let start = SimTime::from_secs(15 * 7 * 86_400 + 12 * 3_600);
-        let mut rng = SimRng::seed(1);
-        for i in 0..240u64 {
-            let t = start + SimDuration::from_secs(i * 60);
-            let whole = replay.sample_arrivals(&mut rng, t, slot);
-            let parts: u64 = sites
-                .iter()
-                .map(|s| s.sample_arrivals(&mut rng, t, slot))
-                .sum();
-            assert_eq!(parts, whole, "tick {i}: site counts must sum exactly");
-        }
-        let t = start + SimDuration::from_secs(90 * 60);
-        let rate_sum: f64 = sites.iter().map(|s| s.rate_at(t)).sum();
-        assert!((rate_sum - replay.rate_at(t)).abs() < 1e-9 * replay.rate_at(t).max(1.0));
-    }
-
-    #[test]
     fn handout_binds_streams_by_first_query_time_then_creation_order() {
         // Record two sources with distinct start instants.
         let cal = AcademicCalendar::standard_semester(SimTime::ZERO);
@@ -456,19 +372,5 @@ mod tests {
             let _ = source.rate_at(probe);
         }
         assert!(TraceHandout::new(Arc::new(WorkloadTrace::empty(1, 0.0).clone())).is_err());
-    }
-
-    #[test]
-    fn apportion_is_exact_for_odd_splits() {
-        let shares = split_cohort(10, 3); // [4, 3, 3]
-        let total = 10u128;
-        for count in [0u64, 1, 2, 7, 100, 12_345] {
-            let sum: u64 = (0..3)
-                .map(|site| apportion(count, &shares, total, site))
-                .sum();
-            assert_eq!(sum, count, "count {count} must apportion exactly");
-        }
-        // Shares of zero remainder take nothing extra.
-        assert_eq!(apportion(10, &shares, total, 0), 4);
     }
 }

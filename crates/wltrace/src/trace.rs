@@ -72,6 +72,10 @@ impl fmt::Display for TraceError {
 
 impl std::error::Error for TraceError {}
 
+/// How far, relative to the peak rate, a recorded rate sample may exceed
+/// it: a generator's rate can round a hair above its analytic peak.
+const PEAK_SLACK: f64 = 1e-9;
+
 /// One recorded rate query: the instant and the returned rate's raw bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RateSample {
@@ -236,7 +240,10 @@ impl WorkloadTrace {
     }
 
     /// Checks structural invariants: non-empty cohort, sorted streams,
-    /// mix indices in range.
+    /// mix indices in range, and every rate sample a number between 0
+    /// and the peak rate, which replays size fleets and stations from.
+    /// A sample may exceed the peak by a relative 1e-9, the rounding a
+    /// generator's rate can carry above its analytic peak.
     ///
     /// # Errors
     ///
@@ -245,13 +252,27 @@ impl WorkloadTrace {
         if self.students == 0 {
             return Err(TraceError::Malformed("zero students".into()));
         }
-        if !self.peak_rate().is_finite() || self.peak_rate() < 0.0 {
+        let peak = self.peak_rate();
+        if !peak.is_finite() || peak < 0.0 {
             return Err(TraceError::Malformed("peak rate not finite".into()));
         }
+        let limit = peak * (1.0 + PEAK_SLACK);
         let n_mixes = self.mixes.len() as u32;
         for (i, stream) in self.streams.iter().enumerate() {
             if !stream.is_sorted() {
                 return Err(TraceError::Malformed(format!("stream {i} not sorted")));
+            }
+            // Written to be false for NaN as well.
+            if let Some(bad) = stream
+                .rates
+                .iter()
+                .find(|r| !(r.rate() >= 0.0 && r.rate() <= limit))
+            {
+                return Err(TraceError::Malformed(format!(
+                    "stream {i} rate {} at {} ns is outside [0, {peak}], the peak rate",
+                    bad.rate(),
+                    bad.t_ns
+                )));
             }
             if let Some(bad) = stream.mixes.iter().find(|m| m.mix >= n_mixes) {
                 return Err(TraceError::Malformed(format!(
@@ -621,6 +642,61 @@ mod tests {
         let mut empty = trace;
         empty.students = 0;
         assert!(empty.validate().is_err());
+    }
+
+    #[test]
+    fn validate_holds_every_rate_sample_to_the_peak() {
+        let trace = sample_trace();
+        let with_rate = |rate: f64| {
+            let mut t = trace.clone();
+            t.streams[0].rates[1].rate_bits = rate.to_bits();
+            t.validate()
+        };
+        let peak = trace.peak_rate();
+        assert_eq!(with_rate(peak), Ok(()));
+        assert_eq!(with_rate(0.0), Ok(()));
+        // Rounding above the peak passes; anything more is refused.
+        assert_eq!(with_rate(peak * (1.0 + PEAK_SLACK / 2.0)), Ok(()));
+        for bad in [
+            peak * (1.0 + 2.0 * PEAK_SLACK),
+            peak * 2.0,
+            -1.0,
+            f64::NAN,
+            f64::INFINITY,
+        ] {
+            let err = with_rate(bad).expect_err("sample outside [0, peak]");
+            assert!(matches!(err, TraceError::Malformed(_)), "{bad}: {err:?}");
+        }
+        // A header that understates its own samples is refused too.
+        let mut understated = trace.clone();
+        understated.peak_rate_bits = 1.0f64.to_bits();
+        assert!(matches!(
+            understated.validate(),
+            Err(TraceError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn morphs_keep_every_sample_within_the_morphed_peak() {
+        // Samples exactly at the peak stay at the (scaled) peak.
+        let mut trace = sample_trace();
+        trace.streams[0].rates[1].rate_bits = trace.peak_rate_bits;
+        assert_eq!(trace.validate(), Ok(()));
+        for morphed in [
+            trace.time_stretch(3.0).unwrap(),
+            trace.time_stretch(0.3).unwrap(),
+            trace.amplitude_scale(7.0).unwrap(),
+            trace.amplitude_scale(1e-3).unwrap(),
+            trace
+                .clip(SimDuration::from_mins(30), SimDuration::from_hours(2))
+                .unwrap(),
+        ] {
+            assert_eq!(morphed.validate(), Ok(()));
+            let peak = morphed.peak_rate();
+            for r in &morphed.streams[0].rates {
+                assert!(r.rate() <= peak, "{} above {peak}", r.rate());
+            }
+        }
     }
 
     #[test]

@@ -20,12 +20,10 @@ fn cases(n: u64, seed: u64, mut f: impl FnMut(&mut SimRng)) {
 }
 
 /// A random but structurally valid trace: sorted sample times, in-range
-/// mix indices, 1–4 streams.
+/// mix indices, rates within the peak (some exactly at it), 1–4 streams.
 fn arb_trace(rng: &mut SimRng) -> WorkloadTrace {
-    let mut trace = WorkloadTrace::empty(
-        rng.range_u64(1, 200_000) as u32,
-        rng.range_f64(0.1, 50_000.0),
-    );
+    let peak = rng.range_f64(0.1, 50_000.0);
+    let mut trace = WorkloadTrace::empty(rng.range_u64(1, 200_000) as u32, peak);
     let n_mixes = rng.range_u64(1, 4);
     for _ in 0..n_mixes {
         let n_pairs = rng.range_u64(1, RequestKind::ALL.len() as u64) as usize;
@@ -41,9 +39,14 @@ fn arb_trace(rng: &mut SimRng) -> WorkloadTrace {
         let mut t = rng.range_u64(0, 1 << 40);
         for _ in 0..rng.range_u64(0, 60) {
             t += rng.range_u64(1, 1 << 34);
+            let rate = if rng.chance(0.1) {
+                peak
+            } else {
+                rng.range_f64(0.0, peak)
+            };
             stream.rates.push(RateSample {
                 t_ns: t,
-                rate_bits: rng.range_f64(0.0, 10_000.0).to_bits(),
+                rate_bits: rate.to_bits(),
             });
         }
         let mut t = rng.range_u64(0, 1 << 40);

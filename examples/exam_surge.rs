@@ -60,12 +60,7 @@ fn scale_tick(sim: &mut Simulation<World>) {
             }
         }
         ScaleDecision::ScaleDown(n) => {
-            let victims: Vec<_> =
-                w.dc.serving_vms(now)
-                    .into_iter()
-                    .rev()
-                    .take(n as usize)
-                    .collect();
+            let victims: Vec<_> = w.dc.live_vms().rev().take(n as usize).collect();
             for vm in victims {
                 w.dc.decommission(vm, now);
             }

@@ -474,16 +474,27 @@ fn an_e12_fleet_beyond_the_host_pool_is_refused() {
     }
     // The check reads each strategy's own replay stream: stream 3 is the
     // fourth strategy's, ElasticHostFailure's, which sizes its initial
-    // fleet from the day's first rate.
-    let mutated = edit(&trace, rate_line(&trace, 3, 0), "1e300");
+    // fleet from the day's first rate: 50,000 req/s at 72 per VM. The
+    // peak rises with it, so the trace stays valid, and sizes the
+    // exam fleets at 500 VMs, within the pool.
+    let mutated = edit(
+        &edit(&trace, peak_line(&trace), "50000"),
+        rate_line(&trace, 3, 0),
+        "50000",
+    );
     let out = replay(&dir, &mutated, &["experiment", "e12"], &[]);
     let err = stderr(&out);
     assert_eq!(out.status.code(), Some(1), "{err}");
-    assert!(
-        err.contains("needs an initial fleet of 4294967295"),
-        "{err}"
-    );
+    assert!(err.contains("needs an initial fleet of 695"), "{err}");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The line of `trace` holding the `#peak_rate=` header.
+fn peak_line(trace: &str) -> usize {
+    trace
+        .lines()
+        .position(|l| l.starts_with("#peak_rate="))
+        .expect("header present")
 }
 
 /// The line of `trace` holding stream `stream`'s rate sample at
@@ -518,30 +529,49 @@ fn edit(trace: &str, line: usize, value: &str) -> String {
 }
 
 #[test]
-fn the_e18_check_reads_every_region_stream_and_passes_overloads() {
+fn the_e18_check_reads_every_region_stream() {
     let dir = scratch_dir("e18-streams");
     let trace = recorded_small_college(&dir);
     let auto = ["--fidelity", "auto", "--shards", "4"];
     // Four regions bind streams 0–3; stream 2's window opens (16:00) on
-    // a rate no tick can materialize.
+    // a rate no tick can materialize. The peak rises with it, so the
+    // trace stays valid and every station can be sized.
     let window = 16 * 3_600 * 1_000_000_000;
-    let mutated = edit(&trace, rate_line(&trace, 2, window), "1e300");
+    let mutated = edit(
+        &edit(&trace, peak_line(&trace), "1e7"),
+        rate_line(&trace, 2, window),
+        "1e7",
+    );
     let out = replay(&dir, &mutated, &["experiment", "e18"], &auto);
     let err = stderr(&out);
     assert_eq!(out.status.code(), Some(1), "{err}");
     assert!(err.contains("event-level tick materializes"), "{err}");
-    // A header peak half the recorded 208 req/s sizes the station for
-    // 180 req/s: the evening overloads it, it sheds, and the run
-    // completes.
-    let peak = trace
-        .lines()
-        .position(|l| l.starts_with("#peak_rate="))
-        .expect("header present");
-    let understated = edit(&trace, peak, "104");
-    for fidelity in ["event", "auto"] {
-        let flags = ["--fidelity", fidelity];
-        let out = replay(&dir, &understated, &["experiment", "e18"], &flags);
-        assert!(out.status.success(), "{fidelity}: {}", stderr(&out));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Replays size fleets and stations from a trace's `#peak_rate`, so a
+/// header below the trace's own rate samples is a malformed trace: a
+/// usage error (exit 2) before anything runs, for E12's fixed fleets and
+/// E18's stations alike.
+#[test]
+fn a_trace_that_understates_its_peak_is_refused() {
+    let dir = scratch_dir("understated");
+    let trace = recorded_small_college(&dir);
+    let peak = peak_line(&trace);
+    // The recorded samples reach 208 req/s.
+    for (value, run) in [
+        ("1", &["experiment", "e12"][..]),
+        ("104", &["experiment", "e18", "--fidelity", "event"]),
+        ("104", &["experiment", "e18", "--fidelity", "auto"]),
+    ] {
+        let (command, flags) = run.split_at(2);
+        let out = replay(&dir, &edit(&trace, peak, value), command, flags);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{run:?} at peak {value}: {err}");
+        assert!(
+            err.contains("malformed trace") && err.contains("the peak rate"),
+            "{run:?}: {err}"
+        );
     }
     std::fs::remove_dir_all(&dir).ok();
 }

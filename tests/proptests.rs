@@ -270,24 +270,36 @@ fn time_arithmetic_round_trip() {
 }
 
 /// Datacenter invariant: under any sequence of provision / decommission /
-/// fail / repair operations, no host is ever over-allocated and the
-/// active-VM count matches the hosts' VM lists.
+/// fail / drain / repair operations, no host is ever over-allocated, the
+/// active-VM count matches the hosts' VM lists, and the live-VM index
+/// answers exactly what a scan over every VM ever created answers: the
+/// active count, and the serving capacity to the bit at the current
+/// instant, at an earlier one and inside the boot window.
 #[test]
 fn datacenter_allocation_invariants() {
     use elearn_cloud::cloud::datacenter::Datacenter;
     use elearn_cloud::cloud::placement::BestFit;
     use elearn_cloud::cloud::resources::{Resources, VmSize};
-    use elearn_cloud::cloud::vm::VmState;
+    use elearn_cloud::cloud::vm::{HostId, VmId, VmState};
 
+    fn scanned_rps(dc: &Datacenter, t: SimTime) -> f64 {
+        dc.vms()
+            .filter(|vm| vm.is_serving(t))
+            .map(|vm| vm.size().requests_per_sec())
+            .sum()
+    }
+
+    let boot = SimDuration::from_secs(30);
     cases(32, 0xE0_12, |rng| {
-        let ops = vec_u64(rng, 0, 3, 1..120);
-        let mut dc = Datacenter::new("prop", BestFit, SimDuration::from_secs(30));
+        let ops = vec_u64(rng, 0, 4, 1..120);
+        let mut dc = Datacenter::new("prop", BestFit, boot);
         dc.add_hosts(3, Resources::new(8, 32.0, 200.0));
         let mut t = SimTime::ZERO;
-        let mut live: Vec<elearn_cloud::cloud::vm::VmId> = Vec::new();
+        let mut live: Vec<VmId> = Vec::new();
 
         for op in ops {
-            t += SimDuration::from_secs(60);
+            // Steps shorter than the boot delay leave several VMs booting.
+            t += SimDuration::from_secs(rng.range_u64(0, 60));
             match op {
                 0 => {
                     let size = *rng.pick(&VmSize::ALL).unwrap();
@@ -303,14 +315,14 @@ fn datacenter_allocation_invariants() {
                     }
                 }
                 2 => {
-                    let host = elearn_cloud::cloud::vm::HostId::new(rng.next_below(3));
-                    let victims = dc.fail_host(host, t);
+                    let victims = dc.fail_host(HostId::new(rng.next_below(3)), t);
                     live.retain(|v| !victims.contains(v));
                 }
-                _ => {
-                    let host = elearn_cloud::cloud::vm::HostId::new(rng.next_below(3));
-                    dc.repair_host(host);
+                3 => {
+                    // All or nothing: moved VMs stay live, rebooting.
+                    let _ = dc.drain_host(HostId::new(rng.next_below(3)), t);
                 }
+                _ => dc.repair_host(HostId::new(rng.next_below(3))),
             }
             // Invariants.
             for host in dc.hosts() {
@@ -326,6 +338,17 @@ fn datacenter_allocation_invariants() {
                 .count();
             assert_eq!(listed, active, "host lists disagree with VM states");
             assert_eq!(active, live.len(), "tracker disagrees with datacenter");
+            assert_eq!(dc.active_vm_count(), active, "index count");
+            assert_eq!(dc.live_vms().count(), active, "index listing");
+            let earlier = SimTime::from_nanos(rng.next_below(t.as_nanos() + 1));
+            let booting = t + SimDuration::from_nanos(rng.next_below(boot.as_nanos()));
+            for at in [t, earlier, booting] {
+                assert_eq!(
+                    dc.serving_capacity_rps(at).to_bits(),
+                    scanned_rps(&dc, at).to_bits(),
+                    "serving capacity at {at} (now {t})"
+                );
+            }
         }
     });
 }

@@ -88,8 +88,8 @@ fn autoscaled_datacenter_tracks_workload_in_des() {
                 }
             }
             ScaleDecision::ScaleDown(n) => {
-                let victims = w.dc.serving_vms(now);
-                for &vm in victims.iter().rev().take(n as usize) {
+                let victims: Vec<_> = w.dc.live_vms().rev().take(n as usize).collect();
+                for vm in victims {
                     w.dc.decommission(vm, now);
                 }
             }
