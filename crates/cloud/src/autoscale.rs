@@ -22,44 +22,30 @@ pub enum ScaleDecision {
     Hold,
 }
 
+/// Fewest instances the scaler keeps.
+const MIN_INSTANCES: u32 = 2;
+
+/// Most instances the scaler asks for.
+const MAX_INSTANCES: u32 = 600;
+
+/// Utilization the scaler sizes the fleet for.
+const TARGET_UTILIZATION: f64 = 0.6;
+
+/// Quiet period after an action before the next one.
+const COOLDOWN: SimDuration = SimDuration::from_secs(240);
+
 /// Sizes a fleet from offered load. See the module docs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AutoScaler {
-    min_instances: u32,
-    max_instances: u32,
-    target_utilization: f64,
-    cooldown: SimDuration,
     last_action_at: Option<SimTime>,
 }
 
 impl AutoScaler {
-    /// Creates a target-tracking scaler.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < target_utilization <= 1`, `min_instances >= 1`
-    /// and `min_instances <= max_instances`.
+    /// The standard scaler: 2 to 600 instances at a 60% utilization
+    /// target, with a 4-minute cooldown.
     #[must_use]
-    pub fn new(
-        min_instances: u32,
-        max_instances: u32,
-        target_utilization: f64,
-        cooldown: SimDuration,
-    ) -> Self {
-        assert!(
-            target_utilization.is_finite() && target_utilization > 0.0 && target_utilization <= 1.0,
-            "target utilization must be in (0, 1], got {target_utilization}"
-        );
-        assert!(min_instances >= 1, "need at least one instance");
-        assert!(
-            min_instances <= max_instances,
-            "min {min_instances} > max {max_instances}"
-        );
+    pub fn standard() -> Self {
         AutoScaler {
-            min_instances,
-            max_instances,
-            target_utilization,
-            cooldown,
             last_action_at: None,
         }
     }
@@ -69,8 +55,8 @@ impl AutoScaler {
     #[must_use]
     pub fn desired_count(&self, load_rps: f64, unit_rps: f64) -> u32 {
         assert!(unit_rps > 0.0, "unit capacity must be positive");
-        let needed = (load_rps / (unit_rps * self.target_utilization)).ceil();
-        (needed.max(0.0) as u32).clamp(self.min_instances, self.max_instances)
+        let needed = (load_rps / (unit_rps * TARGET_UTILIZATION)).ceil();
+        (needed.max(0.0) as u32).clamp(MIN_INSTANCES, MAX_INSTANCES)
     }
 
     /// Decides a scaling action at `now`.
@@ -85,7 +71,7 @@ impl AutoScaler {
         unit_rps: f64,
     ) -> ScaleDecision {
         if let Some(last) = self.last_action_at {
-            if now.saturating_since(last) < self.cooldown {
+            if now.saturating_since(last) < COOLDOWN {
                 return ScaleDecision::Hold;
             }
         }
@@ -127,72 +113,58 @@ impl AutoScaler {
 mod tests {
     use super::*;
 
-    /// The message `f` panics with.
-    fn panic_message(f: impl FnOnce() + std::panic::UnwindSafe) -> String {
-        let payload = std::panic::catch_unwind(f).expect_err("expected a panic");
-        payload
-            .downcast_ref::<&str>()
-            .map(|s| (*s).to_owned())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .expect("a string panic payload")
-    }
-
-    fn scaler() -> AutoScaler {
-        AutoScaler::new(1, 20, 0.6, SimDuration::from_mins(5))
-    }
-
     #[test]
     fn desired_count_tracks_target() {
-        let s = scaler();
+        let s = AutoScaler::standard();
         // 300 rps at 100 rps/unit and 60% target → ceil(300/60) = 5.
         assert_eq!(s.desired_count(300.0, 100.0), 5);
-        assert_eq!(s.desired_count(0.0, 100.0), 1); // floor
-        assert_eq!(s.desired_count(1e9, 100.0), 20); // ceiling
+        assert_eq!(s.desired_count(0.0, 100.0), 2); // floor
+        assert_eq!(s.desired_count(1e9, 100.0), 600); // ceiling
     }
 
     #[test]
     fn scale_up_when_under_provisioned() {
-        let mut s = scaler();
+        let mut s = AutoScaler::standard();
         let d = s.decide(SimTime::ZERO, 2, 300.0, 100.0);
         assert_eq!(d, ScaleDecision::ScaleUp(3));
     }
 
     #[test]
     fn scale_down_when_over_provisioned() {
-        let mut s = scaler();
+        let mut s = AutoScaler::standard();
         let d = s.decide(SimTime::ZERO, 10, 100.0, 100.0);
         assert_eq!(d, ScaleDecision::ScaleDown(8));
     }
 
     #[test]
     fn hold_when_right_sized() {
-        let mut s = scaler();
+        let mut s = AutoScaler::standard();
         let d = s.decide(SimTime::ZERO, 5, 300.0, 100.0);
         assert_eq!(d, ScaleDecision::Hold);
     }
 
     #[test]
     fn cooldown_suppresses_consecutive_actions() {
-        let mut s = scaler();
+        let mut s = AutoScaler::standard();
         assert_ne!(
-            s.decide(SimTime::ZERO, 1, 1_000.0, 100.0),
+            s.decide(SimTime::ZERO, 2, 1_000.0, 100.0),
             ScaleDecision::Hold
         );
-        // One minute later the scaler is still cooling down.
+        // Three minutes later the scaler is still cooling down.
         assert_eq!(
-            s.decide(SimTime::from_secs(60), 1, 10_000.0, 100.0),
+            s.decide(SimTime::from_secs(180), 2, 10_000.0, 100.0),
             ScaleDecision::Hold
         );
         // After the cooldown it acts again.
         assert_ne!(
-            s.decide(SimTime::from_secs(301), 1, 10_000.0, 100.0),
+            s.decide(SimTime::from_secs(240), 2, 10_000.0, 100.0),
             ScaleDecision::Hold
         );
     }
 
     #[test]
     fn hold_does_not_start_cooldown() {
-        let mut s = scaler();
+        let mut s = AutoScaler::standard();
         assert_eq!(
             s.decide(SimTime::ZERO, 5, 300.0, 100.0),
             ScaleDecision::Hold
@@ -202,27 +174,5 @@ mod tests {
             s.decide(SimTime::from_secs(1), 5, 600.0, 100.0),
             ScaleDecision::ScaleUp(5)
         );
-    }
-
-    #[test]
-    fn new_rejects_each_bad_knob() {
-        let cases: [(u32, u32, f64, &str); 5] = [
-            (1, 10, 0.0, "target utilization must be in (0, 1], got 0"),
-            (1, 10, 1.5, "target utilization must be in (0, 1], got 1.5"),
-            (
-                1,
-                10,
-                f64::NAN,
-                "target utilization must be in (0, 1], got NaN",
-            ),
-            (0, 10, 0.5, "need at least one instance"),
-            (5, 2, 0.5, "min 5 > max 2"),
-        ];
-        for (min, max, util, want) in cases {
-            let msg = panic_message(|| {
-                let _ = AutoScaler::new(min, max, util, SimDuration::ZERO);
-            });
-            assert_eq!(msg, want);
-        }
     }
 }

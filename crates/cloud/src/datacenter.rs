@@ -174,7 +174,7 @@ impl Datacenter {
         let vm_id = VmId::new(self.vms.len() as u64);
         let ready_at = now + self.boot_delay;
         self.hosts[host_id.index()].place(vm_id, demand);
-        let vm = Vm::new(vm_id, size, host_id, now, ready_at);
+        let vm = Vm::new(vm_id, size, host_id, ready_at);
         self.live.insert(&vm);
         self.vms.push(vm);
         if elc_trace::enabled(TRACE_TARGET, Level::Info) {
@@ -262,101 +262,14 @@ impl Datacenter {
         victims
     }
 
-    /// Repairs a failed host (it returns empty).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the host id is foreign.
-    pub fn repair_host(&mut self, host_id: HostId) {
-        self.hosts[host_id.index()].repair();
-    }
-
-    /// Drains a host for maintenance: live-migrates every VM on it to
-    /// other hosts (chosen by the placement policy) and returns the moved
-    /// VM ids. Migrated VMs briefly re-provision (they become ready after
-    /// the boot delay — the live-migration brownout).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CapacityError`] if some VM cannot be placed elsewhere; in
-    /// that case *no* VM has been moved (the drain is all-or-nothing).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the host id is foreign.
-    pub fn drain_host(
-        &mut self,
-        host_id: HostId,
-        now: SimTime,
-    ) -> Result<Vec<VmId>, CapacityError> {
-        let victims: Vec<VmId> = self.hosts[host_id.index()].vms().to_vec();
-        // Feasibility check against a scratch copy of the other hosts.
-        let mut scratch: Vec<Host> = self
-            .hosts
-            .iter()
-            .filter(|h| h.id() != host_id)
-            .cloned()
-            .collect();
-        for &vm_id in &victims {
-            let size = self.vms[vm_id.index()].size();
-            let demand = size.resources();
-            match self.policy.choose(&scratch, &demand) {
-                Some(target) => {
-                    let slot = scratch
-                        .iter_mut()
-                        .find(|h| h.id() == target)
-                        .expect("policy chose a listed host");
-                    slot.place(vm_id, demand);
-                }
-                None => return Err(CapacityError { requested: size }),
-            }
-        }
-        // Commit: move each VM for real.
-        for &vm_id in &victims {
-            let size = self.vms[vm_id.index()].size();
-            let demand = size.resources();
-            self.hosts[host_id.index()].release(vm_id, demand);
-            let others: Vec<Host> = self
-                .hosts
-                .iter()
-                .filter(|h| h.id() != host_id)
-                .cloned()
-                .collect();
-            let target = self
-                .policy
-                .choose(&others, &demand)
-                .expect("feasibility was just checked");
-            self.hosts[target.index()].place(vm_id, demand);
-            let ready_at = now + self.boot_delay;
-            let vm = &mut self.vms[vm_id.index()];
-            self.live
-                .remove(live_key(vm).expect("a host lists only live VMs"));
-            *vm = Vm::new(vm_id, size, target, vm.launched_at(), ready_at);
-            self.live.insert(vm);
-        }
-        if elc_trace::enabled(TRACE_TARGET, Level::Info) {
-            elc_trace::instant(
-                now.as_nanos(),
-                TRACE_TARGET,
-                "host.drain",
-                Level::Info,
-                &[
-                    Field::u64("host", host_id.index() as u64),
-                    Field::u64("moved", victims.len() as u64),
-                ],
-            );
-        }
-        Ok(victims)
-    }
-
     /// Looks up a VM.
     #[must_use]
     pub fn vm(&self, id: VmId) -> Option<&Vm> {
         self.vms.get(id.index())
     }
 
-    /// Iterates over all VMs ever created (including stopped/failed ones,
-    /// which billing still needs), in id order.
+    /// Iterates over all VMs ever created, stopped and failed ones
+    /// included, in id order.
     pub fn vms(&self) -> impl Iterator<Item = &Vm> {
         self.vms.iter()
     }
@@ -523,17 +436,6 @@ mod tests {
     }
 
     #[test]
-    fn repair_restores_capacity() {
-        let mut d = Datacenter::new("one", FirstFit, SimDuration::ZERO);
-        let h = d.add_host(Resources::new(2, 8.0, 50.0));
-        d.provision(VmSize::Medium, SimTime::ZERO).unwrap();
-        d.fail_host(h, SimTime::from_secs(1));
-        assert!(d.provision(VmSize::Medium, SimTime::from_secs(2)).is_err());
-        d.repair_host(h);
-        assert!(d.provision(VmSize::Medium, SimTime::from_secs(3)).is_ok());
-    }
-
-    #[test]
     fn serving_capacity_sums_sizes() {
         let mut d = dc();
         d.provision(VmSize::Small, SimTime::ZERO).unwrap();
@@ -561,48 +463,6 @@ mod tests {
     fn decommission_unknown_vm_panics() {
         let mut d = dc();
         d.decommission(VmId::new(42), SimTime::ZERO);
-    }
-
-    #[test]
-    fn drain_moves_every_vm_and_preserves_capacity_accounting() {
-        let mut d = Datacenter::new("drain", FirstFit, SimDuration::from_secs(30));
-        let h0 = d.add_host(Resources::new(8, 32.0, 200.0));
-        d.add_host(Resources::new(8, 32.0, 200.0));
-        let (a, _) = d.provision(VmSize::Medium, SimTime::ZERO).unwrap();
-        let (b, _) = d.provision(VmSize::Medium, SimTime::ZERO).unwrap();
-        // FirstFit packed both onto host 0.
-        assert_eq!(d.vm(a).unwrap().host(), h0);
-        let moved = d.drain_host(h0, SimTime::from_secs(100)).unwrap();
-        assert_eq!(moved.len(), 2);
-        for vm in [a, b] {
-            assert_ne!(d.vm(vm).unwrap().host(), h0, "{vm} still on drained host");
-            // Live-migration brownout: ready after the boot delay.
-            assert!(!d.vm(vm).unwrap().is_serving(SimTime::from_secs(100)));
-            assert!(d.vm(vm).unwrap().is_serving(SimTime::from_secs(130)));
-        }
-        assert!(d.hosts().nth(h0.index()).unwrap().vms().is_empty());
-        assert_eq!(d.active_vm_count(), 2);
-    }
-
-    #[test]
-    fn drain_is_all_or_nothing_when_capacity_is_short() {
-        let mut d = Datacenter::new("drain", FirstFit, SimDuration::ZERO);
-        let h0 = d.add_host(Resources::new(8, 32.0, 200.0));
-        d.add_host(Resources::new(2, 8.0, 50.0)); // room for one Medium only
-        let (a, _) = d.provision(VmSize::Medium, SimTime::ZERO).unwrap();
-        let (b, _) = d.provision(VmSize::Medium, SimTime::ZERO).unwrap();
-        let err = d.drain_host(h0, SimTime::from_secs(1)).unwrap_err();
-        assert_eq!(err.requested, VmSize::Medium);
-        // Nothing moved.
-        assert_eq!(d.vm(a).unwrap().host(), h0);
-        assert_eq!(d.vm(b).unwrap().host(), h0);
-    }
-
-    #[test]
-    fn drain_of_empty_host_is_trivial() {
-        let mut d = dc();
-        let moved = d.drain_host(HostId::new(0), SimTime::ZERO).unwrap();
-        assert!(moved.is_empty());
     }
 
     #[test]

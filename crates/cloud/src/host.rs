@@ -109,23 +109,11 @@ impl Host {
 
     /// Kills the host, returning the VMs that were running on it.
     ///
-    /// The host keeps its allocation record (the debris of the failure);
-    /// call [`Host::repair`] to bring it back empty.
+    /// The host keeps its allocation record (the debris of the failure)
+    /// and never takes a VM again.
     pub fn fail(&mut self) -> Vec<VmId> {
         self.alive = false;
         std::mem::take(&mut self.vms)
-    }
-
-    /// Repairs a failed host, restoring full empty capacity.
-    ///
-    /// Repairing a live host is a no-op — its placements stay intact.
-    pub fn repair(&mut self) {
-        if self.alive {
-            return;
-        }
-        self.alive = true;
-        self.allocated = Resources::ZERO;
-        self.vms.clear();
     }
 }
 
@@ -195,20 +183,7 @@ mod tests {
         assert_eq!(victims.len(), 2);
         assert!(!h.is_alive());
         assert!(!h.can_place(&d));
-        h.repair();
-        assert!(h.is_alive());
-        assert!(h.can_place(&d));
-        assert_eq!(h.allocated(), Resources::ZERO);
-    }
-
-    #[test]
-    fn repairing_a_live_host_is_a_noop() {
-        let mut h = host();
-        let d = Resources::new(1, 2.0, 10.0);
-        h.place(VmId::new(1), d);
-        h.repair();
-        assert_eq!(h.vms(), &[VmId::new(1)]);
-        assert_eq!(h.allocated(), d);
+        assert!(h.vms().is_empty());
     }
 
     #[test]

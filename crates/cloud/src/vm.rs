@@ -25,7 +25,7 @@ pub enum VmState {
         /// When the VM finishes booting.
         ready_at: SimTime,
     },
-    /// Terminated (kept for accounting).
+    /// Terminated.
     Stopped {
         /// When it stopped.
         at: SimTime,
@@ -44,25 +44,17 @@ pub struct Vm {
     size: VmSize,
     host: HostId,
     state: VmState,
-    launched_at: SimTime,
 }
 
 impl Vm {
-    /// Creates a VM in the `Provisioning` state.
+    /// Creates a VM in the `Provisioning` state, serving from `ready_at`.
     #[must_use]
-    pub fn new(
-        id: VmId,
-        size: VmSize,
-        host: HostId,
-        launched_at: SimTime,
-        ready_at: SimTime,
-    ) -> Self {
+    pub fn new(id: VmId, size: VmSize, host: HostId, ready_at: SimTime) -> Self {
         Vm {
             id,
             size,
             host,
             state: VmState::Provisioning { ready_at },
-            launched_at,
         }
     }
 
@@ -88,12 +80,6 @@ impl Vm {
     #[must_use]
     pub fn state(&self) -> VmState {
         self.state
-    }
-
-    /// When the VM was requested.
-    #[must_use]
-    pub fn launched_at(&self) -> SimTime {
-        self.launched_at
     }
 
     /// True if the VM serves traffic at instant `t`.
@@ -125,20 +111,6 @@ impl Vm {
             self.state = VmState::Failed { at: t };
         }
     }
-
-    /// Billable span: from launch until stop/failure, or until `now` if
-    /// still up. Cloud billing rounds up to the next whole hour — that
-    /// matches how public IaaS charged in the paper's era (per-hour
-    /// granularity).
-    #[must_use]
-    pub fn billable_hours(&self, now: SimTime) -> f64 {
-        let end = match self.state {
-            VmState::Stopped { at } | VmState::Failed { at } => at,
-            _ => now,
-        };
-        let span = end.saturating_since(self.launched_at);
-        (span.as_secs_f64() / 3_600.0).ceil().max(0.0)
-    }
 }
 
 impl fmt::Display for Vm {
@@ -156,13 +128,7 @@ mod tests {
     }
 
     fn sample_vm() -> Vm {
-        Vm::new(
-            VmId::new(1),
-            VmSize::Medium,
-            HostId::new(0),
-            secs(0),
-            secs(120),
-        )
+        Vm::new(VmId::new(1), VmSize::Medium, HostId::new(0), secs(120))
     }
 
     #[test]
@@ -206,35 +172,11 @@ mod tests {
     }
 
     #[test]
-    fn billable_hours_round_up() {
-        let mut vm = sample_vm();
-        assert_eq!(vm.billable_hours(secs(60)), 1.0); // 1 minute → 1 hour
-        assert_eq!(vm.billable_hours(secs(3_600)), 1.0);
-        assert_eq!(vm.billable_hours(secs(3_601)), 2.0);
-        vm.stop(secs(7_200));
-        // Stopped: billing freezes at stop time regardless of `now`.
-        assert_eq!(vm.billable_hours(secs(86_400)), 2.0);
-    }
-
-    #[test]
-    fn zero_length_life_bills_zero() {
-        let vm = Vm::new(
-            VmId::new(2),
-            VmSize::Small,
-            HostId::new(0),
-            secs(5),
-            secs(5),
-        );
-        assert_eq!(vm.billable_hours(secs(5)), 0.0);
-    }
-
-    #[test]
     fn accessors() {
         let vm = sample_vm();
         assert_eq!(vm.id(), VmId::new(1));
         assert_eq!(vm.size(), VmSize::Medium);
         assert_eq!(vm.host(), HostId::new(0));
-        assert_eq!(vm.launched_at(), secs(0));
         assert!(vm.to_string().contains("vm-1"));
     }
 }

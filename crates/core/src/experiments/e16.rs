@@ -32,10 +32,8 @@
 
 use elc_analysis::metrics::{Cell, MetricSet, MetricTable};
 use elc_analysis::report::Section;
-use elc_cloud::autoscale::{AutoScaler, ScaleDecision};
-use elc_cloud::resources::VmSize;
 use elc_deploy::hybrid::FailoverPlan;
-use elc_elearn::request::{RequestKind, RequestOutcome};
+use elc_elearn::request::{RequestKind, RequestOutcome, EXAM_FRACTIONS};
 use elc_elearn::source::WorkloadSource;
 use elc_resil::admission::AdmissionController;
 use elc_resil::breaker::CircuitBreaker;
@@ -47,40 +45,8 @@ use elc_simcore::rng::SimRng;
 use elc_simcore::sim::Simulation;
 use elc_simcore::time::{SimDuration, SimTime};
 
+use super::fleet::{self, Scaler, BURST_FRACTION, HORIZON, TICK, UNIT};
 use crate::scenario::Scenario;
-
-/// The instance size every fleet is built from.
-const UNIT: VmSize = VmSize::Medium;
-
-/// Base service latency of an unloaded fleet, seconds.
-const BASE_LATENCY_S: f64 = 0.12;
-
-/// Latency cap when saturated, seconds.
-const MAX_LATENCY_S: f64 = 10.0;
-
-/// Control-loop tick.
-const TICK: SimDuration = SimDuration::from_secs(60);
-
-/// The simulated day.
-const HORIZON: SimDuration = SimDuration::from_hours(24);
-
-/// Share of the private fleet the hybrid can burst into public capacity.
-const BURST_FRACTION: f64 = 0.6;
-
-/// The exam-day request mix as per-kind fractions (the weights of
-/// `RequestMix::exam`, normalized). Demand is deterministic — rate × mix —
-/// so the resilience comparison isn't clouded by sampling noise.
-const EXAM_MIX: [(RequestKind, f64); 9] = [
-    (RequestKind::Login, 0.10),
-    (RequestKind::CoursePage, 0.09),
-    (RequestKind::VideoChunk, 0.02),
-    (RequestKind::QuizFetch, 0.40),
-    (RequestKind::QuizSubmit, 0.35),
-    (RequestKind::Upload, 0.01),
-    (RequestKind::Download, 0.01),
-    (RequestKind::ForumRead, 0.015),
-    (RequestKind::ForumPost, 0.005),
-];
 
 /// One deployment model under test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -165,7 +131,7 @@ struct World {
     timeout: TimeoutPolicy,
     admission: AdmissionController,
     failover: Option<HybridFailover>,
-    scaler: Option<AutoScaler>,
+    scaler: Scaler,
     public_units: u32,
     private_units: u32,
     burst_units: u32,
@@ -198,24 +164,10 @@ impl World {
     /// Reachable capacity this tick, in requests per second.
     fn capacity_rps(&mut self, now: SimTime, rate: f64) -> f64 {
         let storm = self.timeline.storm_at(now);
-        let disaster = self.timeline.disaster_by(now);
-        let crashed = self.timeline.crashed_hosts_by(now);
-        let private_alive = if disaster {
-            0
-        } else {
-            self.private_units.saturating_sub(crashed)
-        };
+        let private_alive = fleet::private_survivors(self.private_units, &self.timeline, now);
         match self.model {
             DeployModel::Public => {
-                if let Some(scaler) = self.scaler.as_mut() {
-                    match scaler.decide(now, self.public_units, rate, UNIT.requests_per_sec()) {
-                        ScaleDecision::ScaleUp(n) => self.public_units += n,
-                        ScaleDecision::ScaleDown(n) => {
-                            self.public_units = self.public_units.saturating_sub(n).max(1);
-                        }
-                        ScaleDecision::Hold => {}
-                    }
-                }
+                self.public_units = self.scaler.resize(now, self.public_units, rate);
                 if storm {
                     0.0
                 } else {
@@ -280,9 +232,10 @@ fn tick(sim: &mut Simulation<World>) {
     let tick_index = w.tick_index;
     w.tick_index += 1;
 
-    // Fresh demand, split by the exam mix.
+    // Fresh demand, split by the exam mix: deterministic, rate × mix, so
+    // the resilience comparison isn't clouded by sampling noise.
     let fresh_total = rate * TICK.as_secs_f64();
-    let mut fresh: Vec<(RequestKind, f64)> = EXAM_MIX
+    let mut fresh: Vec<(RequestKind, f64)> = EXAM_FRACTIONS
         .iter()
         .map(|&(kind, frac)| (kind, fresh_total * frac))
         .collect();
@@ -380,16 +333,10 @@ fn tick(sim: &mut Simulation<World>) {
         1.0
     };
 
-    // Minute-level latency from the utilization actually served, the same
-    // M/M/1 curve as E12; the per-kind deadline decides served-vs-degraded.
+    // Minute-level latency from the utilization actually served; the
+    // per-kind deadline decides served-vs-degraded.
     let served_total = (cap - cap_left) + reads_demand * reads_served_frac;
-    let rho = served_total / cap;
-    let latency_s = if rho < 0.95 {
-        (BASE_LATENCY_S / (1.0 - rho)).min(MAX_LATENCY_S)
-    } else {
-        MAX_LATENCY_S
-    };
-    let latency = SimDuration::from_secs_f64(latency_s);
+    let latency = SimDuration::from_secs_f64(fleet::latency_s(served_total / cap));
 
     let writes_scale = if writes_demand > 0.0 {
         writes_served / writes_demand
@@ -423,20 +370,18 @@ fn tick(sim: &mut Simulation<World>) {
 /// Simulates one deployment model over the chaos day.
 fn simulate(scenario: &Scenario, chaos: &ChaosSpec, model: DeployModel) -> ResilienceRow {
     let workload = scenario.workload();
-    let cal = scenario.calendar();
-    // Day 2 of the exam period, as in E12 — the day the faults hurt most.
-    let day_start = cal.exams_start() + SimDuration::from_days(1);
+    // The exam day, as in E12 — the day the faults hurt most.
+    let day_start = fleet::exam_day(scenario);
     let horizon = SimTime::ZERO + HORIZON;
 
     let rng_root = SimRng::seed(scenario.seed()).derive("e16");
     let timeline = FaultTimeline::generate(chaos, &rng_root.derive("chaos"), HORIZON);
 
-    let exam_peak = workload.peak_rate();
-    let private_units = ((exam_peak * 1.2 / UNIT.requests_per_sec()).ceil() as u32).max(2);
+    let private_units = fleet::fixed_fleet(workload.peak_rate());
     let plan = FailoverPlan::private_to_public(BURST_FRACTION);
+    // Rounded down, where E17 rounds up.
     let burst_units = plan.burst_capacity(private_units);
-    let rate0 = workload.rate_at(day_start);
-    let public_initial = ((rate0 / (UNIT.requests_per_sec() * 0.6)).ceil() as u32).max(2);
+    let public_initial = fleet::elastic_start(workload.rate_at(day_start));
 
     let failover = (model == DeployModel::Hybrid).then(|| {
         // Threshold 1 + per-tick probes: the breaker trips on the first
@@ -446,9 +391,6 @@ fn simulate(scenario: &Scenario, chaos: &ChaosSpec, model: DeployModel) -> Resil
             plan,
         )
     });
-    let scaler = (model == DeployModel::Public)
-        .then(|| AutoScaler::new(2, 600, 0.6, SimDuration::from_secs(240)));
-
     let world = World {
         model,
         workload,
@@ -459,7 +401,7 @@ fn simulate(scenario: &Scenario, chaos: &ChaosSpec, model: DeployModel) -> Resil
         timeout: TimeoutPolicy::standard(),
         admission: AdmissionController::standard(),
         failover,
-        scaler,
+        scaler: Scaler::new(),
         public_units: public_initial,
         private_units,
         burst_units,

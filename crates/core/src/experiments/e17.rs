@@ -13,9 +13,10 @@
 //!   with cold starts, a fixed keepalive window, a shared burst
 //!   concurrency pool and per-invocation billing.
 //!
-//! The economics cross over exactly where serverless folklore says they
-//! should: the meter that sleeps through the night makes FaaS the
-//! cheapest way to own the diurnal day, while the exam surge exhausts the
+//! The economics cross over with scale. The meter that sleeps through the
+//! night undercuts the owned hybrid fleet on the diurnal day at every
+//! preset, but it beats the autoscaled public fleet only at
+//! `small-college`. From `university` up, the exam surge exhausts the
 //! account's burst pool — functions early in the allocation order grab
 //! the sandboxes, `QuizSubmit` starves behind them, and the lost
 //! submissions are the price of not owning capacity. Under chaos the
@@ -26,57 +27,26 @@
 use elc_analysis::matrix::{Direction, WideMatrix};
 use elc_analysis::metrics::{Cell, MetricSet, MetricTable};
 use elc_analysis::report::Section;
-use elc_cloud::autoscale::{AutoScaler, ScaleDecision};
+use elc_analysis::table::fmt_f64;
 use elc_cloud::billing::{PriceSheet, UsageMeter, Usd};
-use elc_cloud::resources::VmSize;
 use elc_deploy::calib;
 use elc_deploy::cost::{private_unit_day_cost, CostInputs};
-use elc_deploy::faas::{faas_tco, FaasDeployment, TEACHING_FRACTIONS};
+use elc_deploy::faas::{faas_tco, FaasDeployment};
 use elc_deploy::provisioning::faas_schedule;
 use elc_elearn::calendar::Phase;
-use elc_elearn::request::RequestKind;
+use elc_elearn::request::{RequestKind, EXAM_FRACTIONS, TEACHING_FRACTIONS};
 use elc_faas::{FaasScaler, FixedWindow, InvocationBilling, Invoker, InvokerConfig};
 use elc_resil::chaos::{ChaosSpec, FaultTimeline};
 use elc_simcore::metrics::Histogram;
 use elc_simcore::rng::SimRng;
 use elc_simcore::time::{SimDuration, SimTime};
 
+use super::fleet::{self, share, Scaler, BURST_FRACTION, HORIZON, TICK, UNIT};
 use super::t1;
 use crate::scenario::Scenario;
 
-/// The instance size every VM fleet is built from.
-const UNIT: VmSize = VmSize::Medium;
-
-/// Base service latency of an unloaded VM fleet, seconds.
-const BASE_LATENCY_S: f64 = 0.12;
-
-/// Latency cap when saturated, seconds.
-const MAX_LATENCY_S: f64 = 10.0;
-
-/// Control-loop tick.
-const TICK: SimDuration = SimDuration::from_secs(60);
-
-/// The simulated day.
-const HORIZON: SimDuration = SimDuration::from_hours(24);
-
-/// Share of the private fleet the hybrid can burst into public capacity.
-const BURST_FRACTION: f64 = 0.6;
-
 /// Sandboxes co-located on one crashed host during a cascade.
 const SANDBOXES_PER_HOST: u32 = 25;
-
-/// The exam-day request mix as per-kind fractions (E16's table).
-const EXAM_MIX: [(RequestKind, f64); 9] = [
-    (RequestKind::Login, 0.10),
-    (RequestKind::CoursePage, 0.09),
-    (RequestKind::VideoChunk, 0.02),
-    (RequestKind::QuizFetch, 0.40),
-    (RequestKind::QuizSubmit, 0.35),
-    (RequestKind::Upload, 0.01),
-    (RequestKind::Download, 0.01),
-    (RequestKind::ForumRead, 0.015),
-    (RequestKind::ForumPost, 0.005),
-];
 
 /// One simulated day.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -165,28 +135,22 @@ pub struct Output {
     pub rows: Vec<DayRow>,
 }
 
-fn frac_of(mix: &[(RequestKind, f64); 9], kind: RequestKind) -> f64 {
-    mix.iter()
-        .find(|(k, _)| *k == kind)
-        .map_or(0.0, |&(_, f)| f)
-}
-
 fn mix_for(day: Day) -> &'static [(RequestKind, f64); 9] {
     match day {
         Day::Diurnal => &TEACHING_FRACTIONS,
-        Day::Exam | Day::Chaos => &EXAM_MIX,
+        Day::Exam | Day::Chaos => &EXAM_FRACTIONS,
     }
 }
 
 /// First instant of the simulated day on the scenario calendar.
 fn day_start(scenario: &Scenario, day: Day) -> SimTime {
-    let cal = scenario.calendar();
     match day {
-        // Day 2 of the exam period, as in E12/E16.
-        Day::Exam | Day::Chaos => cal.exams_start() + SimDuration::from_days(1),
+        // The exam day of E12 and E16.
+        Day::Exam | Day::Chaos => fleet::exam_day(scenario),
         // Step back whole weeks from the exams until an ordinary teaching
         // weekday: same weekday, mid-term load.
         Day::Diurnal => {
+            let cal = scenario.calendar();
             let mut t = cal.exams_start();
             loop {
                 t = t - SimDuration::from_days(7);
@@ -212,7 +176,7 @@ struct Ledger {
 impl Ledger {
     fn lose(&mut self, mix: &[(RequestKind, f64); 9], count: f64) {
         self.gave_up += count;
-        self.quiz_lost += count * frac_of(mix, RequestKind::QuizSubmit);
+        self.quiz_lost += count * share(mix, RequestKind::QuizSubmit);
     }
 
     fn total(&self) -> f64 {
@@ -246,8 +210,8 @@ impl Ledger {
 }
 
 /// Simulates a VM deployment (public or hybrid) over one day as a fluid
-/// M/M/1 fleet with write-priority allocation: writes — `QuizSubmit`
-/// above all — are only shed once reads already are.
+/// fleet on the shared latency curve, with write-priority allocation:
+/// writes — `QuizSubmit` above all — are only shed once reads already are.
 fn simulate_vm(
     scenario: &Scenario,
     day: Day,
@@ -262,15 +226,13 @@ fn simulate_vm(
         .filter(|(k, _)| k.is_write())
         .map(|(_, f)| f)
         .sum();
-    let quiz_frac = frac_of(mix, RequestKind::QuizSubmit);
+    let quiz_frac = share(mix, RequestKind::QuizSubmit);
 
-    let exam_peak = workload.peak_rate();
-    let private_units = ((exam_peak * 1.2 / UNIT.requests_per_sec()).ceil() as u32).max(2);
+    let private_units = fleet::fixed_fleet(workload.peak_rate());
+    // Rounded up, where E16 rounds down.
     let burst_units = ((f64::from(private_units) * BURST_FRACTION).ceil() as u32).max(1);
-    let rate0 = workload.rate_at(start);
-    let mut public_units = ((rate0 / (UNIT.requests_per_sec() * 0.6)).ceil() as u32).max(2);
-    let mut scaler =
-        (model == Model::Public).then(|| AutoScaler::new(2, 600, 0.6, SimDuration::from_secs(240)));
+    let mut public_units = fleet::elastic_start(workload.rate_at(start));
+    let mut scaler = Scaler::new();
 
     let mut ledger = Ledger::default();
     let mut warm = Histogram::new();
@@ -285,20 +247,10 @@ fn simulate_vm(
         let demand = rate * TICK.as_secs_f64();
 
         let storm = timeline.is_some_and(|t| t.storm_at(now));
-        let disaster = timeline.is_some_and(|t| t.disaster_by(now));
-        let crashed = timeline.map_or(0, |t| t.crashed_hosts_by(now));
 
         let cap_rps = match model {
             Model::Public => {
-                if let Some(s) = scaler.as_mut() {
-                    match s.decide(now, public_units, rate, UNIT.requests_per_sec()) {
-                        ScaleDecision::ScaleUp(n) => public_units += n,
-                        ScaleDecision::ScaleDown(n) => {
-                            public_units = public_units.saturating_sub(n).max(1);
-                        }
-                        ScaleDecision::Hold => {}
-                    }
-                }
+                public_units = scaler.resize(now, public_units, rate);
                 // Instances bill whether or not the uplink storm lets
                 // learners reach them.
                 vm_hours += f64::from(public_units) * tick_h;
@@ -309,11 +261,9 @@ fn simulate_vm(
                 }
             }
             Model::Hybrid => {
-                let alive = if disaster {
-                    0
-                } else {
-                    private_units.saturating_sub(crashed)
-                };
+                let alive = timeline.map_or(private_units, |t| {
+                    fleet::private_survivors(private_units, t, now)
+                });
                 let private_cap = f64::from(alive) * UNIT.requests_per_sec();
                 if private_cap >= rate || storm {
                     // The storm cuts the public burst path; the private
@@ -338,13 +288,7 @@ fn simulate_vm(
         }
 
         let served = demand.min(cap);
-        let rho = served / cap;
-        let latency = if rho < 0.95 {
-            (BASE_LATENCY_S / (1.0 - rho)).min(MAX_LATENCY_S)
-        } else {
-            MAX_LATENCY_S
-        };
-        warm.record_n(latency, served.round() as u64);
+        warm.record_n(fleet::latency_s(served / cap), served.round() as u64);
         ledger.served_warm += served;
 
         // Overflow sheds reads first; writes only once reads are gone.
@@ -445,7 +389,7 @@ fn simulate_faas(
         let mut pool_in_use: u32 = invokers.iter().map(Invoker::live).sum();
         for inv in &mut invokers {
             let kind = inv.kind();
-            let kind_rate = rate * frac_of(mix, kind);
+            let kind_rate = rate * share(mix, kind);
             let spec = deploy.profile.get(kind);
             let (demand, grant) = if storm {
                 // The provider is unreachable: fresh demand dies at the
@@ -583,8 +527,32 @@ impl Output {
         );
         s.note(format!("chaos campaign: {}", self.chaos));
         s.note("cost/day is compute only; storage and egress are identical across models");
-        s.note("measured: the per-invocation meter wins the diurnal day, but the exam surge exhausts the burst concurrency pool — QuizSubmit starves behind earlier functions and the hybrid's owned fleet keeps every submission");
+        s.note(self.measured());
         s
+    }
+
+    /// The measured note: the diurnal day's cheapest model and the exam
+    /// day's lost quiz submissions, as the rows have them.
+    fn measured(&self) -> String {
+        let cost = |model| self.row(Day::Diurnal, model).cost_per_day.amount();
+        let cheapest = Model::ALL
+            .into_iter()
+            .min_by(|&a, &b| cost(a).total_cmp(&cost(b)))
+            .expect("three models");
+        let mut diurnal = format!("{cheapest} at ${}/day", fmt_f64(cost(cheapest)));
+        if cheapest != Model::Faas {
+            diurnal += &format!(" (faas ${}/day)", fmt_f64(cost(Model::Faas)));
+        }
+        let lost = |model| match self.row(Day::Exam, model).quiz_submits_lost.round() {
+            0.0 => "none".to_string(),
+            n => format!("{n}"),
+        };
+        format!(
+            "measured: cheapest on the diurnal day: {diurnal}; quiz submissions lost on the \
+             exam day: faas {}, hybrid {}",
+            lost(Model::Faas),
+            lost(Model::Hybrid)
+        )
     }
 }
 

@@ -34,6 +34,7 @@ use elc_fluid::{EngineConfig, EngineReport, Fidelity};
 use elc_simcore::rng::SimRng;
 use elc_simcore::time::{SimDuration, SimTime};
 
+use super::fleet;
 use crate::scenario::Scenario;
 
 /// Window start within the exam day (16:00).
@@ -65,10 +66,10 @@ pub struct Output {
     pub rows: Vec<RegionRow>,
 }
 
-/// Where the exam-evening window sits on the workload's clock.
+/// Where the exam-evening window sits on the workload's clock: on the
+/// day E12 surges on.
 fn window_start(scenario: &Scenario) -> SimTime {
-    // Day 2 of the exam period — the same day E12 surges on.
-    scenario.calendar().exams_start() + SimDuration::from_days(1) + WINDOW_START
+    fleet::exam_day(scenario) + WINDOW_START
 }
 
 /// Regions in the federation: one per configured shard.

@@ -44,22 +44,19 @@
 use elc_analysis::metrics::{Cell, MetricSet, MetricTable};
 use elc_analysis::report::Section;
 use elc_cloud::billing::Usd;
-use elc_cloud::resources::VmSize;
 use elc_deploy::calib::DR_HOT_DATA_FRACTION;
 use elc_deploy::dr::{DrPosture, ReplicationSpec};
 use elc_dr::{Node, RecoveryOrchestrator};
+use elc_elearn::request::{RequestKind, EXAM_FRACTIONS};
 use elc_resil::chaos::{ChaosSpec, FaultTimeline};
 use elc_simcore::rng::SimRng;
 use elc_simcore::time::{SimDuration, SimTime};
 
+use super::fleet;
 use crate::scenario::Scenario;
 
 /// The drill watches the primary's region.
 const PRIMARY_REGION: u32 = 0;
-
-/// Quiz-submit share of the exam-evening mix (the `EXAM_MIX` weight in
-/// E16): the write stream the replication link must not lose.
-const QUIZ_SUBMIT_FRACTION: f64 = 0.35;
 
 /// Orchestrator control-loop tick.
 const TICK: SimDuration = SimDuration::from_secs(10);
@@ -173,17 +170,19 @@ fn floor_to(t: SimTime, interval: SimDuration) -> SimTime {
 /// Runs one model's posture through the drill.
 fn simulate(scenario: &Scenario, chaos: &ChaosSpec, model: DeployModel) -> DrRow {
     let workload = scenario.workload();
-    let cal = scenario.calendar();
     let posture = model.posture();
 
-    // Day 2 of the exam period, evening block — as in E16, the hours
-    // where a loss hurts most.
-    let evening_start = cal.exams_start() + SimDuration::from_days(1) + EVENING_START;
+    // The exam day's evening block — as in E16, the hours where a loss
+    // hurts most.
+    let evening_start = fleet::exam_day(scenario) + EVENING_START;
 
     let rng_root = SimRng::seed(scenario.seed()).derive("e19");
     let timeline = FaultTimeline::generate(chaos, &rng_root.derive("chaos"), HORIZON);
 
-    let peak_write_rate = workload.peak_rate() * QUIZ_SUBMIT_FRACTION;
+    // Quiz submissions: the write stream the replication link must not
+    // lose.
+    let quiz_share = fleet::share(&EXAM_FRACTIONS, RequestKind::QuizSubmit);
+    let peak_write_rate = workload.peak_rate() * quiz_share;
 
     // The hot dataset a media restore must bring back before service:
     // sized as CostInputs::standard sizes storage (≈ 200 GiB per 1000
@@ -197,7 +196,7 @@ fn simulate(scenario: &Scenario, chaos: &ChaosSpec, model: DeployModel) -> DrRow
     let protected = if model == DeployModel::Faas {
         0
     } else {
-        ((workload.peak_rate() * 1.2 / VmSize::Medium.requests_per_sec()).ceil() as u32).max(2)
+        fleet::fixed_fleet(workload.peak_rate())
     };
 
     // Warm the link up from the last nightly boundary: fast-forward to
@@ -209,7 +208,7 @@ fn simulate(scenario: &Scenario, chaos: &ChaosSpec, model: DeployModel) -> DrRow
     let mut warm = midnight;
     while warm < evening_start {
         let next = (warm + WARMUP_STEP).min(evening_start);
-        link.advance(next, workload.rate_at(warm) * QUIZ_SUBMIT_FRACTION);
+        link.advance(next, workload.rate_at(warm) * quiz_share);
         warm = next;
     }
 
@@ -230,7 +229,7 @@ fn simulate(scenario: &Scenario, chaos: &ChaosSpec, model: DeployModel) -> DrRow
     let mut now = SimTime::ZERO;
     while now < SimTime::ZERO + HORIZON {
         let cal_now = evening_start + (now - SimTime::ZERO);
-        let write_rate = workload.rate_at(cal_now) * QUIZ_SUBMIT_FRACTION;
+        let write_rate = workload.rate_at(cal_now) * quiz_share;
         let down = timeline.region_lost_at(PRIMARY_REGION, now) || timeline.disaster_by(now);
 
         if down && !was_down && o.may_serve(Node::Primary) {

@@ -30,6 +30,7 @@ pub mod e16;
 pub mod e17;
 pub mod e18;
 pub mod e19;
+mod fleet;
 pub mod registry;
 pub mod t1;
 

@@ -18,10 +18,10 @@ use elc_net::link::LinkProfile;
 use elc_net::outage::OutageModel;
 use elc_resil::chaos::ChaosSpec;
 use elc_simcore::time::{SimDuration, SimTime};
-use elc_wltrace::{TraceHandout, TraceRecorder, WorkloadTrace};
+use elc_wltrace::{TraceError, TraceHandout, TraceRecorder, WorkloadTrace};
 
 /// Why a [`ScenarioBuilder`] refused to build.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ScenarioError {
     /// The population was zero.
     NoStudents,
@@ -29,8 +29,8 @@ pub enum ScenarioError {
     BadHorizon(f64),
     /// The shard count was zero.
     NoShards,
-    /// The replay trace was empty or failed validation.
-    BadTrace,
+    /// The replay trace was empty or failed validation, for this reason.
+    BadTrace(TraceError),
 }
 
 impl fmt::Display for ScenarioError {
@@ -41,14 +41,24 @@ impl fmt::Display for ScenarioError {
                 write!(f, "scenario horizon must be positive and finite, got {y}")
             }
             ScenarioError::NoShards => write!(f, "scenario needs at least one shard"),
-            ScenarioError::BadTrace => {
-                write!(f, "scenario workload trace is empty or failed validation")
+            ScenarioError::BadTrace(e) => {
+                write!(
+                    f,
+                    "scenario workload trace is empty or failed validation: {e}"
+                )
             }
         }
     }
 }
 
-impl Error for ScenarioError {}
+impl Error for ScenarioError {
+    fn source(&self) -> Option<&(dyn Error + 'static)> {
+        match self {
+            ScenarioError::BadTrace(e) => Some(e),
+            _ => None,
+        }
+    }
+}
 
 /// Where a scenario's demand comes from.
 ///
@@ -537,13 +547,11 @@ impl Scenario {
         &self,
         trace: Arc<WorkloadTrace>,
     ) -> Result<Scenario, ScenarioError> {
-        if trace.validate().is_err() {
-            return Err(ScenarioError::BadTrace);
-        }
+        trace.validate().map_err(ScenarioError::BadTrace)?;
         let mut s = self.clone();
         s.students = trace.students.max(1);
         s.workload =
-            WorkloadSpec::Trace(TraceHandout::new(trace).map_err(|_| ScenarioError::BadTrace)?);
+            WorkloadSpec::Trace(TraceHandout::new(trace).map_err(ScenarioError::BadTrace)?);
         Ok(s)
     }
 
@@ -807,8 +815,13 @@ mod tests {
         let err = Scenario::university(1)
             .with_workload_trace(empty)
             .unwrap_err();
-        assert_eq!(err, ScenarioError::BadTrace);
-        assert!(err.to_string().contains("trace"));
+        assert_eq!(err, ScenarioError::BadTrace(TraceError::Empty));
+        assert_eq!(
+            err.to_string(),
+            "scenario workload trace is empty or failed validation: trace has no streams"
+        );
+        let source = err.source().expect("the trace error is kept");
+        assert_eq!(source.to_string(), TraceError::Empty.to_string());
     }
 
     #[test]

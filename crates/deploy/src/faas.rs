@@ -10,7 +10,7 @@
 //! time-to-service column.
 
 use elc_cloud::billing::{UsageMeter, Usd};
-use elc_elearn::request::RequestKind;
+use elc_elearn::request::{RequestKind, RequestMix, TEACHING_FRACTIONS};
 use elc_faas::{ColdStartProfile, FaasPriceSheet, InvocationBilling};
 use elc_net::units::Bytes;
 use elc_simcore::time::{SimDuration, SimTime};
@@ -18,20 +18,6 @@ use elc_simcore::time::{SimDuration, SimTime};
 use crate::calib;
 use crate::cost::{CostInputs, EGRESS_BILLED_FRACTION};
 use crate::model::Component;
-
-/// Teaching-mix fraction of total traffic per request kind, aligned with
-/// [`elc_elearn::request::RequestMix::teaching`] (weights / 100).
-pub const TEACHING_FRACTIONS: [(RequestKind, f64); 9] = [
-    (RequestKind::Login, 0.05),
-    (RequestKind::CoursePage, 0.22),
-    (RequestKind::VideoChunk, 0.45),
-    (RequestKind::QuizFetch, 0.04),
-    (RequestKind::QuizSubmit, 0.04),
-    (RequestKind::Upload, 0.04),
-    (RequestKind::Download, 0.09),
-    (RequestKind::ForumRead, 0.05),
-    (RequestKind::ForumPost, 0.02),
-];
 
 /// Platform knobs of the serverless estate, one value object so every
 /// experiment prices and simulates the same deployment.
@@ -127,7 +113,7 @@ pub fn faas_tco(inputs: &CostInputs, faas: &FaasDeployment) -> FaasCostBreakdown
     );
     let mut meter = InvocationBilling::new(sheet);
 
-    let mix = elc_elearn::request::RequestMix::teaching();
+    let mix = RequestMix::teaching();
     let mean_response = mix.mean_response_size().as_u64() as f64;
     let half_year = SimDuration::from_days(26 * 7);
     let step = SimDuration::from_hours(1);
@@ -182,12 +168,6 @@ mod tests {
     fn inputs(students: u32) -> CostInputs {
         let cal = AcademicCalendar::standard_semester(SimTime::ZERO);
         CostInputs::standard(WorkloadModel::builder(students, cal).build().unwrap())
-    }
-
-    #[test]
-    fn fractions_sum_to_one() {
-        let total: f64 = TEACHING_FRACTIONS.iter().map(|(_, f)| f).sum();
-        assert!((total - 1.0).abs() < 1e-9, "fractions sum to {total}");
     }
 
     #[test]

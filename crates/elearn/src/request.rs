@@ -3,7 +3,8 @@
 //! Each request kind has a request/response payload and a server-side
 //! service cost, expressed as a weight relative to the cheapest request.
 //! Workload mixes ([`RequestMix`]) say how often each kind occurs; the exam
-//! mix shifts sharply toward quiz traffic.
+//! mix shifts sharply toward quiz traffic. [`TEACHING_FRACTIONS`] and
+//! [`EXAM_FRACTIONS`] give the same two mixes as per-kind shares.
 
 use elc_net::units::Bytes;
 use elc_simcore::dist::{DistError, Weighted};
@@ -250,6 +251,58 @@ impl RequestLifecycle {
     }
 }
 
+/// A mix's weight per request kind, in [`RequestKind::ALL`] order.
+type Weights = [(RequestKind, f64); RequestKind::ALL.len()];
+
+/// Weights of [`RequestMix::teaching`]; they sum to 100.
+const TEACHING_WEIGHTS: Weights = [
+    (RequestKind::Login, 5.0),
+    (RequestKind::CoursePage, 22.0),
+    (RequestKind::VideoChunk, 45.0),
+    (RequestKind::QuizFetch, 4.0),
+    (RequestKind::QuizSubmit, 4.0),
+    (RequestKind::Upload, 4.0),
+    (RequestKind::Download, 9.0),
+    (RequestKind::ForumRead, 5.0),
+    (RequestKind::ForumPost, 2.0),
+];
+
+/// Weights of [`RequestMix::exam`]; they sum to 100.
+const EXAM_WEIGHTS: Weights = [
+    (RequestKind::Login, 10.0),
+    (RequestKind::CoursePage, 9.0),
+    (RequestKind::VideoChunk, 2.0),
+    (RequestKind::QuizFetch, 40.0),
+    (RequestKind::QuizSubmit, 35.0),
+    (RequestKind::Upload, 1.0),
+    (RequestKind::Download, 1.0),
+    (RequestKind::ForumRead, 1.5),
+    (RequestKind::ForumPost, 0.5),
+];
+
+/// Each kind's share of the teaching mix: its weight over the weights'
+/// sum, for models that split a rate by kind instead of sampling.
+pub const TEACHING_FRACTIONS: Weights = fractions(TEACHING_WEIGHTS);
+
+/// Each kind's share of the exam mix, as [`TEACHING_FRACTIONS`].
+pub const EXAM_FRACTIONS: Weights = fractions(EXAM_WEIGHTS);
+
+/// `weights`, each divided by their sum (summed in order).
+const fn fractions(mut weights: Weights) -> Weights {
+    let mut total = 0.0;
+    let mut i = 0;
+    while i < weights.len() {
+        total += weights[i].1;
+        i += 1;
+    }
+    let mut i = 0;
+    while i < weights.len() {
+        weights[i].1 /= total;
+        i += 1;
+    }
+    weights
+}
+
 /// A probability mix over request kinds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RequestMix {
@@ -297,35 +350,13 @@ impl RequestMix {
     /// Ordinary teaching-week traffic: browsing and video dominate.
     #[must_use]
     pub fn teaching() -> Self {
-        RequestMix::new(&[
-            (RequestKind::Login, 5.0),
-            (RequestKind::CoursePage, 22.0),
-            (RequestKind::VideoChunk, 45.0),
-            (RequestKind::QuizFetch, 4.0),
-            (RequestKind::QuizSubmit, 4.0),
-            (RequestKind::Upload, 4.0),
-            (RequestKind::Download, 9.0),
-            (RequestKind::ForumRead, 5.0),
-            (RequestKind::ForumPost, 2.0),
-        ])
-        .expect("static weights are valid")
+        RequestMix::new(&TEACHING_WEIGHTS).expect("static weights are valid")
     }
 
     /// Exam-window traffic: quiz fetch/submit dominate.
     #[must_use]
     pub fn exam() -> Self {
-        RequestMix::new(&[
-            (RequestKind::Login, 10.0),
-            (RequestKind::CoursePage, 9.0),
-            (RequestKind::VideoChunk, 2.0),
-            (RequestKind::QuizFetch, 40.0),
-            (RequestKind::QuizSubmit, 35.0),
-            (RequestKind::Upload, 1.0),
-            (RequestKind::Download, 1.0),
-            (RequestKind::ForumRead, 1.5),
-            (RequestKind::ForumPost, 0.5),
-        ])
-        .expect("static weights are valid")
+        RequestMix::new(&EXAM_WEIGHTS).expect("static weights are valid")
     }
 
     /// Draws one request kind.
@@ -384,6 +415,29 @@ mod tests {
             RequestOutcome::ServedDegraded.to_string(),
             "served-degraded"
         );
+    }
+
+    #[test]
+    fn fractions_are_the_weights_over_one_hundred_to_the_bit() {
+        // Each weight over the sum must round to exactly the decimal
+        // share: the fleet experiments' outputs depend on these bits.
+        let teaching = [0.05, 0.22, 0.45, 0.04, 0.04, 0.04, 0.09, 0.05, 0.02];
+        let exam = [0.10, 0.09, 0.02, 0.40, 0.35, 0.01, 0.01, 0.015, 0.005];
+        for (table, literals) in [(TEACHING_FRACTIONS, teaching), (EXAM_FRACTIONS, exam)] {
+            for (i, ((kind, frac), literal)) in table.into_iter().zip(literals).enumerate() {
+                assert_eq!(kind, RequestKind::ALL[i]);
+                assert_eq!(frac.to_bits(), f64::to_bits(literal), "{kind}");
+            }
+        }
+        for (mix, table) in [
+            (RequestMix::teaching(), TEACHING_FRACTIONS),
+            (RequestMix::exam(), EXAM_FRACTIONS),
+        ] {
+            for (&(kind, weight), (k, frac)) in mix.pairs().iter().zip(table) {
+                assert_eq!(kind, k);
+                assert_eq!(frac, weight / 100.0, "{kind}");
+            }
+        }
     }
 
     #[test]

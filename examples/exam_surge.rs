@@ -95,7 +95,7 @@ fn main() {
 
     let world = World {
         dc,
-        scaler: AutoScaler::new(2, 400, 0.6, SimDuration::from_secs(240)),
+        scaler: AutoScaler::standard(),
         rng: SimRng::seed(scenario.seed()).derive("exam-surge"),
         scenario,
         day_start,

@@ -577,6 +577,21 @@ fn a_trace_that_understates_its_peak_is_refused() {
 }
 
 #[test]
+fn a_trace_a_morph_breaks_is_refused_naming_the_failed_check() {
+    let dir = scratch_dir("broken-by-morph");
+    let trace = recorded_small_college(&dir);
+    // Each scale is finite; together they overflow the peak to infinity.
+    let morph = ["--morph", "scale=1e300,scale=1e300"];
+    let out = replay(&dir, &trace, &["experiment", "e12"], &morph);
+    assert_refused(
+        &out,
+        "--workload: scenario workload trace is empty or failed validation: \
+         malformed trace: peak rate not finite",
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn mutated_traces_are_run_or_refused_never_panicked_on() {
     use elearn_cloud::simcore::SimRng;
 
