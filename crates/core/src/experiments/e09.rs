@@ -74,8 +74,8 @@ fn trace_rehearsal(scenario: &Scenario, out: &Output) {
         let rng = root.derive(&label);
         let go_live = SimTime::ZERO + row.schedule.time_to_service();
 
-        // simcore + cloud: a provisioning event at go-live, plus one
-        // cancelled contingency event, on a two-host datacenter.
+        // simcore + cloud: a provisioning event at go-live on a two-host
+        // datacenter.
         let mut dc = Datacenter::new(format!("{label}-dc"), FirstFit, SimDuration::from_secs(90));
         dc.add_hosts(2, VmSize::XLarge.resources());
         let mut sim_rng = rng.derive("sim");
@@ -86,8 +86,6 @@ fn trace_rehearsal(scenario: &Scenario, out: &Output) {
                 let _ = sim.state_mut().provision(VmSize::Medium, now);
             }
         });
-        let contingency = sim.schedule_at(go_live + SimDuration::from_hours(1), |_| {});
-        sim.cancel(contingency);
         sim.run();
 
         // net: that week's outage windows, then the content-seed sync.

@@ -617,8 +617,14 @@ impl FaasColumn {
             "Deployment-model comparison matrix with FaaS (appendix)",
             m.to_table(),
         );
+        // The burst pool starves only an institution that outgrows it.
+        let surge = if self.surge_rejected > 0.0 {
+            "and a starved surge"
+        } else {
+            "while its burst pool carries the surge"
+        };
         s.note(format!(
-            "criteria won (public/private/hybrid/faas): {}/{}/{}/{} — FaaS buys speed and ops leanness with deeper lock-in and a starved surge",
+            "criteria won (public/private/hybrid/faas): {}/{}/{}/{} — FaaS buys speed and ops leanness with deeper lock-in {surge}",
             wins[0], wins[1], wins[2], wins[3]
         ));
         s
@@ -778,5 +784,29 @@ mod tests {
             wins[3] > 0,
             "faas must win at least one criterion, wins {wins:?}"
         );
+    }
+
+    #[test]
+    fn faas_note_claims_a_starved_surge_only_when_faas_rejects() {
+        let mut starved = 0;
+        for s in crate::scenario::report_presets(42) {
+            let base = super::super::run_all(&s).metrics();
+            let col = FaasColumn::derive(&s, &base, &run(&s));
+            let section = col.section(&base);
+            let note = section.notes().last().expect("T1F has its note");
+            let clause = if col.surge_rejected > 0.0 {
+                starved += 1;
+                "and a starved surge"
+            } else {
+                "while its burst pool carries the surge"
+            };
+            assert!(
+                note.ends_with(clause),
+                "{}: FaaS rejects {} of the exam day, note: {note}",
+                s.name(),
+                col.surge_rejected
+            );
+        }
+        assert_eq!(starved, 2, "university and national-platform starve");
     }
 }

@@ -55,9 +55,10 @@ pub(super) fn exam_day(scenario: &Scenario) -> SimTime {
 }
 
 /// Minute-level latency of a fleet at utilization `rho`, seconds: an
-/// M/M/1-style load curve, capped when saturated.
+/// M/M/1-style load curve, capped when saturated. E12, E16 and E17 read
+/// it; the crate exports it as `experiments::fleet_latency_s`.
 #[inline]
-pub(super) fn latency_s(rho: f64) -> f64 {
+pub fn latency_s(rho: f64) -> f64 {
     if rho < 0.95 {
         (BASE_LATENCY_S / (1.0 - rho)).min(MAX_LATENCY_S)
     } else {

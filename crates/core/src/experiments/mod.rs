@@ -34,6 +34,7 @@ mod fleet;
 pub mod registry;
 pub mod t1;
 
+pub use fleet::latency_s as fleet_latency_s;
 pub use registry::{find, registry, Experiment, ExperimentRun};
 
 use elc_analysis::report::Report;

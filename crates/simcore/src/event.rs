@@ -86,9 +86,8 @@ impl PayloadBuf {
     }
 }
 
-/// The boxed handler [`EventFn`] replaces. Handlers are `Send`, so a
-/// `Simulation` whose state is `Send` may move between threads.
-type Boxed<S> = Box<dyn FnOnce(&mut Simulation<S>) + Send>;
+/// The boxed handler [`EventFn`] replaces.
+type Boxed<S> = Box<dyn FnOnce(&mut Simulation<S>)>;
 
 /// The manual vtable shared by every event of one closure type: how to run
 /// the payload, how to destroy an unfired one, how to copy a repeatable
@@ -121,7 +120,7 @@ struct EventVTable {
 #[allow(clippy::type_complexity)]
 struct VTables<S, F>(PhantomData<(fn(S), fn(F))>);
 
-impl<S, F: FnOnce(&mut Simulation<S>) + Send + 'static> VTables<S, F> {
+impl<S, F: FnOnce(&mut Simulation<S>) + 'static> VTables<S, F> {
     const INLINE: EventVTable = EventVTable {
         call: call_in_buf::<S, F>,
         drop_fn: drop_in_buf::<F>,
@@ -136,7 +135,7 @@ impl<S, F: FnOnce(&mut Simulation<S>) + Send + 'static> VTables<S, F> {
     };
 }
 
-impl<S, F: Fn(&mut Simulation<S>) + Clone + Send + 'static> VTables<S, F> {
+impl<S, F: Fn(&mut Simulation<S>) + Clone + 'static> VTables<S, F> {
     const INLINE_REPEATABLE: EventVTable = EventVTable {
         copy: Some(copy_in_buf::<F>),
         ..Self::INLINE
@@ -154,13 +153,14 @@ impl<S, F: Fn(&mut Simulation<S>) + Clone + Send + 'static> VTables<S, F> {
 /// allocations. Larger closures transparently spill to a `Box`.
 ///
 /// Constructed by `Simulation`'s scheduling methods; consumed by the
-/// executive via [`EventFn::call`], or dropped in place when the event is
-/// cancelled.
+/// executive via [`EventFn::call`], or dropped with the queue when the
+/// simulation ends with the event still pending.
 pub struct EventFn<S> {
     buf: PayloadBuf,
     vtable: &'static EventVTable,
-    /// Every constructor requires a `Send` payload, so the type inherits
-    /// `Send` from the boxed form it replaces.
+    /// The payload may be any handler, `Send` or not, so the type takes
+    /// its auto traits from the boxed form it replaces: neither `Send` nor
+    /// `Sync`. The buffer and vtable alone would claim both.
     _marker: PhantomData<Boxed<S>>,
 }
 
@@ -172,7 +172,7 @@ impl<S> EventFn<S> {
     #[must_use]
     pub const fn stores_inline<F>() -> bool
     where
-        F: FnOnce(&mut Simulation<S>) + Send + 'static,
+        F: FnOnce(&mut Simulation<S>) + 'static,
     {
         size_of::<F>() <= INLINE_EVENT_BYTES && align_of::<F>() <= align_of::<PayloadBuf>()
     }
@@ -181,7 +181,7 @@ impl<S> EventFn<S> {
     #[inline]
     pub fn new<F>(handler: F) -> Self
     where
-        F: FnOnce(&mut Simulation<S>) + Send + 'static,
+        F: FnOnce(&mut Simulation<S>) + 'static,
     {
         // SAFETY: each vtable is built for the payload type stored under
         // it.
@@ -200,7 +200,7 @@ impl<S> EventFn<S> {
     #[inline]
     pub(crate) fn repeatable<F>(handler: F) -> Self
     where
-        F: Fn(&mut Simulation<S>) + Clone + Send + 'static,
+        F: Fn(&mut Simulation<S>) + Clone + 'static,
     {
         // SAFETY: each vtable is built for the payload type stored under
         // it.
@@ -295,9 +295,9 @@ impl<S> EventFn<S> {
 impl<S> Drop for EventFn<S> {
     fn drop(&mut self) {
         // SAFETY: `Drop` only runs on events never passed to `call`
-        // (cancelled or still pending at teardown), so the buffer still
-        // holds a live payload for `drop_fn` to destroy — exactly once,
-        // because `call` suppresses `Drop` via `ManuallyDrop`.
+        // (still pending at teardown), so the buffer still holds a live
+        // payload for `drop_fn` to destroy — exactly once, because `call`
+        // suppresses `Drop` via `ManuallyDrop`.
         #[allow(unsafe_code)]
         unsafe {
             (self.vtable.drop_fn)(self.buf.as_mut_ptr());

@@ -5,9 +5,9 @@
 //!
 //! * a virtual clock with integer-nanosecond precision ([`time`]),
 //! * a pending-event set with deterministic tie-breaking ([`queue`]) plus
-//!   a naive baseline for ablation ([`baseline`]); an event scheduled one
-//!   at a time can be cancelled by handle, in O(log n) from the heap and
-//!   O(1) from the push run, while batch-scheduled events cannot be,
+//!   a naive baseline for ablation ([`baseline`]); events that arrive in
+//!   time order, one at a time or in a batch, push and pop in O(1), and
+//!   the rest in O(log n),
 //! * the c-server FIFO queueing station E18's engine runs, checked against
 //!   the M/D/1 and Erlang-B closed forms ([`queueing`]),
 //! * the simulation executive ([`sim::Simulation`]),

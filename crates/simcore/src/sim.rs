@@ -25,7 +25,7 @@ use std::fmt;
 use elc_trace::{Field, Level};
 
 use crate::event::EventFn;
-use crate::queue::{EventId, EventQueue};
+use crate::queue::EventQueue;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 
@@ -159,7 +159,7 @@ impl<S> Simulation<S> {
     #[inline]
     fn wrap<F>(&mut self, handler: F) -> EventFn<S>
     where
-        F: FnOnce(&mut Simulation<S>) + Send + 'static,
+        F: FnOnce(&mut Simulation<S>) + 'static,
     {
         if const { EventFn::<S>::stores_inline::<F>() } {
             self.inline_scheduled += 1;
@@ -180,10 +180,10 @@ impl<S> Simulation<S> {
     pub fn schedule_in(
         &mut self,
         delay: SimDuration,
-        handler: impl FnOnce(&mut Simulation<S>) + Send + 'static,
-    ) -> EventId {
+        handler: impl FnOnce(&mut Simulation<S>) + 'static,
+    ) {
         let ev = self.wrap(handler);
-        self.queue.push(self.now + delay, ev)
+        self.queue.push(self.now + delay, ev);
     }
 
     /// Schedules `handler` at an absolute instant.
@@ -195,8 +195,8 @@ impl<S> Simulation<S> {
     pub fn schedule_at(
         &mut self,
         time: SimTime,
-        handler: impl FnOnce(&mut Simulation<S>) + Send + 'static,
-    ) -> EventId {
+        handler: impl FnOnce(&mut Simulation<S>) + 'static,
+    ) {
         assert!(
             time >= self.now,
             "cannot schedule into the past: now={}, requested={}",
@@ -204,7 +204,7 @@ impl<S> Simulation<S> {
             time
         );
         let ev = self.wrap(handler);
-        self.queue.push(time, ev)
+        self.queue.push(time, ev);
     }
 
     /// Schedules one run of `handler` at each offset in `offsets`, relative
@@ -224,7 +224,7 @@ impl<S> Simulation<S> {
     /// with a copy of the handler each (see [`EventQueue::push_batch`]).
     pub fn schedule_batch<F>(&mut self, offsets: &[SimDuration], handler: F)
     where
-        F: Fn(&mut Simulation<S>) + Clone + Send + 'static,
+        F: Fn(&mut Simulation<S>) + Clone + 'static,
     {
         // Inline-vs-spill is a property of `F`, so one check covers the
         // whole batch.
@@ -249,36 +249,18 @@ impl<S> Simulation<S> {
         &mut self,
         start: SimDuration,
         interval: SimDuration,
-        handler: impl FnMut(&mut Simulation<S>) -> bool + Send + 'static,
-    ) -> EventId {
+        handler: impl FnMut(&mut Simulation<S>) -> bool + 'static,
+    ) {
         fn tick<S, F>(sim: &mut Simulation<S>, mut f: F, interval: SimDuration)
         where
-            F: FnMut(&mut Simulation<S>) -> bool + Send + 'static,
+            F: FnMut(&mut Simulation<S>) -> bool + 'static,
         {
             if f(sim) {
                 sim.schedule_in(interval, move |sim| tick(sim, f, interval));
             }
         }
         let f = handler;
-        self.schedule_in(start, move |sim| tick(sim, f, interval))
-    }
-
-    /// Cancels a pending event. Returns `true` if it had not yet fired.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        let hit = self.queue.cancel(id);
-        if elc_trace::enabled(TRACE_TARGET, Level::Debug) {
-            elc_trace::instant(
-                self.now.as_nanos(),
-                TRACE_TARGET,
-                "event.cancel",
-                Level::Debug,
-                &[
-                    Field::bool("hit", hit),
-                    Field::u64("pending", self.queue.len() as u64),
-                ],
-            );
-        }
-        hit
+        self.schedule_in(start, move |sim| tick(sim, f, interval));
     }
 
     /// Executes the next pending event, if any. Returns `false` when the
@@ -567,30 +549,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_prevents_execution() {
-        let mut sim = Simulation::new(1, 0u32);
-        let id = sim.schedule_in(SimDuration::from_secs(1), |s| *s.state_mut() += 1);
-        sim.schedule_in(SimDuration::from_secs(2), |s| *s.state_mut() += 10);
-        assert!(sim.cancel(id));
-        sim.run();
-        assert_eq!(*sim.state(), 10);
-    }
-
-    #[test]
-    fn cancel_misses_fired_cancelled_and_stale_ids() {
-        let mut sim = Simulation::new(1, 0u32);
-        let id = sim.schedule_in(SimDuration::from_secs(1), |s| *s.state_mut() += 1);
-        sim.run();
-        assert!(!sim.cancel(id), "a fired event cannot be cancelled");
-        assert_eq!(*sim.state(), 1);
-        let id2 = sim.schedule_in(SimDuration::from_secs(1), |_| {});
-        assert!(!sim.cancel(id), "a stale id misses the slot's new occupant");
-        assert_eq!(sim.pending(), 1);
-        assert!(sim.cancel(id2));
-        assert!(!sim.cancel(id2), "a second cancel misses");
-    }
-
-    #[test]
     fn schedule_batch_fires_in_offset_order() {
         let mut sim = Simulation::new(1, Vec::<u64>::new());
         sim.run_for(SimDuration::from_secs(100)); // batch offsets are relative to "now"
@@ -716,15 +674,12 @@ mod tests {
         let (result, tracer) =
             elc_trace::with_tracer(Tracer::new(TraceFilter::all(Level::Trace)), || {
                 let mut sim = Simulation::new(1, 0u32);
-                let id = sim.schedule_in(SimDuration::from_secs(1), |_| {});
                 sim.schedule_in(SimDuration::from_secs(2), |s| *s.state_mut() += 1);
-                sim.cancel(id);
                 sim.run();
                 *sim.state()
             });
         assert_eq!(result, 1);
         let names: Vec<&str> = tracer.events().map(|e| tracer.resolve(e.name)).collect();
-        assert!(names.contains(&"event.cancel"));
         assert!(names.contains(&"event.exec"));
         assert!(names.contains(&"run.complete"));
         // Kernel events stamp sim time, not wall time.

@@ -59,31 +59,26 @@ fn event_queue_pops_sorted_stable() {
     });
 }
 
-/// Cancelling any subset never disturbs the order of the survivors.
+/// Pops interleaved with pushes never disturb the order of the events
+/// still pending: the queue matches a sorted-set reference at every pop.
 #[test]
-fn event_queue_cancellation_preserves_survivors() {
+fn event_queue_interleaved_pops_keep_the_rest_in_order() {
     cases(64, 0xE0_02, |rng| {
         let times = vec_u64(rng, 0, 19, 1..100);
-        let cancel_mask: Vec<bool> = (0..times.len()).map(|_| rng.chance(0.5)).collect();
         let mut q = EventQueue::new();
-        let ids: Vec<_> = times
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| (q.push(SimTime::from_nanos(t), i), i))
-            .collect();
-        let mut cancelled = std::collections::HashSet::new();
-        for ((id, i), &c) in ids.iter().zip(&cancel_mask) {
-            if c {
-                q.cancel(*id);
-                cancelled.insert(*i);
+        let mut reference = std::collections::BTreeSet::new();
+        let pop = |q: &mut EventQueue<usize>| q.pop().map(|(t, i)| (t.as_nanos(), i));
+        for (i, &t) in times.iter().enumerate() {
+            q.push(SimTime::from_nanos(t), i);
+            reference.insert((t, i));
+            if rng.chance(0.5) {
+                assert_eq!(pop(&mut q), reference.pop_first(), "interleaved pop");
             }
         }
-        let mut survivors = Vec::new();
-        while let Some((_, i)) = q.pop() {
-            assert!(!cancelled.contains(&i), "cancelled event fired");
-            survivors.push(i);
+        while let Some(next) = reference.pop_first() {
+            assert_eq!(pop(&mut q), Some(next), "drain");
         }
-        assert_eq!(survivors.len(), times.len() - cancelled.len());
+        assert!(q.is_empty());
     });
 }
 

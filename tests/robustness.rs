@@ -2,10 +2,11 @@
 //! depend on the random seed. The stochastic digits move; the shapes the
 //! paper asserts do not.
 
-use elearn_cloud::core::experiments::{e12, e16, e17, run_all};
+use elearn_cloud::core::experiments::{e12, e16, e17, e19, run_all};
 use elearn_cloud::core::scenario::report_presets;
 use elearn_cloud::core::Scenario;
 use elearn_cloud::deploy::model::DeploymentKind;
+use elearn_cloud::simcore::time::SimDuration;
 
 const SEEDS: [u64; 3] = [11, 222, 3_333];
 
@@ -160,6 +161,41 @@ fn the_surge_verdict_holds_from_rural_learners_up_over_32_seeds() {
                 fixed > 0.3 && elastic < 0.01,
                 "{} seed {seed}: surge verdict moved (fixed {fixed}, elastic {elastic})",
                 scenario.name()
+            );
+        }
+    }
+}
+
+/// E19's verdicts at every report preset over seeds 1..=32, fixed in
+/// advance: through the default region-loss drill, the synchronous
+/// replicas (public, FaaS) lose no committed write, while the private
+/// model's nightly tape loses the day: an RPO past 12 hours, and quiz
+/// submissions with it.
+#[test]
+fn sync_replicas_lose_nothing_and_the_tape_loses_the_day_over_32_seeds() {
+    use e19::DeployModel::{Faas, Private, Public};
+
+    for seed in 1..=32 {
+        for scenario in report_presets(seed) {
+            let out = e19::run(&scenario);
+            let name = scenario.name();
+            for model in [Public, Faas] {
+                let r = out.row(model);
+                assert_eq!(r.rpo, SimDuration::ZERO, "{name} seed {seed}: {model} rpo");
+                assert_eq!(
+                    r.quiz_submits_lost, 0.0,
+                    "{name} seed {seed}: {model} lost quiz submissions"
+                );
+            }
+            let tape = out.row(Private);
+            assert!(
+                tape.rpo > SimDuration::from_hours(12),
+                "{name} seed {seed}: the tape's rpo is only {}",
+                tape.rpo
+            );
+            assert!(
+                tape.quiz_submits_lost > 0.0,
+                "{name} seed {seed}: the tape lost no quiz submission"
             );
         }
     }
