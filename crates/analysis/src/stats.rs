@@ -24,24 +24,44 @@ pub fn std_dev(xs: &[f64]) -> f64 {
     (xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / (xs.len() - 1) as f64).sqrt()
 }
 
-/// Exact quantile by linear interpolation on the sorted copy.
+/// Exact quantile by linear interpolation between the two samples whose
+/// ranks bracket `q`, as [`sorted_percentile`] reads them from a sorted
+/// copy.
 ///
-/// Clones and sorts per call; callers reading several quantiles of one
-/// sample set should sort once and use [`sorted_percentile`].
+/// O(n) per call: it copies the samples, selects the lower rank, and takes
+/// the upper as the least sample above it. Samples that compare equal but
+/// differ (−0.0 and +0.0) may come back in either order, so either may be
+/// returned. Callers reading several quantiles of one sample set should
+/// sort once and use [`sorted_percentile`].
 ///
 /// # Panics
 ///
 /// Panics if `q` is outside `[0, 1]` or any value is NaN.
 #[must_use]
 pub fn percentile(xs: &[f64], q: f64) -> f64 {
+    assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
     if xs.is_empty() {
-        // Preserve the range check even for empty input.
-        assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
         return 0.0;
     }
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in percentile input"));
-    sorted_percentile(&sorted, q)
+    let mut xs = xs.to_vec();
+    let (lo, hi, frac) = bracket(xs.len(), q);
+    let (_, &mut low, above) = xs.select_nth_unstable_by(lo, |a, b| {
+        a.partial_cmp(b).expect("NaN in percentile input")
+    });
+    if lo == hi {
+        low
+    } else {
+        let high = above.iter().copied().fold(f64::INFINITY, f64::min);
+        low * (1.0 - frac) + high * frac
+    }
+}
+
+/// The ranks that bracket quantile `q` of `len` sorted samples, and the
+/// weight of the upper one.
+fn bracket(len: usize, q: f64) -> (usize, usize, f64) {
+    let pos = q * (len - 1) as f64;
+    let lo = pos.floor() as usize;
+    (lo, pos.ceil() as usize, pos - lo as f64)
 }
 
 /// Exact quantile of an **already sorted** (ascending) slice, by linear
@@ -62,13 +82,10 @@ pub fn sorted_percentile(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
     }
-    let pos = q * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
+    let (lo, hi, frac) = bracket(sorted.len(), q);
     if lo == hi {
         sorted[lo]
     } else {
-        let frac = pos - lo as f64;
         sorted[lo] * (1.0 - frac) + sorted[hi] * frac
     }
 }
@@ -190,6 +207,53 @@ mod tests {
             assert_eq!(sorted_percentile(&sorted, q), percentile(&xs, q), "q={q}");
         }
         assert_eq!(sorted_percentile(&[], 0.5), 0.0);
+    }
+
+    /// `percentile` as it was: sort a copy, then read it.
+    fn sort_percentile(xs: &[f64], q: f64) -> f64 {
+        let mut sorted = xs.to_vec();
+        sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
+        sorted_percentile(&sorted, q)
+    }
+
+    #[test]
+    fn selection_matches_the_sorted_reference() {
+        // SplitMix64: this crate draws no random numbers of its own.
+        let mut state = 0x5E1E_C7A7_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let mut unit = move || (next() >> 11) as f64 / (1u64 << 53) as f64;
+        // Few values, both zeros among them, so ranks tie.
+        let few = [-1.5, -0.0, 0.0, 1.0, 2.5];
+        for case in 0..2_000 {
+            let len = 1 + (unit() * 257.0) as usize;
+            let xs: Vec<f64> = (0..len)
+                .map(|_| {
+                    if case % 2 == 0 {
+                        few[(unit() * few.len() as f64) as usize]
+                    } else {
+                        unit() * 2_000.0 - 1_000.0
+                    }
+                })
+                .collect();
+            for q in [0.0, 0.5, 0.95, 1.0, unit()] {
+                let (got, want) = (percentile(&xs, q), sort_percentile(&xs, q));
+                assert!(got == want, "case {case} len {len} q {q}: {got} vs {want}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN in percentile input")]
+    fn percentile_rejects_nan() {
+        let mut xs: Vec<f64> = (0..100).map(f64::from).collect();
+        xs[37] = f64::NAN;
+        let _ = percentile(&xs, 0.5);
     }
 
     #[test]

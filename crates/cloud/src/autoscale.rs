@@ -6,6 +6,7 @@
 //! load sits at a target fraction of capacity, with a cooldown to prevent
 //! flapping.
 
+use elc_simcore::round::ceil_u32;
 use elc_simcore::time::{SimDuration, SimTime};
 use elc_trace::{Field, Level};
 
@@ -55,8 +56,7 @@ impl AutoScaler {
     #[must_use]
     pub fn desired_count(&self, load_rps: f64, unit_rps: f64) -> u32 {
         assert!(unit_rps > 0.0, "unit capacity must be positive");
-        let needed = (load_rps / (unit_rps * TARGET_UTILIZATION)).ceil();
-        (needed.max(0.0) as u32).clamp(MIN_INSTANCES, MAX_INSTANCES)
+        ceil_u32(load_rps / (unit_rps * TARGET_UTILIZATION)).clamp(MIN_INSTANCES, MAX_INSTANCES)
     }
 
     /// Decides a scaling action at `now`.
@@ -120,6 +120,8 @@ mod tests {
         assert_eq!(s.desired_count(300.0, 100.0), 5);
         assert_eq!(s.desired_count(0.0, 100.0), 2); // floor
         assert_eq!(s.desired_count(1e9, 100.0), 600); // ceiling
+        assert_eq!(s.desired_count(f64::NAN, 100.0), 2);
+        assert_eq!(s.desired_count(f64::INFINITY, 100.0), 600);
     }
 
     #[test]

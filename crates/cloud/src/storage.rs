@@ -75,10 +75,15 @@ impl ReplicationPolicy {
 
     /// True if placement from `first_site` puts a replica on `site`, i.e.
     /// `site` is fewer than [`spread`](Self::spread) sites on from it,
-    /// round-robin. Both sites must be below `sites`.
+    /// round-robin. Both sites must be below `sites`, so the distance
+    /// before wrapping is below `2 · sites` and one subtraction wraps it.
     fn places_on(&self, first_site: u32, site: u32) -> bool {
         let sites = u64::from(self.sites);
-        (u64::from(site) + sites - u64::from(first_site)) % sites < u64::from(self.spread())
+        let mut ahead = u64::from(site) + sites - u64::from(first_site);
+        if ahead >= sites {
+            ahead -= sites;
+        }
+        ahead < u64::from(self.spread())
     }
 
     /// Probability an object is lost if each *replica* independently fails
@@ -155,8 +160,13 @@ impl ObjectStore {
     }
 
     /// Creates an empty store with room for `objects` objects.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the policy has no site, which its public fields allow.
     #[must_use]
     pub fn with_capacity(policy: ReplicationPolicy, objects: usize) -> Self {
+        assert!(policy.sites >= 1, "need at least one site");
         ObjectStore {
             policy,
             objects: Vec::with_capacity(objects),
@@ -174,7 +184,11 @@ impl ObjectStore {
             first_site: self.next_site,
             live: self.policy.spread(),
         });
-        self.next_site = (self.next_site + 1) % self.policy.sites;
+        // `next_site < sites` always holds, so wrapping is a reset.
+        self.next_site += 1;
+        if self.next_site == self.policy.sites {
+            self.next_site = 0;
+        }
         id
     }
 
@@ -451,6 +465,42 @@ mod tests {
             repeated_losses >= 100,
             "only {repeated_losses} repeat losses"
         );
+    }
+
+    /// `put`'s compare-and-reset and `places_on`'s conditional subtract
+    /// answer as their `%` forms did, for every policy up to 8 × 8.
+    #[test]
+    fn wrapping_matches_the_remainder() {
+        for sites in 1..=8u32 {
+            for replicas in 1..=8u32 {
+                let policy = ReplicationPolicy::new(replicas, sites);
+                let mut store = ObjectStore::new(policy);
+                for i in 0..3 * sites {
+                    let id = store.put(Bytes::from_kib(1));
+                    assert_eq!(store.objects[id.index()].first_site, i % sites);
+                }
+                let (n, spread) = (u64::from(sites), u64::from(policy.spread()));
+                for first in 0..sites {
+                    for site in 0..sites {
+                        let want = (u64::from(site) + n - u64::from(first)) % n < spread;
+                        assert_eq!(
+                            policy.places_on(first, site),
+                            want,
+                            "r={replicas} sites={sites} first={first} site={site}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one site")]
+    fn store_rejects_a_policy_without_sites() {
+        let _ = ObjectStore::new(ReplicationPolicy {
+            replicas: 1,
+            sites: 0,
+        });
     }
 
     #[test]

@@ -39,6 +39,7 @@ use elc_faas::{FaasScaler, FixedWindow, InvocationBilling, Invoker, InvokerConfi
 use elc_resil::chaos::{ChaosSpec, FaultTimeline};
 use elc_simcore::metrics::Histogram;
 use elc_simcore::rng::SimRng;
+use elc_simcore::round::{ceil_u32, round_u64};
 use elc_simcore::time::{SimDuration, SimTime};
 
 use super::fleet::{self, share, Scaler, BURST_FRACTION, HORIZON, TICK, UNIT};
@@ -271,7 +272,7 @@ fn simulate_vm(
                     private_cap
                 } else {
                     let shortfall = rate - private_cap;
-                    let engaged = ((shortfall / UNIT.requests_per_sec()).ceil() as u32)
+                    let engaged = ceil_u32(shortfall / UNIT.requests_per_sec())
                         .min(burst_units)
                         .max(1);
                     vm_hours += f64::from(engaged) * tick_h;
@@ -288,7 +289,7 @@ fn simulate_vm(
         }
 
         let served = demand.min(cap);
-        warm.record_n(fleet::latency_s(served / cap), served.round() as u64);
+        warm.record_n(fleet::latency_s(served / cap), round_u64(served));
         ledger.served_warm += served;
 
         // Overflow sheds reads first; writes only once reads are gone.
@@ -315,6 +316,18 @@ fn simulate_vm(
     ledger.row(day, model, cost, &warm, &cold)
 }
 
+/// One function of the FaaS day: its invoker, which holds its start profile
+/// and the tick, and what each tick reads besides, computed once a day.
+struct Function {
+    invoker: Invoker,
+    /// Its share of the day's request mix.
+    share: f64,
+    /// Its service time, in seconds.
+    service_s: f64,
+    /// Its memory size, in GB: what billing meters.
+    memory_gb: f64,
+}
+
 /// Simulates the FaaS platform over one day: one [`Invoker`] per request
 /// kind competing for the account's shared burst pool in
 /// [`RequestKind::ALL`] order.
@@ -338,17 +351,21 @@ fn simulate_faas(
     let mut rng = SimRng::seed(scenario.seed())
         .derive("e17")
         .derive(&format!("{stream}/faas"));
-    let mut invokers: Vec<Invoker> = RequestKind::ALL
+    let mut functions: Vec<Function> = RequestKind::ALL
         .iter()
         .map(|&k| {
-            Invoker::new(
-                k,
-                InvokerConfig::new(
-                    FixedWindow::new(deploy.keepalive),
-                    deploy.per_function_concurrency,
-                    deploy.buffer_capacity,
-                ),
-            )
+            let profile = *deploy.profile.get(k);
+            let config = InvokerConfig::new(
+                FixedWindow::new(deploy.keepalive),
+                deploy.per_function_concurrency,
+                deploy.buffer_capacity,
+            );
+            Function {
+                invoker: Invoker::new(k, config, profile, TICK),
+                share: share(mix, k),
+                service_s: profile.service_time().as_secs_f64(),
+                memory_gb: profile.memory_gb(),
+            }
         })
         .collect();
 
@@ -375,22 +392,22 @@ fn simulate_faas(
         let crashed = timeline.map_or(0, |t| t.crashed_hosts_by(now));
         if crashed > last_crashed {
             let mut kills = (crashed - last_crashed) * SANDBOXES_PER_HOST;
-            for inv in &mut invokers {
+            for f in &mut functions {
                 if kills == 0 {
                     break;
                 }
-                let killed = inv.kill(kills);
+                let killed = f.invoker.kill(kills);
                 kills -= killed;
                 reaped += u64::from(killed);
             }
             last_crashed = crashed;
         }
 
-        let mut pool_in_use: u32 = invokers.iter().map(Invoker::live).sum();
-        for inv in &mut invokers {
+        let mut pool_in_use: u32 = functions.iter().map(|f| f.invoker.live()).sum();
+        for f in &mut functions {
+            let inv = &mut f.invoker;
             let kind = inv.kind();
-            let kind_rate = rate * share(mix, kind);
-            let spec = deploy.profile.get(kind);
+            let kind_rate = rate * f.share;
             let (demand, grant) = if storm {
                 // The provider is unreachable: fresh demand dies at the
                 // learner's uplink; idle sandboxes age toward the reaper.
@@ -400,13 +417,11 @@ fn simulate_faas(
                 }
                 (0, 0)
             } else {
-                let demand = (kind_rate * TICK.as_secs_f64()).round() as u64;
-                let desired = scaler.desired_containers(kind_rate, spec.service_time());
+                let demand = round_u64(kind_rate * TICK.as_secs_f64());
+                let desired = scaler.desired_containers(kind_rate, f.service_s);
                 (demand, scaler.grant(desired, inv.live(), pool_in_use))
             };
-            let out = inv.tick(
-                now, TICK, demand, grant, spec, &mut rng, &mut warm, &mut cold,
-            );
+            let out = inv.tick(now, demand, grant, &mut rng, &mut cold);
             pool_in_use += out.cold_starts as u32;
             ledger.served_warm += out.served_warm as f64;
             ledger.served_cold += out.served_cold as f64;
@@ -414,23 +429,20 @@ fn simulate_faas(
             if kind == RequestKind::QuizSubmit {
                 ledger.quiz_lost += out.shed as f64;
             }
-            billing.record(
-                out.served_warm + out.served_cold,
-                spec.service_time(),
-                spec.memory_gb(),
-            );
+            billing.record(out.served_warm + out.served_cold, f.service_s, f.memory_gb);
             cold_starts += out.cold_starts;
             reaped += out.reaped;
         }
     }
 
     // Whatever is still buffered at midnight never made it.
-    for inv in &mut invokers {
-        let abandoned = inv.abandon_buffer();
+    for f in &mut functions {
+        let abandoned = f.invoker.abandon_buffer();
         ledger.gave_up += abandoned as f64;
-        if inv.kind() == RequestKind::QuizSubmit {
+        if f.invoker.kind() == RequestKind::QuizSubmit {
             ledger.quiz_lost += abandoned as f64;
         }
+        f.invoker.record_warm(&mut warm);
     }
 
     let mut row = ledger.row(day, Model::Faas, billing.total(), &warm, &cold);

@@ -16,6 +16,7 @@
 use elc_cloud::billing::{PriceSheet, ReservedTerms, UsageMeter, Usd};
 use elc_cloud::resources::VmSize;
 use elc_net::units::Bytes;
+use elc_simcore::round::ceil_u32;
 use elc_simcore::time::{SimDuration, SimTime};
 
 use elc_elearn::workload::WorkloadModel;
@@ -185,7 +186,7 @@ pub(crate) fn tco_sampled(
         for &total_rate in rates {
             let rate = total_rate * public_frac;
             let instances =
-                ((rate / (unit_rps * PUBLIC_TARGET_UTIL)).ceil() as u32).max(PUBLIC_MIN_INSTANCES);
+                ceil_u32(rate / (unit_rps * PUBLIC_TARGET_UTIL)).max(PUBLIC_MIN_INSTANCES);
             vm_hours += f64::from(instances);
             instance_samples += f64::from(instances);
             min_instances = min_instances.min(instances);

@@ -124,7 +124,11 @@ pub fn faas_tco(inputs: &CostInputs, faas: &FaasDeployment) -> FaasCostBreakdown
         for (kind, frac) in TEACHING_FRACTIONS {
             let spec = faas.profile.get(kind);
             let invocations = (rate * frac * 3_600.0) as u64;
-            meter.record(invocations, spec.service_time(), spec.memory_gb());
+            meter.record(
+                invocations,
+                spec.service_time().as_secs_f64(),
+                spec.memory_gb(),
+            );
         }
         egress_bytes += rate * 3_600.0 * mean_response * EGRESS_BILLED_FRACTION;
         t += step;
@@ -135,7 +139,7 @@ pub fn faas_tco(inputs: &CostInputs, faas: &FaasDeployment) -> FaasCostBreakdown
     let mut scaled = InvocationBilling::new(sheet);
     scaled.record(
         (meter.requests() as f64 * scale) as u64,
-        SimDuration::from_secs(1),
+        1.0,
         (meter.gb_s() * scale / (meter.requests() as f64 * scale).max(1.0)).max(1e-12),
     );
     let invocations = scaled.total();

@@ -10,6 +10,9 @@ use elc_simcore::time::{SimDuration, SimTime};
 /// Seconds in a week.
 const WEEK: u64 = 7 * 86_400;
 
+/// Nanoseconds in an hour.
+const HOUR_NANOS: u64 = 3_600 * 1_000_000_000;
+
 /// What part of the term an instant falls in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
@@ -33,6 +36,18 @@ impl std::fmt::Display for Phase {
         };
         f.write_str(s)
     }
+}
+
+/// Where an instant falls in the calendar: the three readings the workload
+/// model scales traffic by.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Moment {
+    /// The phase.
+    pub phase: Phase,
+    /// Hour of day in `[0, 24)`.
+    pub hour: u32,
+    /// Saturday or Sunday.
+    pub weekend: bool,
 }
 
 /// One term's calendar, laid out in whole weeks:
@@ -97,35 +112,50 @@ impl AcademicCalendar {
         self.term_start + self.term_length()
     }
 
-    /// The phase at instant `t`.
+    /// Where `t` falls. Its offset from the term start is divided by an
+    /// hour once; the hour of day, the weekday and the term week all come
+    /// from that quotient. Days and weeks count from the term start, which
+    /// is a Monday at midnight by convention. Before the term start it is
+    /// hour 0 of a weekday in the break.
     #[must_use]
-    pub fn phase_at(&self, t: SimTime) -> Phase {
-        if t < self.term_start || t >= self.term_end() {
-            return Phase::Break;
-        }
-        let week = (t - self.term_start).as_secs() / WEEK;
+    pub fn moment(&self, t: SimTime) -> Moment {
+        let hours = t.saturating_since(self.term_start).as_nanos() / HOUR_NANOS;
+        let week = hours / (7 * 24);
         let reg = u64::from(self.registration_weeks);
-        let teach = u64::from(self.teaching_weeks);
-        if week < reg {
+        let teach = reg + u64::from(self.teaching_weeks);
+        let exams = teach + u64::from(self.exam_weeks);
+        let phase = if t < self.term_start || week >= exams {
+            Phase::Break
+        } else if week < reg {
             Phase::Registration
-        } else if week < reg + teach {
+        } else if week < teach {
             Phase::Teaching
         } else {
             Phase::Exams
+        };
+        Moment {
+            phase,
+            hour: (hours % 24) as u32,
+            weekend: (hours / 24) % 7 >= 5,
         }
+    }
+
+    /// The phase at instant `t`.
+    #[must_use]
+    pub fn phase_at(&self, t: SimTime) -> Phase {
+        self.moment(t).phase
     }
 
     /// True on Saturday/Sunday (term starts on a Monday by convention).
     #[must_use]
     pub fn is_weekend(&self, t: SimTime) -> bool {
-        let day = (t.saturating_since(self.term_start).as_secs() / 86_400) % 7;
-        day >= 5
+        self.moment(t).weekend
     }
 
     /// Hour of day in `[0, 24)`.
     #[must_use]
     pub fn hour_of_day(&self, t: SimTime) -> u32 {
-        ((t.saturating_since(self.term_start).as_secs() / 3_600) % 24) as u32
+        self.moment(t).hour
     }
 
     /// Start instant of the exam period.

@@ -26,7 +26,9 @@ const DIURNAL: [f64; 24] = [
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadModel {
     students: u32,
-    peak_rps_per_kstudent: f64,
+    /// `students / 1000 × peak_rps_per_kstudent`: the first two factors of
+    /// every rate, multiplied once.
+    base_rate: f64,
     calendar: AcademicCalendar,
     weekend_factor: f64,
     phase_factors: PhaseFactors,
@@ -172,7 +174,7 @@ impl WorkloadModelBuilder {
         }
         Ok(WorkloadModel {
             students: self.students,
-            peak_rps_per_kstudent: self.peak_rps_per_kstudent,
+            base_rate: self.students as f64 / 1_000.0 * self.peak_rps_per_kstudent,
             calendar: self.calendar,
             weekend_factor: self.weekend_factor,
             phase_factors: self.phase_factors,
@@ -215,20 +217,20 @@ impl WorkloadModel {
     /// Offered request rate at instant `t`, in requests/second.
     #[must_use]
     pub fn rate_at(&self, t: SimTime) -> f64 {
-        let phase = self.calendar.phase_at(t);
-        let phase_f = match phase {
+        let moment = self.calendar.moment(t);
+        let phase_f = match moment.phase {
             Phase::Break => self.phase_factors.break_f,
             Phase::Registration => self.phase_factors.registration,
             Phase::Teaching => self.phase_factors.teaching,
             Phase::Exams => self.phase_factors.exams,
         };
-        let diurnal = DIURNAL[self.calendar.hour_of_day(t) as usize];
-        let weekend = if self.calendar.is_weekend(t) {
+        let diurnal = DIURNAL[moment.hour as usize];
+        let weekend = if moment.weekend {
             self.weekend_factor
         } else {
             1.0
         };
-        self.students as f64 / 1_000.0 * self.peak_rps_per_kstudent * phase_f * diurnal * weekend
+        self.base_rate * phase_f * diurnal * weekend
     }
 
     /// The request mix appropriate for the phase at `t`.
@@ -245,10 +247,7 @@ impl WorkloadModel {
     #[must_use]
     pub fn peak_rate(&self) -> f64 {
         let peak_diurnal = DIURNAL.iter().cloned().fold(0.0, f64::max);
-        self.students as f64 / 1_000.0
-            * self.peak_rps_per_kstudent
-            * self.phase_factors.exams
-            * peak_diurnal
+        self.base_rate * self.phase_factors.exams * peak_diurnal
     }
 
     /// Mean offered rate over `[from, to)`, sampled at `step` resolution.
@@ -543,6 +542,107 @@ mod tests {
             n,
             "count must come from the same Poisson draw"
         );
+    }
+
+    /// `rate_at` as three calendar queries gave it: the phase from the
+    /// instant's whole seconds since the term start over a week, the hour
+    /// and the weekday from the same seconds over an hour and a day, and
+    /// the population scaled on every query. The test built the calendar
+    /// and the model, so it passes the calendar's registration and
+    /// teaching weeks and the model's peak rate per 1000 students.
+    fn three_query_rate(m: &WorkloadModel, reg: u64, teach: u64, peak: f64, t: SimTime) -> f64 {
+        let cal = m.calendar();
+        let start = cal.term_start();
+        let phase = if t < start || t >= cal.term_end() {
+            Phase::Break
+        } else {
+            let week = (t - start).as_secs() / (7 * 86_400);
+            if week < reg {
+                Phase::Registration
+            } else if week < reg + teach {
+                Phase::Teaching
+            } else {
+                Phase::Exams
+            }
+        };
+        let phase_f = match phase {
+            Phase::Break => m.phase_factors.break_f,
+            Phase::Registration => m.phase_factors.registration,
+            Phase::Teaching => m.phase_factors.teaching,
+            Phase::Exams => m.phase_factors.exams,
+        };
+        let secs = t.saturating_since(start).as_secs();
+        let diurnal = DIURNAL[((secs / 3_600) % 24) as usize];
+        let weekend = if (secs / 86_400) % 7 >= 5 {
+            m.weekend_factor
+        } else {
+            1.0
+        };
+        m.students as f64 / 1_000.0 * peak * phase_f * diurnal * weekend
+    }
+
+    #[test]
+    fn rate_at_is_bit_equal_to_three_calendar_queries() {
+        const HOUR: u64 = 3_600 * 1_000_000_000;
+        const YEARS_3: u64 = 3 * 365 * 24 * HOUR;
+        // Term starts at 0, and three weeks in at an instant on no hour.
+        let unaligned = SimTime::from_nanos(3 * 7 * 24 * HOUR + 5 * HOUR + 1_037_123_456_789);
+        let calendars = [
+            (SimTime::ZERO, 1, 14, 2),
+            (unaligned, 1, 14, 2),
+            (unaligned, 0, 10, 1),
+        ];
+        let mut rng = SimRng::seed(28).derive("rate-at");
+        // Populations and peak rates: the default, an odd pair, and random
+        // ones, so the product's rounding differs between them.
+        let mut sizes = vec![(2_000, 20.0), (12_345, 23.7)];
+        for _ in 0..6 {
+            sizes.push((
+                rng.range_u64(1, 5_000_000) as u32,
+                rng.range_f64(0.1, 100.0),
+            ));
+        }
+        for (start, reg, teach, exams) in calendars {
+            let cal = AcademicCalendar::new(start, reg, teach, exams);
+            let models: Vec<(WorkloadModel, f64)> = sizes
+                .iter()
+                .map(|&(students, peak)| {
+                    let m = WorkloadModel::builder(students, cal)
+                        .peak_rps_per_kstudent(peak)
+                        .weekend_factor(0.37)
+                        .build()
+                        .unwrap();
+                    (m, peak)
+                })
+                .collect();
+            let mut instants = Vec::new();
+            // Every hour of three years, from the epoch and from the term
+            // start, and the nanosecond before each term-relative hour.
+            for h in 1..YEARS_3 / HOUR {
+                let from_start = start + SimDuration::from_nanos(h * HOUR);
+                instants.extend([
+                    SimTime::from_nanos(h * HOUR),
+                    from_start,
+                    from_start - SimDuration::from_nanos(1),
+                ]);
+            }
+            instants.extend([SimTime::ZERO, start]);
+            for _ in 0..20_000 {
+                instants.push(SimTime::from_nanos(rng.range_u64(0, YEARS_3)));
+            }
+            let mut before_start = 0;
+            for t in instants {
+                before_start += u32::from(t < start);
+                for (m, peak) in &models {
+                    let (got, want) = (
+                        m.rate_at(t),
+                        three_query_rate(m, u64::from(reg), u64::from(teach), *peak, t),
+                    );
+                    assert_eq!(got.to_bits(), want.to_bits(), "{t:?}: {got} vs {want}");
+                }
+            }
+            assert_eq!(before_start > 0, start > SimTime::ZERO);
+        }
     }
 
     #[test]

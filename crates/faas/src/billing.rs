@@ -8,7 +8,6 @@
 //! serverless bills line up next to VM bills in every report.
 
 use elc_cloud::billing::{Invoice, InvoiceLine, Usd};
-use elc_simcore::time::SimDuration;
 
 /// Serverless price sheet: GB-second rate, per-million-request fee and the
 /// free tier granted per billing period.
@@ -125,18 +124,18 @@ impl InvocationBilling {
         }
     }
 
-    /// Meters `invocations` executions of `service_time` each on a
+    /// Meters `invocations` executions of `service_s` seconds each on a
     /// function sized at `memory_gb`.
     ///
     /// # Panics
     ///
     /// Panics unless `memory_gb` is positive and finite.
-    pub fn record(&mut self, invocations: u64, service_time: SimDuration, memory_gb: f64) {
+    pub fn record(&mut self, invocations: u64, service_s: f64, memory_gb: f64) {
         assert!(
             memory_gb.is_finite() && memory_gb > 0.0,
             "memory must be positive GB, got {memory_gb}"
         );
-        self.gb_s += invocations as f64 * service_time.as_secs_f64() * memory_gb;
+        self.gb_s += invocations as f64 * service_s * memory_gb;
         self.requests += invocations;
     }
 
@@ -227,7 +226,7 @@ mod tests {
         let prices = FaasPriceSheet::new(Usd::new(0.00002), Usd::new(0.20), 0.0, 0);
         let mut meter = InvocationBilling::new(prices);
         // 1M invocations x 0.1 s x 0.5 GB = 50k GB-s.
-        meter.record(1_000_000, SimDuration::from_secs_f64(0.1), 0.5);
+        meter.record(1_000_000, 0.1, 0.5);
         assert!((meter.gb_s() - 50_000.0).abs() < 1e-6);
         assert_eq!(meter.requests(), 1_000_000);
         let total = meter.total().amount();
@@ -240,7 +239,7 @@ mod tests {
     fn free_tier_zeroes_a_small_bill() {
         let prices = FaasPriceSheet::public_2014();
         let mut meter = InvocationBilling::new(prices);
-        meter.record(500_000, SimDuration::from_secs_f64(0.1), 0.5);
+        meter.record(500_000, 0.1, 0.5);
         // 25k GB-s and 0.5M requests: both inside the free tier.
         assert_eq!(meter.total(), Usd::ZERO);
         assert!(meter.invoice().lines().is_empty());
@@ -250,7 +249,7 @@ mod tests {
     fn with_free_tier_pro_rates() {
         let prices = FaasPriceSheet::public_2014().with_free_tier(0.0, 0);
         let mut meter = InvocationBilling::new(prices);
-        meter.record(1, SimDuration::from_secs_f64(0.1), 0.5);
+        meter.record(1, 0.1, 0.5);
         assert!(meter.total().amount() > 0.0);
     }
 }

@@ -2,12 +2,16 @@
 //! cold-start grants and keepalive reaping — one tick at a time.
 //!
 //! The [`Invoker`] owns every sandbox of one function ([`RequestKind`]) and
-//! advances in fluid ticks: a tick carries `demand` invocations, and the
-//! invoker reports where each went ([`TickOutcome`]) while recording
-//! latency into caller-owned histograms split by path — *warm* (an idle
-//! sandbox picked the request up immediately) versus *cold* (the request
-//! paid a cold start or waited in the buffer). The split is exactly the
-//! cold/warm p95 decomposition experiment E17 reports.
+//! advances in fluid ticks of a fixed length: a tick carries `demand`
+//! invocations, and the invoker reports where each went ([`TickOutcome`])
+//! while latency is split by path — *warm* (an idle sandbox picked the
+//! request up immediately) versus *cold* (the request paid a cold start or
+//! waited in the buffer). The split is exactly the cold/warm p95
+//! decomposition experiment E17 reports. Cold latencies go into a
+//! caller-owned histogram as each tick runs. Every warm serve has the same
+//! latency, the function's warm start plus its service time, so the
+//! invoker only counts them, and [`Invoker::record_warm`] records the count
+//! at once.
 //!
 //! A sandbox is *initializing* while it pays its cold start and *idle*
 //! (ready to serve) once it has; between ticks no sandbox is mid-invocation.
@@ -130,11 +134,22 @@ struct Run {
 /// The per-function admission engine. See the module docs for tick order.
 ///
 /// The runs are kept merged: no two neighbours are alike, so two invokers
-/// compare equal exactly when their fleets do.
+/// of one function compare equal exactly when their fleets and their
+/// unrecorded warm serves do.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Invoker {
     kind: RequestKind,
     config: InvokerConfig,
+    profile: StartProfile,
+    tick_len: SimDuration,
+    /// `tick_len` in seconds.
+    tick_s: f64,
+    /// Invocations one sandbox serves back to back in a tick, at least one.
+    slots_per: u64,
+    /// Warm start plus service time, in seconds.
+    warm_latency: f64,
+    /// Warm serves since the last [`Invoker::record_warm`].
+    unrecorded_warm: u64,
     /// The live sandboxes, in creation order.
     runs: Vec<Run>,
     /// Live sandbox ids in creation order, partitioned by `runs`.
@@ -148,12 +163,27 @@ pub struct Invoker {
 }
 
 impl Invoker {
-    /// Creates the invoker for one function.
+    /// Creates the invoker for one function with start profile `profile`,
+    /// advancing `tick_len` per [`tick`](Self::tick).
     #[must_use]
-    pub fn new(kind: RequestKind, config: InvokerConfig) -> Self {
+    pub fn new(
+        kind: RequestKind,
+        config: InvokerConfig,
+        profile: StartProfile,
+        tick_len: SimDuration,
+    ) -> Self {
+        // Each serving sandbox runs back-to-back invocations for the whole
+        // tick.
+        let per_invocation = profile.warm_start() + profile.service_time();
         Invoker {
             kind,
             config,
+            profile,
+            tick_len,
+            tick_s: tick_len.as_secs_f64(),
+            slots_per: (tick_len.as_nanos() / per_invocation.as_nanos()).max(1),
+            warm_latency: per_invocation.as_secs_f64(),
+            unrecorded_warm: 0,
             runs: Vec::new(),
             ids: Vec::new(),
             live: 0,
@@ -205,6 +235,15 @@ impl Invoker {
         self.reaped_total
     }
 
+    /// Records the warm serves since the last call into `warm_hist`, all at
+    /// the warm latency, in seconds. Its count, min/max and quantiles are
+    /// those of one record per invocation, while its running mean and
+    /// variance may differ in the last bits.
+    pub fn record_warm(&mut self, warm_hist: &mut Histogram) {
+        warm_hist.record_n(self.warm_latency, self.unrecorded_warm);
+        self.unrecorded_warm = 0;
+    }
+
     /// Empties the buffer (end-of-run accounting: the abandoned
     /// invocations become `GaveUp` in the caller's books) and returns how
     /// many were waiting.
@@ -245,24 +284,21 @@ impl Invoker {
         killed
     }
 
-    /// Advances one tick. `demand` invocations arrive uniformly across the
-    /// tick, `grant` is the scaler's cold-start allowance, and latency is
-    /// recorded into `warm_hist` / `cold_hist` in seconds (see the module
-    /// docs for the path split). Invocations that share a latency are
-    /// recorded together — the tick's warm serves at once, a buffered
-    /// batch at once per path; the histograms' count, min/max and
-    /// quantiles are those of one record per invocation, while their
-    /// running mean and variance may differ in the last bits.
-    #[allow(clippy::too_many_arguments)]
+    /// Advances one tick from `now`. `demand` invocations arrive uniformly
+    /// across the tick, and `grant` is the scaler's cold-start allowance.
+    /// Cold-path latency is recorded into `cold_hist` in seconds, and warm
+    /// serves are counted for [`record_warm`](Self::record_warm) (see the
+    /// module docs for the path split). Invocations that share a latency
+    /// are recorded together, a buffered batch at once per path; the
+    /// histogram's count, min/max and quantiles are those of one record
+    /// per invocation, while its running mean and variance may differ in
+    /// the last bits.
     pub fn tick(
         &mut self,
         now: SimTime,
-        tick_len: SimDuration,
         demand: u64,
         grant: u32,
-        spec: &StartProfile,
         rng: &mut SimRng,
-        warm_hist: &mut Histogram,
         cold_hist: &mut Histogram,
     ) -> TickOutcome {
         let mut out = TickOutcome::default();
@@ -275,9 +311,7 @@ impl Invoker {
         // 3. Warm serving: each serving sandbox runs back-to-back
         //    invocations for the whole tick; buffered work drains before
         //    fresh, and every fresh warm serve has the same latency.
-        let per_invocation = spec.warm_start() + spec.service_time();
-        let slots_per = (tick_len.as_nanos() / per_invocation.as_nanos()).max(1);
-        let warm_latency = per_invocation.as_secs_f64();
+        let (slots_per, warm_latency) = (self.slots_per, self.warm_latency);
         let mut fresh = demand;
         let waiting = u128::from(self.buffered_count) + u128::from(fresh);
         let taken = self.occupy_idle(now, waiting, slots_per);
@@ -291,14 +325,14 @@ impl Invoker {
         // `taken` covers the buffer first, so what is left of it is fresh.
         out.served_warm = (taken - u128::from(drained)) as u64;
         fresh -= out.served_warm;
-        warm_hist.record_n(warm_latency, out.served_warm);
+        self.unrecorded_warm += out.served_warm;
 
         // 4. Granted cold starts. A sandbox whose cold start completes
         //    within the tick serves a prorated share of the leftovers on
         //    the cold path.
         let starts = grant.min(self.config.concurrency_limit.saturating_sub(self.live));
         for _ in 0..starts {
-            let cold = spec.sample_cold_start(rng);
+            let cold = self.profile.sample_cold_start(rng);
             let id = self.next_id;
             self.next_id += 1;
             self.started_total += 1;
@@ -316,8 +350,8 @@ impl Invoker {
                     ],
                 );
             }
-            if cold < tick_len {
-                let share = 1.0 - cold.as_secs_f64() / tick_len.as_secs_f64();
+            if cold < self.tick_len {
+                let share = 1.0 - cold.as_secs_f64() / self.tick_s;
                 let slots = (slots_per as f64 * share) as u64;
                 let cold_latency = cold.as_secs_f64() + warm_latency;
                 let drained = self.drain(now, slots, cold_latency, cold_hist, &mut out);
@@ -329,7 +363,7 @@ impl Invoker {
             // Served or not, it is ready, and idle, from `now + cold` on.
             self.runs.push(Run {
                 len: 1,
-                initializing: cold >= tick_len,
+                initializing: cold >= self.tick_len,
                 since: now + cold,
             });
             self.ids.push(id);
@@ -522,6 +556,10 @@ mod tests {
         )
     }
 
+    fn invoker(kind: RequestKind, config: InvokerConfig) -> Invoker {
+        Invoker::new(kind, config, spec(), TICK)
+    }
+
     fn rng() -> SimRng {
         SimRng::seed(42).derive("invoker-test")
     }
@@ -540,18 +578,9 @@ mod tests {
 
     #[test]
     fn scale_from_zero_serves_on_the_cold_path() {
-        let mut inv = Invoker::new(RequestKind::QuizSubmit, config(1_000));
-        let (mut warm, mut cold) = (Histogram::new(), Histogram::new());
-        let out = inv.tick(
-            SimTime::ZERO,
-            TICK,
-            100,
-            2,
-            &spec(),
-            &mut rng(),
-            &mut warm,
-            &mut cold,
-        );
+        let mut inv = invoker(RequestKind::QuizSubmit, config(1_000));
+        let mut cold = Histogram::new();
+        let out = inv.tick(SimTime::ZERO, 100, 2, &mut rng(), &mut cold);
         assert_eq!(out.cold_starts, 2);
         assert_eq!(out.served_warm, 0, "nothing was warm at t=0");
         assert!(out.served_cold > 0);
@@ -564,45 +593,31 @@ mod tests {
 
     #[test]
     fn warm_sandboxes_serve_next_tick_cheaply() {
-        let mut inv = Invoker::new(RequestKind::CoursePage, config(1_000));
+        let mut inv = invoker(RequestKind::CoursePage, config(1_000));
         let (mut warm, mut cold) = (Histogram::new(), Histogram::new());
-        let s = spec();
         let mut r = rng();
-        inv.tick(SimTime::ZERO, TICK, 50, 1, &s, &mut r, &mut warm, &mut cold);
-        let out = inv.tick(
-            SimTime::ZERO + TICK,
-            TICK,
-            50,
-            0,
-            &s,
-            &mut r,
-            &mut warm,
-            &mut cold,
-        );
+        inv.tick(SimTime::ZERO, 50, 1, &mut r, &mut cold);
+        let out = inv.tick(SimTime::ZERO + TICK, 50, 0, &mut r, &mut cold);
         assert_eq!(out.cold_starts, 0);
         assert_eq!(out.served_warm, 50);
+        inv.record_warm(&mut warm);
+        assert_eq!(warm.count(), 50);
         let warm_p95 = warm.p95();
         assert!(
             warm_p95 < 0.5,
             "warm path should be sub-second, got {warm_p95}"
         );
+        // Recorded once: the count starts again from zero.
+        inv.record_warm(&mut warm);
+        assert_eq!(warm.count(), 50);
     }
 
     #[test]
     fn overflow_buffers_then_sheds() {
-        let mut inv = Invoker::new(RequestKind::Login, config(30));
-        let (mut warm, mut cold) = (Histogram::new(), Histogram::new());
+        let mut inv = invoker(RequestKind::Login, config(30));
+        let mut cold = Histogram::new();
         // No grant: nothing can serve, so demand splits buffer/shed.
-        let out = inv.tick(
-            SimTime::ZERO,
-            TICK,
-            100,
-            0,
-            &spec(),
-            &mut rng(),
-            &mut warm,
-            &mut cold,
-        );
+        let out = inv.tick(SimTime::ZERO, 100, 0, &mut rng(), &mut cold);
         assert_eq!(out.buffered, 30);
         assert_eq!(out.shed, 70);
         assert_eq!(inv.buffered(), 30);
@@ -612,22 +627,12 @@ mod tests {
 
     #[test]
     fn buffered_work_drains_with_queueing_delay() {
-        let mut inv = Invoker::new(RequestKind::QuizFetch, config(500));
-        let (mut warm, mut cold) = (Histogram::new(), Histogram::new());
-        let s = spec();
+        let mut inv = invoker(RequestKind::QuizFetch, config(500));
+        let mut cold = Histogram::new();
         let mut r = rng();
-        inv.tick(SimTime::ZERO, TICK, 40, 0, &s, &mut r, &mut warm, &mut cold);
+        inv.tick(SimTime::ZERO, 40, 0, &mut r, &mut cold);
         assert_eq!(inv.buffered(), 40);
-        let out = inv.tick(
-            SimTime::ZERO + TICK,
-            TICK,
-            0,
-            1,
-            &s,
-            &mut r,
-            &mut warm,
-            &mut cold,
-        );
+        let out = inv.tick(SimTime::ZERO + TICK, 0, 1, &mut r, &mut cold);
         assert_eq!(out.served_cold, 40, "buffer drains through the new sandbox");
         assert_eq!(inv.buffered(), 0);
         // Waited a full tick: latency must exceed 60 s.
@@ -636,15 +641,14 @@ mod tests {
 
     #[test]
     fn idle_sandboxes_are_reaped_after_the_window() {
-        let mut inv = Invoker::new(RequestKind::ForumRead, config(100));
-        let (mut warm, mut cold) = (Histogram::new(), Histogram::new());
-        let s = spec();
+        let mut inv = invoker(RequestKind::ForumRead, config(100));
+        let mut cold = Histogram::new();
         let mut r = rng();
-        inv.tick(SimTime::ZERO, TICK, 10, 1, &s, &mut r, &mut warm, &mut cold);
+        inv.tick(SimTime::ZERO, 10, 1, &mut r, &mut cold);
         assert_eq!(inv.live(), 1);
         // Six quiet minutes later the 5-minute window has expired.
         let later = SimTime::ZERO + SimDuration::from_mins(6);
-        let out = inv.tick(later, TICK, 0, 0, &s, &mut r, &mut warm, &mut cold);
+        let out = inv.tick(later, 0, 0, &mut r, &mut cold);
         assert_eq!(out.reaped, 1);
         assert_eq!(inv.live(), 0);
         assert_eq!(inv.started_total(), 1);
@@ -653,20 +657,9 @@ mod tests {
 
     #[test]
     fn kill_takes_down_live_sandboxes() {
-        let mut inv = Invoker::new(RequestKind::VideoChunk, config(100));
-        let (mut warm, mut cold) = (Histogram::new(), Histogram::new());
-        let s = spec();
-        let mut r = rng();
-        inv.tick(
-            SimTime::ZERO,
-            TICK,
-            500,
-            4,
-            &s,
-            &mut r,
-            &mut warm,
-            &mut cold,
-        );
+        let mut inv = invoker(RequestKind::VideoChunk, config(100));
+        let mut cold = Histogram::new();
+        inv.tick(SimTime::ZERO, 500, 4, &mut rng(), &mut cold);
         let live = inv.live();
         assert!(live >= 2);
         let killed = inv.kill(2);
@@ -678,33 +671,23 @@ mod tests {
     #[test]
     fn concurrency_limit_caps_grants() {
         let cfg = InvokerConfig::new(FixedWindow::new(SimDuration::from_mins(30)), 3, 10_000);
-        let mut inv = Invoker::new(RequestKind::Upload, cfg);
-        let (mut warm, mut cold) = (Histogram::new(), Histogram::new());
-        let out = inv.tick(
-            SimTime::ZERO,
-            TICK,
-            10_000,
-            50,
-            &spec(),
-            &mut rng(),
-            &mut warm,
-            &mut cold,
-        );
+        let mut inv = invoker(RequestKind::Upload, cfg);
+        let mut cold = Histogram::new();
+        let out = inv.tick(SimTime::ZERO, 10_000, 50, &mut rng(), &mut cold);
         assert_eq!(out.cold_starts, 3);
         assert_eq!(inv.live(), 3);
     }
 
     #[test]
     fn outcome_always_conserves_demand() {
-        let mut inv = Invoker::new(RequestKind::ForumPost, config(200));
-        let (mut warm, mut cold) = (Histogram::new(), Histogram::new());
-        let s = spec();
+        let mut inv = invoker(RequestKind::ForumPost, config(200));
+        let mut cold = Histogram::new();
         let mut r = rng();
         let mut now = SimTime::ZERO;
         for step in 0..50u64 {
             let demand = (step * 37) % 400;
             let before = inv.buffered();
-            let out = inv.tick(now, TICK, demand, 1, &s, &mut r, &mut warm, &mut cold);
+            let out = inv.tick(now, demand, 1, &mut r, &mut cold);
             let drained = before - (inv.buffered() - out.buffered);
             assert_eq!(
                 out.served_warm + out.served_cold + out.buffered + out.shed,

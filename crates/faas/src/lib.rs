@@ -45,21 +45,21 @@
 //! use elc_simcore::time::{SimDuration, SimTime};
 //! use elc_elearn::request::RequestKind;
 //!
-//! let profile = ColdStartProfile::standard();
 //! let config = InvokerConfig::new(FixedWindow::new(SimDuration::from_mins(5)), 1_000, 2_000);
-//! let mut invoker = Invoker::new(RequestKind::QuizSubmit, config);
+//! let spec = *ColdStartProfile::standard().get(RequestKind::QuizSubmit);
+//! let tick = SimDuration::from_secs(60);
+//! let mut invoker = Invoker::new(RequestKind::QuizSubmit, config, spec, tick);
 //! let scaler = FaasScaler::new(0.7, 400);
 //! let mut rng = SimRng::seed(42).derive("faas");
 //! let (mut warm, mut cold) = (Histogram::new(), Histogram::new());
 //!
-//! let now = SimTime::ZERO;
-//! let tick = SimDuration::from_secs(60);
-//! let spec = profile.get(RequestKind::QuizSubmit);
-//! let desired = scaler.desired_containers(3.0, spec.service_time());
+//! let desired = scaler.desired_containers(3.0, spec.service_time().as_secs_f64());
 //! let grant = scaler.grant(desired, invoker.live(), 0);
-//! let out = invoker.tick(now, tick, 180, grant, spec, &mut rng, &mut warm, &mut cold);
+//! let out = invoker.tick(SimTime::ZERO, 180, grant, &mut rng, &mut cold);
+//! invoker.record_warm(&mut warm);
 //! assert_eq!(out.cold_starts, u64::from(grant));
 //! assert_eq!(out.served_warm + out.served_cold + out.buffered + out.shed, 180);
+//! assert_eq!(warm.count(), out.served_warm);
 //! ```
 
 #![forbid(unsafe_code)]

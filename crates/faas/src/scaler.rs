@@ -8,7 +8,7 @@
 //! fixed order, so at an exam-day peak the pool can run dry before the
 //! last functions are reached — exactly the starvation E17 measures.
 
-use elc_simcore::time::SimDuration;
+use elc_simcore::round::ceil_u32;
 
 /// Account-level scaling policy.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -48,16 +48,17 @@ impl FaasScaler {
     }
 
     /// Sandboxes one function wants for an offered load of `rate` requests
-    /// per second at `service_time` each: Little's law padded to the
+    /// per second at `service_s` seconds each: Little's law padded to the
     /// target utilisation. Zero rate wants zero sandboxes — that is the
     /// scale-*to*-zero half of the bargain.
     #[must_use]
-    pub fn desired_containers(&self, rate: f64, service_time: SimDuration) -> u32 {
+    pub fn desired_containers(&self, rate: f64, service_s: f64) -> u32 {
         if rate <= 0.0 {
             return 0;
         }
-        let in_flight = rate * service_time.as_secs_f64() / self.target_util;
-        in_flight.ceil().min(f64::from(u32::MAX)) as u32
+        let in_flight = rate * service_s / self.target_util;
+        // Capped before rounding, so a NaN load wants `u32::MAX`.
+        ceil_u32(in_flight.min(f64::from(u32::MAX)))
     }
 
     /// Cold starts granted this tick: enough to close the gap between
@@ -109,14 +110,16 @@ mod tests {
     fn desired_follows_littles_law() {
         let s = FaasScaler::new(0.5, 1_000);
         // 10 rps x 0.2 s = 2 in flight; at 50% target util -> 4 sandboxes.
-        assert_eq!(
-            s.desired_containers(10.0, SimDuration::from_secs_f64(0.2)),
-            4
-        );
-        assert_eq!(
-            s.desired_containers(0.0, SimDuration::from_secs_f64(0.2)),
-            0
-        );
+        assert_eq!(s.desired_containers(10.0, 0.2), 4);
+        assert_eq!(s.desired_containers(0.0, 0.2), 0);
+    }
+
+    #[test]
+    fn desired_saturates_on_a_nan_or_infinite_load() {
+        let s = FaasScaler::new(0.5, 1_000);
+        assert_eq!(s.desired_containers(f64::NAN, 0.2), u32::MAX);
+        assert_eq!(s.desired_containers(f64::INFINITY, 0.2), u32::MAX);
+        assert_eq!(s.desired_containers(f64::NEG_INFINITY, 0.2), 0);
     }
 
     #[test]

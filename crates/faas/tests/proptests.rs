@@ -14,8 +14,9 @@
 //! The other walks drive the run-based [`Invoker`] beside [`PerSandbox`],
 //! a reference that visits one sandbox state machine at a time and
 //! records each serving sandbox's warm invocations on its own. Outcomes,
-//! live and idle counts, buffer depth, both histograms' quantiles and
-//! the trace lines must agree after every tick. The reference's state
+//! live and idle counts, buffer depth, both histograms' quantiles (the
+//! invoker's warm count recorded first) and the trace lines must agree
+//! after every tick. The reference's state
 //! assertions also panic the walk if a keepalive window shorter than a
 //! tick ever reaps a sandbox mid-invocation.
 
@@ -65,8 +66,8 @@ fn random_interleavings_preserve_container_invariants() {
         let slots_per =
             (TICK.as_nanos() / (spec.warm_start() + spec.service_time()).as_nanos()).max(1);
 
-        let mut invoker = Invoker::new(kind, config);
-        let (mut warm, mut cold) = (Histogram::new(), Histogram::new());
+        let mut invoker = Invoker::new(kind, config, spec, TICK);
+        let mut cold = Histogram::new();
         let mut now = SimTime::ZERO;
         for tick in 0..TICKS_PER_CASE {
             // Bursty demand: quiet stretches force reaps, spikes force
@@ -83,9 +84,7 @@ fn random_interleavings_preserve_container_invariants() {
             let live_before = u64::from(invoker.live());
             let buffered_before = invoker.buffered();
 
-            let out = invoker.tick(
-                now, TICK, demand, grant, &spec, &mut rng, &mut warm, &mut cold,
-            );
+            let out = invoker.tick(now, demand, grant, &mut rng, &mut cold);
 
             assert!(
                 out.served_warm <= live_before * slots_per,
@@ -146,9 +145,9 @@ fn short_keepalive_walks_never_reap_inflight_work() {
         let config = InvokerConfig::new(keepalive, 20, 200);
         let kind = RequestKind::QuizSubmit;
         let spec = *ColdStartProfile::standard().get(kind);
-        let mut invoker = Invoker::new(kind, config.clone());
+        let mut invoker = Invoker::new(kind, config.clone(), spec, TICK);
         let mut reference = PerSandbox::new(kind, &config);
-        let (mut warm, mut cold) = (Histogram::new(), Histogram::new());
+        let mut cold = Histogram::new();
         let (mut ref_warm, mut ref_cold) = (Histogram::new(), Histogram::new());
         let mut cold_rng = rng.derive("cold-starts");
         let mut ref_cold_rng = cold_rng.clone();
@@ -160,16 +159,7 @@ fn short_keepalive_walks_never_reap_inflight_work() {
             } else {
                 rng.range_u64(1, 600)
             };
-            let out = invoker.tick(
-                now,
-                TICK,
-                demand,
-                3,
-                &spec,
-                &mut cold_rng,
-                &mut warm,
-                &mut cold,
-            );
+            let out = invoker.tick(now, demand, 3, &mut cold_rng, &mut cold);
             let want = reference.tick(
                 now,
                 TICK,
@@ -329,7 +319,7 @@ fn differential_walks(cases: u64, traced: bool) -> Reached {
         reached.other_ticks += u64::from(c.tick_len != TICK);
 
         let mut reference = PerSandbox::new(c.kind, &c.config);
-        let mut invoker = Invoker::new(c.kind, c.config.clone());
+        let mut invoker = Invoker::new(c.kind, c.config.clone(), c.spec, c.tick_len);
         let (mut warm, mut cold) = (Histogram::new(), Histogram::new());
         let (mut ref_warm, mut ref_cold) = (Histogram::new(), Histogram::new());
         let mut cold_rng = rng.derive("cold-starts");
@@ -340,17 +330,9 @@ fn differential_walks(cases: u64, traced: bool) -> Reached {
         for tick in 0..TICKS_PER_CASE {
             let (demand, grant) = (c.demand(&mut rng), c.grant(&mut rng));
             let out = under(&mut trace, || {
-                invoker.tick(
-                    now,
-                    c.tick_len,
-                    demand,
-                    grant,
-                    &c.spec,
-                    &mut cold_rng,
-                    &mut warm,
-                    &mut cold,
-                )
+                invoker.tick(now, demand, grant, &mut cold_rng, &mut cold)
             });
+            invoker.record_warm(&mut warm);
             let want = under(&mut ref_trace, || {
                 reference.tick(
                     now,

@@ -75,6 +75,7 @@ pub mod metrics;
 pub mod queue;
 pub mod queueing;
 pub mod rng;
+pub mod round;
 pub mod series;
 pub mod shard;
 pub mod sim;

@@ -13,6 +13,8 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
+use crate::round::round_u64;
+
 /// Number of nanoseconds in one second.
 pub const NANOS_PER_SEC: u64 = 1_000_000_000;
 /// Number of nanoseconds in one millisecond.
@@ -162,7 +164,7 @@ impl SimDuration {
             nanos <= u64::MAX as f64,
             "duration of {secs} seconds overflows"
         );
-        SimDuration(round_nanos(nanos))
+        SimDuration(round_u64(nanos))
     }
 
     /// The span in whole nanoseconds.
@@ -220,7 +222,7 @@ impl SimDuration {
         );
         let nanos = self.0 as f64 * factor;
         assert!(nanos <= u64::MAX as f64, "duration multiply overflows");
-        SimDuration(round_nanos(nanos))
+        SimDuration(round_u64(nanos))
     }
 
     /// Ratio of this span to `other`, as a float.
@@ -339,17 +341,6 @@ impl fmt::Display for SimDuration {
     }
 }
 
-/// Rounds a non-negative nanosecond count to the nearest whole nanosecond,
-/// ties away from zero: `nanos.round() as u64` without the libm call.
-///
-/// Below 2^52 the truncation and the fraction are exact; from 2^52 up every
-/// double is already whole, and `2^64` saturates to `u64::MAX` as the cast
-/// does.
-fn round_nanos(nanos: f64) -> u64 {
-    let whole = nanos as u64;
-    whole + u64::from(nanos - whole as f64 >= 0.5)
-}
-
 /// Renders a nanosecond count with a human-readable unit.
 fn fmt_nanos(nanos: u64, f: &mut fmt::Formatter<'_>) -> fmt::Result {
     if nanos == 0 {
@@ -419,30 +410,8 @@ mod tests {
     }
 
     #[test]
-    fn round_nanos_matches_libm_round() {
-        let libm = |x: f64| x.round() as u64;
-        let mut rng = crate::rng::SimRng::seed(52).derive("round-nanos");
-        let mut cases = vec![0.0, 0.49999999999999994, 0.5, 1.5, 2.5, 2f64.powi(64)];
-        // Exact ties, on both sides of the 2^52 line where doubles stop
-        // carrying a fraction.
-        for k in [0u64, 1, 2, 1_000_000, (1 << 51) - 1, 1 << 51] {
-            cases.push(k as f64 + 0.5);
-        }
-        for _ in 0..20_000 {
-            // Magnitudes from 2^-10 to 2^64, mantissas random.
-            let magnitude = 2f64.powi(rng.range_u64(0, 74) as i32 - 10);
-            let x = rng.next_f64() * magnitude;
-            cases.extend([x, x.floor() + 0.5]);
-        }
-        for e in 52..64 {
-            let x = 2f64.powi(e);
-            cases.extend([x, x * 1.5, f64::from_bits(x.to_bits() - 1)]);
-        }
-        for x in cases {
-            assert_eq!(round_nanos(x), libm(x), "x = {x:e}");
-        }
-        // 2^64 saturates, so MAX still round-trips through seconds.
-        assert_eq!(round_nanos(2f64.powi(64)), u64::MAX);
+    fn max_round_trips_through_seconds() {
+        // 2^64 nanoseconds saturate, so MAX still round-trips.
         assert_eq!(
             SimDuration::from_secs_f64(SimDuration::MAX.as_secs_f64()),
             SimDuration::MAX

@@ -672,3 +672,140 @@ fn mutated_traces_are_run_or_refused_never_panicked_on() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The binary (`ELCW`) twin of
+/// `mutated_traces_are_run_or_refused_never_panicked_on`: a recorded
+/// `small-college` trace, mutated byte by byte, cut short, with element
+/// counts overwritten, and with rate or peak edits made through the codec,
+/// is run or refused (exit 0, 1 or 2) by every experiment that replays a
+/// trace. The decoder caps every count by the bytes left (`len_capped`), so
+/// no overwritten count can allocate without bound.
+#[test]
+fn mutated_binary_traces_are_run_or_refused_never_panicked_on() {
+    use elearn_cloud::simcore::SimRng;
+    use elearn_cloud::wltrace::codec;
+    use elearn_cloud::wltrace::WorkloadTrace;
+
+    let dir = scratch_dir("mutated-binary");
+    let path = dir.join("recorded.elcw");
+    let out = elc()
+        .args(["experiment", "e12", "small-college", "--seed", "42"])
+        .arg("--record-trace")
+        .arg(&path)
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let bytes = std::fs::read(&path).expect("trace recorded");
+    let trace = codec::from_bytes(&bytes).expect("a recorded trace decodes");
+    assert!(!trace.streams.is_empty() && !trace.streams[0].rates.is_empty());
+
+    let varint = |mut v: u64| {
+        let mut out = Vec::new();
+        loop {
+            let byte = (v & 0x7f) as u8;
+            v >>= 7;
+            if v == 0 {
+                out.push(byte);
+                return out;
+            }
+            out.push(byte | 0x80);
+        }
+    };
+    // Where three element counts sit: the kind table's after the header,
+    // the stream count last in a trace with no streams, and the first
+    // stream's rate count right after it.
+    let kinds_at = 4 + 1 + varint(u64::from(trace.students)).len() + 8;
+    let no_streams = WorkloadTrace {
+        streams: Vec::new(),
+        ..trace.clone()
+    };
+    let streams_at = codec::to_bytes(&no_streams).len() - 1;
+    let rates_at = streams_at + varint(trace.streams.len() as u64).len();
+    let mut kinds = Vec::new();
+    for &(kind, _) in trace.mixes.iter().flatten() {
+        if !kinds.contains(&kind) {
+            kinds.push(kind);
+        }
+    }
+    let counts = [
+        (kinds_at, kinds.len() as u64),
+        (streams_at, trace.streams.len() as u64),
+        (rates_at, trace.streams[0].rates.len() as u64),
+    ];
+    for (at, count) in counts {
+        assert!(bytes[at..].starts_with(&varint(count)), "count at {at}");
+    }
+
+    let mut rng = SimRng::seed(0xE1C3).derive("binary-trace-mutations");
+    let mut cases: Vec<Vec<u8>> = Vec::new();
+    // Byte flips anywhere in the file.
+    for _ in 0..8 {
+        let mut b = bytes.clone();
+        let at = rng.range_u64(0, b.len() as u64 - 1) as usize;
+        b[at] ^= rng.range_u64(1, 255) as u8;
+        cases.push(b);
+    }
+    // Truncations, the header included.
+    for _ in 0..4 {
+        let keep = rng.range_u64(0, bytes.len() as u64 - 1) as usize;
+        cases.push(bytes[..keep].to_vec());
+    }
+    // Counts overwritten: none, one more, and one past any file.
+    for (at, count) in counts {
+        for value in [0, count + 1, 1 << 62] {
+            let mut b = bytes[..at].to_vec();
+            b.extend(varint(value));
+            b.extend(&bytes[at + varint(count).len()..]);
+            cases.push(b);
+        }
+    }
+    // Decode, edit the peak or one rate sample by 10^k, encode.
+    for _ in 0..6 {
+        let mut edited = trace.clone();
+        let k = rng.range_u64(1, 300) as i32;
+        let scale = |bits: u64| (f64::from_bits(bits) * 10f64.powi(k)).to_bits();
+        if rng.chance(0.5) {
+            edited.peak_rate_bits = scale(edited.peak_rate_bits);
+        } else {
+            let rates = &mut edited.streams[0].rates;
+            let i = rng.range_u64(0, rates.len() as u64 - 1) as usize;
+            rates[i].rate_bits = scale(rates[i].rate_bits);
+        }
+        cases.push(codec::to_bytes(&edited));
+    }
+
+    let replayed = dir.join("replayed.elcw");
+    let runs: [&[&str]; 6] = [
+        &["experiment", "e12"],
+        &["experiment", "e16"],
+        &["experiment", "e17"],
+        &["experiment", "e19"],
+        &["experiment", "e18", "--fidelity", "fluid"],
+        &["experiment", "e18", "--fidelity", "auto"],
+    ];
+    let mut ran = 0;
+    for (case, mutated) in cases.iter().enumerate() {
+        std::fs::write(&replayed, mutated).expect("trace written");
+        for run in runs {
+            let (command, flags) = run.split_at(2);
+            let out = elc()
+                .args(command)
+                .args(["small-college", "--seed", "42", "--workload"])
+                .arg(format!("trace:{}", replayed.display()))
+                .args(flags)
+                .output()
+                .expect("binary runs");
+            assert!(
+                matches!(out.status.code(), Some(0..=2)),
+                "case {case} {run:?} exited {:?}: {}",
+                out.status.code(),
+                stderr(&out)
+            );
+            ran += u32::from(out.status.code() == Some(0));
+        }
+    }
+    // Some mutations must still decode and run, or only the decoder was
+    // tested.
+    assert!(ran > 0, "every mutated trace was refused");
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -2,10 +2,11 @@
 //! depend on the random seed. The stochastic digits move; the shapes the
 //! paper asserts do not.
 
-use elearn_cloud::core::experiments::{e12, e16, e17, e19, run_all};
+use elearn_cloud::core::experiments::{e02, e04, e12, e16, e17, e19, run_all};
 use elearn_cloud::core::scenario::report_presets;
 use elearn_cloud::core::Scenario;
 use elearn_cloud::deploy::model::DeploymentKind;
+use elearn_cloud::elearn::client::ClientKind;
 use elearn_cloud::simcore::time::SimDuration;
 
 const SEEDS: [u64; 3] = [11, 222, 3_333];
@@ -197,6 +198,83 @@ fn sync_replicas_lose_nothing_and_the_tape_loses_the_day_over_32_seeds() {
                 tape.quiz_submits_lost > 0.0,
                 "{name} seed {seed}: the tape lost no quiz submission"
             );
+        }
+    }
+}
+
+/// E2's measured note at every report preset over seeds 1..=32, fixed in
+/// advance: on each of the three links the thin client starts faster and
+/// uses less memory than the desktop install, and the desktop's page action
+/// is faster, the cached reads the note says it wins.
+#[test]
+fn thin_clients_start_faster_and_desktops_win_cached_reads_over_32_seeds() {
+    for seed in 1..=32 {
+        for scenario in report_presets(seed) {
+            let out = e02::run(&scenario);
+            let name = scenario.name();
+            for thin in out
+                .rows
+                .iter()
+                .filter(|r| r.client == ClientKind::ThinCloud)
+            {
+                let link = thin.link;
+                let desktop = out
+                    .rows
+                    .iter()
+                    .find(|r| r.client == ClientKind::DesktopInstall && r.link == link)
+                    .expect("both clients measured on every link");
+                assert!(
+                    thin.startup_mean_s < desktop.startup_mean_s,
+                    "{name} seed {seed} {link}: thin starts in {} s, desktop in {} s",
+                    thin.startup_mean_s,
+                    desktop.startup_mean_s
+                );
+                assert!(
+                    thin.memory_mib < desktop.memory_mib,
+                    "{name} seed {seed} {link}: thin uses {} MiB, desktop {} MiB",
+                    thin.memory_mib,
+                    desktop.memory_mib
+                );
+                assert!(
+                    desktop.action_mean_s < thin.action_mean_s,
+                    "{name} seed {seed} {link}: desktop acts in {} s, thin in {} s",
+                    desktop.action_mean_s,
+                    thin.action_mean_s
+                );
+            }
+            assert_eq!(
+                out.rows.len(),
+                9,
+                "{name} seed {seed}: three links x three clients"
+            );
+        }
+    }
+}
+
+/// E4's measured note at every report preset over seeds 1..=32, fixed in
+/// advance: loss probability orders public (3 sites) < hybrid (2 sites) <
+/// private (1 site) at every horizon.
+#[test]
+fn loss_orders_public_below_hybrid_below_private_over_32_seeds() {
+    for seed in 1..=32 {
+        for scenario in report_presets(seed) {
+            let out = e04::run(&scenario);
+            let loss = |k: DeploymentKind| out.row(k).loss_probability;
+            let (public, hybrid, private) = (
+                loss(DeploymentKind::Public),
+                loss(DeploymentKind::Hybrid),
+                loss(DeploymentKind::Private),
+            );
+            for h in 0..3 {
+                assert!(
+                    public[h] < hybrid[h] && hybrid[h] < private[h],
+                    "{} seed {seed} horizon {h}: public {} hybrid {} private {}",
+                    scenario.name(),
+                    public[h],
+                    hybrid[h],
+                    private[h]
+                );
+            }
         }
     }
 }
